@@ -10,7 +10,6 @@ u makes reception on link v impossible.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -185,22 +184,29 @@ class ConflictGraph:
 
 
 def build_conflict_graph(g: NetworkGraph) -> ConflictGraph:
-    """Pairwise case analysis of when one link's transmission kills another.
+    """Case analysis of when one link's transmission kills another.
 
     Link (u', v') blocks link (u, v) when one of:
       1. u' == u and v' != v   (a node sends one message per round),
       2. u' == v               (a transmitting receiver cannot listen),
       3. u' != u and u' is an in-neighbor of v  (second transmitter in range).
+
+    So link a = (ta, ha) blocks the out-links of ta, the in-links of ta and
+    the in-links of every out-neighbor of ta, which takes O(m * delta^2).
     """
-    m = g.link_count
-    blocks: list[list[int]] = [[] for _ in range(m)]
-    for a, (ta, ha) in enumerate(g.links):
-        for b, (tb, hb) in enumerate(g.links):
-            if a == b:
-                continue
-            if ta == tb or ta == hb or (ta != tb and g.has_link(ta, hb)):
-                blocks[a].append(b)
-    return ConflictGraph(m, tuple(tuple(v) for v in blocks))
+    in_links: dict[int, list[int]] = {n: [] for n in g.nodes}
+    for i, (_, head) in enumerate(g.links):
+        in_links[head].append(i)
+    blocks = []
+    for a, (ta, _) in enumerate(g.links):
+        out = g.out_links(ta)
+        near = set(out)
+        near.update(in_links[ta])
+        for o in out:
+            near.update(in_links[g.links[o][1]])
+        near.discard(a)
+        blocks.append(tuple(near))
+    return ConflictGraph(g.link_count, tuple(blocks))
 
 
 @dataclass(frozen=True)

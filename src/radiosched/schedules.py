@@ -162,8 +162,9 @@ def verify_frequent(
     """Replay the schedule under full backlog and count per-link successes
     in every window of the claimed length.
 
-    Runs windows*T rounds; ok means every link clears rho*T in every
-    window.  Exact rational comparison, no tolerance.
+    Runs max(windows*T, period + T - 1) rounds, so every cyclic window
+    start is checked; ok means every link clears rho*T in every window.
+    Exact rational comparison, no tolerance.
     """
     if schedule.claimed_frequency is None:
         raise ParameterError("schedule carries no frequency claim to verify")
@@ -173,7 +174,7 @@ def verify_frequent(
         raise ParameterError("schedule and network disagree on link count")
     rho, T = schedule.claimed_frequency
     m = g.link_count
-    total = windows * T
+    total = max(windows * T, schedule.period + T - 1)
     per_period = {}
     succ = np.zeros((total, m), dtype=bool)
     for r in range(total):

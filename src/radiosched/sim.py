@@ -10,6 +10,7 @@ packets only become selectable in the next round.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -111,14 +112,45 @@ def run(
     per_round_max_queue = np.zeros(rounds, dtype=np.int64)
     delivered: list[DeliveryRecord] = []
     queued = 0
+    # Incremental view of the queues, so a round costs O(activity), not
+    # O(links): since[e] is the first round of link e's current backlogged
+    # stretch (present iff its queue is nonempty), length_count[n] is the
+    # number of queues of length n >= 1, and longest is the largest n.
+    since: dict[int, int] = {}
+    length_count: Counter[int] = Counter()
+    longest = 0
+
+    def push(e: int, pkt: Packet, start: int) -> None:
+        nonlocal longest
+        q = queues[e]
+        n = len(q)
+        q.append(pkt)
+        if n:
+            length_count[n] -= 1
+        else:
+            since[e] = start
+        length_count[n + 1] += 1
+        if n + 1 > longest:
+            longest = n + 1
+
+    def pop(e: int, i: int, r: int) -> Packet:
+        nonlocal longest
+        q = queues[e]
+        n = len(q)
+        pkt = q.pop(i)
+        length_count[n] -= 1
+        if n > 1:
+            length_count[n - 1] += 1
+        else:
+            backlogged[e, since.pop(e) : r + 1] = True
+        if n == longest and not length_count[n]:
+            longest -= 1  # the queue just popped now has length n - 1
+        return pkt
 
     for r in range(rounds):
         for pkt in by_round.get(r, ()):
-            queues[pkt.route[0]].append(pkt)
+            push(pkt.route[0], pkt, r)
             queued += 1
-        for e in range(m):
-            if queues[e]:
-                backlogged[e, r] = True
 
         act = schedule.active_at(r)
         active[list(act), r] = True
@@ -129,15 +161,18 @@ def run(
 
         moves = [(e, min(range(len(queues[e])), key=lambda i: key(queues[e][i]))) for e in winners]
         for e, i in moves:
-            pkt = queues[e].pop(i)
+            pkt = pop(e, i, r)
             pkt.hops_done += 1
             if pkt.hops_done == len(pkt.route):
                 delivered.append(DeliveryRecord(pkt.id, pkt.injection_round, r))
                 queued -= 1
             else:
-                queues[pkt.route[pkt.hops_done]].append(pkt)
+                # a forwarded packet waits from the next round on
+                push(pkt.route[pkt.hops_done], pkt, r + 1)
         per_round_backlog[r] = queued
-        per_round_max_queue[r] = max(map(len, queues), default=0)
+        per_round_max_queue[r] = longest
+    for e, start in since.items():
+        backlogged[e, start:] = True
 
     return RunMetrics(
         rounds=rounds,

@@ -128,7 +128,9 @@ def validate_trace(tr: InjectionTrace, adv: AdversaryConfig, link_count: int | N
     """Check every window of every length on every link against rho*T + b.
 
     Equivalent to a per-link token filter, computed exactly with integers:
-    window load L over length T violates iff den*L - num*T > den*b.
+    window load L over length T violates iff den*L - num*T > den*b.  Every
+    intermediate lies within den*(b + load) + num*(horizon + 1) of zero;
+    a link whose bound exceeds int64 is computed with Python ints instead.
     """
     if link_count is None:
         link_count = 1 + max((max(p.route) for _, p in tr.injections), default=0)
@@ -136,12 +138,16 @@ def validate_trace(tr: InjectionTrace, adv: AdversaryConfig, link_count: int | N
     num, den = adv.rho.numerator, adv.rho.denominator
     cap = den * adv.b
     lengths = np.arange(1, tr.horizon + 2, dtype=np.int64)
+    int64_max = np.iinfo(np.int64).max
     for e_link in range(link_count):
         row = loads[e_link]
         if not row.any():
             continue
         cum = np.cumsum(row)
-        d = den * cum - num * lengths
+        if cap + den * int(cum[-1]) + num * (tr.horizon + 1) > int64_max:
+            d = den * cum.astype(object) - num * lengths.astype(object)
+        else:
+            d = den * cum - num * lengths
         d_pre = np.concatenate(([0], d[:-1]))
         runmin = np.minimum.accumulate(d_pre)
         excess = d - runmin
@@ -186,19 +192,30 @@ def gen_leaky_bucket(
             if g.links[a][1] != g.links[b2][0]:
                 raise ParameterError("route is not a link path")
     rng = random.Random(seed)
-    tokens = {e: Fraction(adv.b) for rt in routes for e in rt}
+    # Tokens are scaled by den: one token is den, a round adds num.  After
+    # the refill of round r, link e holds min(cap, num*(r + 1) - debit[e]).
+    # A bucket is only looked at when a route using it draws; one found
+    # over the cap has its debit raised so that it holds exactly cap.
+    # Capping is monotone, so this equals refilling every bucket every round.
+    num, den = adv.rho.numerator, adv.rho.denominator
+    cap = adv.b * den
+    debit = {e: -cap for rt in routes for e in rt}
     injections = []
     next_id = 0
     for r in range(horizon + 1):
-        for e in tokens:
-            tokens[e] = min(Fraction(adv.b), tokens[e] + adv.rho)
+        credit = num * (r + 1)
         for rt in routes:
             if intensity < 1.0 and rng.random() >= intensity:
                 continue
-            needed = set(rt)
-            if all(tokens[e] >= 1 for e in needed):
-                for e in needed:
-                    tokens[e] -= 1
+            for e in rt:
+                t = credit - debit[e]
+                if t > cap:
+                    debit[e] = credit - cap
+                elif t < den:
+                    break
+            else:
+                for e in set(rt):
+                    debit[e] += den
                 injections.append((r, Packet(next_id, r, rt)))
                 next_id += 1
     return InjectionTrace(tuple(injections), horizon)

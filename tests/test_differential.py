@@ -1,0 +1,264 @@
+"""Differential tests: the integer token buckets, the neighbourhood-built
+conflict graph and the incremental simulation kernel against the direct
+implementations they replaced, kept here as reference oracles.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from radiosched.graphs import (
+    NetworkGraph,
+    build_conflict_graph,
+    clique_graph,
+    path_graph,
+    random_network,
+    successful_links,
+)
+from radiosched.schedules import TransmissionSchedule
+from radiosched.sim import POLICIES, DeliveryRecord, RunMetrics, run
+from radiosched.traffic import (
+    AdversaryConfig,
+    InjectionTrace,
+    Packet,
+    gen_clique_scenario,
+    gen_leaky_bucket,
+    random_routes,
+)
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+def ref_gen_leaky_bucket(g, routes, adv, horizon, seed, intensity=0.9):
+    """Fraction token buckets, every bucket refilled every round."""
+    routes = [tuple(rt) for rt in routes]
+    rng = random.Random(seed)
+    tokens = {e: Fraction(adv.b) for rt in routes for e in rt}
+    injections = []
+    next_id = 0
+    for r in range(horizon + 1):
+        for e in tokens:
+            tokens[e] = min(Fraction(adv.b), tokens[e] + adv.rho)
+        for rt in routes:
+            if intensity < 1.0 and rng.random() >= intensity:
+                continue
+            needed = set(rt)
+            if all(tokens[e] >= 1 for e in needed):
+                for e in needed:
+                    tokens[e] -= 1
+                injections.append((r, Packet(next_id, r, rt)))
+                next_id += 1
+    return InjectionTrace(tuple(injections), horizon)
+
+
+def ref_blocks(g: NetworkGraph):
+    """Pairwise blocking rule over all m^2 link pairs."""
+    out = []
+    for a, (ta, ha) in enumerate(g.links):
+        row = []
+        for b, (tb, hb) in enumerate(g.links):
+            if a == b:
+                continue
+            if ta == tb or ta == hb or (ta != tb and g.has_link(ta, hb)):
+                row.append(b)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def ref_run(g, schedule, policy, trace, rounds) -> RunMetrics:
+    """Simulation loop that rescans every link every round."""
+    key = POLICIES[policy]
+    m = g.link_count
+    by_round: dict[int, list[Packet]] = {}
+    for r, pkt in trace.injections:
+        by_round.setdefault(r, []).append(Packet(pkt.id, pkt.injection_round, pkt.route))
+    queues: list[list[Packet]] = [[] for _ in range(m)]
+    active = np.zeros((m, rounds), dtype=bool)
+    attempted = np.zeros((m, rounds), dtype=bool)
+    success = np.zeros((m, rounds), dtype=bool)
+    backlogged = np.zeros((m, rounds), dtype=bool)
+    per_round_backlog = np.zeros(rounds, dtype=np.int64)
+    per_round_max_queue = np.zeros(rounds, dtype=np.int64)
+    delivered = []
+    queued = 0
+    for r in range(rounds):
+        for pkt in by_round.get(r, ()):
+            queues[pkt.route[0]].append(pkt)
+            queued += 1
+        for e in range(m):
+            if queues[e]:
+                backlogged[e, r] = True
+        act = schedule.active_at(r)
+        active[list(act), r] = True
+        candidates = [e for e in act if queues[e]]
+        attempted[candidates, r] = True
+        winners = successful_links(g, candidates)
+        success[list(winners), r] = True
+        moves = [(e, min(range(len(queues[e])), key=lambda i: key(queues[e][i]))) for e in winners]
+        for e, i in moves:
+            pkt = queues[e].pop(i)
+            pkt.hops_done += 1
+            if pkt.hops_done == len(pkt.route):
+                delivered.append(DeliveryRecord(pkt.id, pkt.injection_round, r))
+                queued -= 1
+            else:
+                queues[pkt.route[pkt.hops_done]].append(pkt)
+        per_round_backlog[r] = queued
+        per_round_max_queue[r] = max(map(len, queues), default=0)
+    return RunMetrics(
+        rounds=rounds,
+        active=active,
+        attempted=attempted,
+        success=success,
+        backlogged=backlogged,
+        per_round_backlog=per_round_backlog,
+        per_round_max_queue=per_round_max_queue,
+        delivered=tuple(delivered),
+        undelivered_count=len(trace) - len(delivered),
+        final_queues=tuple(tuple(p.id for p in q) for q in queues),
+    )
+
+
+def assert_metrics_equal(got: RunMetrics, want: RunMetrics):
+    for f in dataclasses.fields(RunMetrics):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+@st.composite
+def networks(draw, max_nodes=10):
+    n = draw(st.integers(2, max_nodes))
+    return random_network(
+        n,
+        draw(st.integers(1, n * (n - 1) // 2)),
+        seed=draw(st.integers(0, 10**6)),
+        max_degree=draw(st.none() | st.integers(1, 4)),
+    )
+
+
+@st.composite
+def walks(draw, g: NetworkGraph):
+    """Link paths that may revisit nodes and repeat links."""
+    route = [draw(st.integers(0, g.link_count - 1))]
+    for _ in range(draw(st.integers(0, 4))):
+        nxt = g.out_links(g.links[route[-1]][1])
+        route.append(draw(st.sampled_from(nxt)))
+    return tuple(route)
+
+
+@st.composite
+def route_sets(draw, g: NetworkGraph):
+    if draw(st.booleans()):
+        return random_routes(g, draw(st.integers(1, 8)), 4, seed=draw(st.integers(0, 10**6)))
+    return draw(st.lists(walks(g), min_size=1, max_size=8))
+
+
+rates = st.one_of(
+    st.fractions(min_value=Fraction(1, 50), max_value=1, max_denominator=50),
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+    st.builds(lambda p, q: Fraction(p, q), st.integers(1, 5), st.integers(10**5, 10**6)),
+)
+
+intensities = st.one_of(st.just(1.0), st.floats(0.0, 1.0), st.sampled_from([0.3, 0.5, 0.9]))
+
+
+# ---------------------------------------------------------------------------
+# traffic
+
+
+class TestLeakyBucketMatchesFraction:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_same_trace(self, data):
+        g = data.draw(networks())
+        routes = data.draw(route_sets(g))
+        adv = AdversaryConfig(data.draw(rates), data.draw(st.integers(1, 4)))
+        horizon = data.draw(st.integers(0, 80))
+        seed = data.draw(st.integers(0, 10**6))
+        intensity = data.draw(intensities)
+        got = gen_leaky_bucket(g, routes, adv, horizon, seed, intensity)
+        want = ref_gen_leaky_bucket(g, routes, adv, horizon, seed, intensity)
+        assert got == want
+
+    def test_long_horizon_low_rate(self):
+        g = random_network(12, 20, seed=3)
+        routes = random_routes(g, 10, 3, seed=4)
+        adv = AdversaryConfig(Fraction(7, 999983), 3)
+        for intensity in (1.0, 0.6):
+            got = gen_leaky_bucket(g, routes, adv, 2000, 5, intensity)
+            assert got == ref_gen_leaky_bucket(g, routes, adv, 2000, 5, intensity)
+
+
+# ---------------------------------------------------------------------------
+# graphs
+
+
+class TestConflictGraphMatchesPairwise:
+    @settings(max_examples=150, deadline=None)
+    @given(networks(max_nodes=14))
+    def test_same_blocks(self, g):
+        assert build_conflict_graph(g).blocks == ref_blocks(g)
+
+    def test_fixed_shapes(self):
+        for g in (path_graph(2), path_graph(5), clique_graph(4), NetworkGraph((0, 1, 2), ())):
+            assert build_conflict_graph(g).blocks == ref_blocks(g)
+
+
+# ---------------------------------------------------------------------------
+# sim
+
+
+@st.composite
+def schedules_for(draw, g: NetworkGraph):
+    period = draw(st.integers(1, 6))
+    rows = tuple(
+        tuple(draw(st.sets(st.integers(0, g.link_count - 1), max_size=g.link_count)))
+        for _ in range(period)
+    )
+    return TransmissionSchedule(period=period, active=rows, link_count=g.link_count)
+
+
+class TestRunMatchesRescan:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_same_metrics(self, data):
+        g = data.draw(networks(max_nodes=8))
+        sched = data.draw(schedules_for(g))
+        routes = data.draw(route_sets(g))
+        adv = AdversaryConfig(data.draw(rates), data.draw(st.integers(1, 5)))
+        trace = gen_leaky_bucket(
+            g, routes, adv, data.draw(st.integers(0, 40)), data.draw(st.integers(0, 10**6)),
+            data.draw(intensities),
+        )
+        policy = data.draw(st.sampled_from(sorted(POLICIES)))
+        rounds = data.draw(st.integers(1, 50))
+        assert_metrics_equal(run(g, sched, policy, trace, rounds), ref_run(g, sched, policy, trace, rounds))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(2, 3),
+        st.integers(2, 12),
+        st.integers(0, 5),
+        st.sampled_from(sorted(POLICIES)),
+    )
+    def test_deep_queues(self, n, d, offset, policy):
+        # overloaded clique: queues grow and shrink across many lengths
+        sc = gen_clique_scenario(n, Fraction(1, d), 150)
+        m = sc.g.link_count
+        rows = tuple((e,) for e in range(m)) + ((),) * offset
+        sched = TransmissionSchedule(len(rows), rows, m)
+        assert_metrics_equal(run(sc.g, sched, policy, sc.trace, 200), ref_run(sc.g, sched, policy, sc.trace, 200))

@@ -124,18 +124,35 @@ class TestDegreeBound:
         assert rep.holds
 
 
-def brute_chromatic(h):
-    n = h.link_count
+def restricted_growth_strings(n):
+    """Every partition of range(n) into blocks, once each: s[0] == 0 and
+    s[i] <= max(s[:i]) + 1, so block labels appear in first-use order."""
     if n == 0:
-        return 0
-    for k in range(1, n + 1):
-        for assign in itertools.product(range(k), repeat=n):
-            ok = all(
-                assign[u] != assign[v] for u in range(n) for v in h.conflict_neighbors(u) if u < v
-            )
-            if ok:
-                return k
-    raise AssertionError
+        yield ()
+        return
+    s = [0] * n
+
+    def extend(i, top):
+        if i == n:
+            yield tuple(s)
+            return
+        for c in range(top + 2):
+            s[i] = c
+            yield from extend(i + 1, max(top, c))
+
+    yield from extend(1, 0)
+
+
+def brute_chromatic(h):
+    """Fewest blocks over all partitions of the links into independent
+    sets; any proper coloring relabels to one of these partitions."""
+    n = h.link_count
+    edges = [(u, v) for u in range(n) for v in h.conflict_neighbors(u) if u < v]
+    return min(
+        max(s, default=-1) + 1
+        for s in restricted_growth_strings(n)
+        if all(s[u] != s[v] for u, v in edges)
+    )
 
 
 class TestColoring:
@@ -157,6 +174,10 @@ class TestColoring:
             col = graphs.exact_chromatic(h)
             assert col.color_count == n * n - n
             assert graphs.is_proper(h, col)
+
+    def test_partition_enumeration_is_exhaustive(self):
+        bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+        assert [len(set(restricted_growth_strings(n))) for n in range(9)] == bell
 
     @settings(max_examples=40, deadline=None)
     @given(st.builds(graphs.random_network, st.integers(2, 5), st.integers(1, 4), st.integers(0, 10**6)))

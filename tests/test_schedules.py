@@ -151,6 +151,16 @@ class TestVerifyFrequent:
         assert base.ok and rot.ok
         assert base.per_link_min == rot.per_link_min
 
+    def test_checks_every_cyclic_window(self):
+        # rounds 4-5 serve no link; 2*T rounds would only see starts 0..2
+        g = graphs.path_graph(2)
+        s = schedules.TransmissionSchedule(
+            6, ((0,), (1,), (0,), (1,), (), ()), 2, claimed_frequency=(Fraction(1, 2), 2)
+        )
+        rep = schedules.verify_frequent(s, g)
+        assert not rep.ok
+        assert rep.rounds == 7 and rep.per_link_min == (0, 0)
+
     def test_requires_claim(self):
         g = graphs.path_graph(2)
         s = schedules.TransmissionSchedule(1, ((0,),), 2)

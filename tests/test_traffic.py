@@ -82,10 +82,26 @@ class TestValidateTrace:
         loads = link_loads(tr, 3)
         assert loads[:, 0].tolist() == [1, 0, 1]
 
+    def test_huge_denominator_not_wrapped(self):
+        # den * load reaches 1.001e19, past int64
+        tr = InjectionTrace(tuple((r, Packet(r, r, (0,))) for r in range(1001)), 1000)
+        rep = validate_trace(tr, AdversaryConfig(Fraction(1, 10**16), 999))
+        assert not rep.admissible
+        assert rep.witness == (0, 0, 1000, 1000, Fraction(1000, 10**16) + 999)
+        assert validate_trace(tr, AdversaryConfig(Fraction(1, 10**16), 1001)).admissible
+
     @settings(max_examples=120, deadline=None)
     @given(
         traces(),
-        st.fractions(min_value=Fraction(1, 8), max_value=1, max_denominator=8),
+        st.one_of(
+            st.fractions(min_value=Fraction(1, 8), max_value=1, max_denominator=8),
+            # near k/8 with a denominator of 10^15..10^30, past int64
+            st.builds(
+                lambda k, e: Fraction(k * 10**e + 1, 8 * 10**e),
+                st.integers(1, 8),
+                st.integers(15, 30),
+            ),
+        ),
         st.integers(0, 2),
     )
     def test_matches_naive_oracle(self, tr_lc, rho, b):
