@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -423,6 +422,14 @@ def cmd_simulate(args) -> int:
             }
         )
         if not frep.holds:
+            w = frep.witness
+            record.update(
+                {
+                    "fail_witness_link": w.link,
+                    "fail_witness_start": w.start,
+                    "fail_witness_count": w.count,
+                }
+            )
             code = 2
     emit(record, args.format)
     if args.metrics:
@@ -516,13 +523,12 @@ def _experiment_seed(args, seed: int, out: Path) -> list[dict]:
 
 
 def cmd_experiment(args) -> int:
+    if args.sweep < 1:
+        raise ParameterError("--sweep needs at least one seed")
     out = Path(args.out_dir or os.environ.get("RADIOSCHED_OUT", "experiments"))
     out.mkdir(parents=True, exist_ok=True)
-    seeds = list(range(args.sweep))
-    with ThreadPoolExecutor(max_workers=min(4, len(seeds))) as pool:
-        per_seed = list(pool.map(lambda s: _experiment_seed(args, s, out), seeds))
-    runs = [row for rows in per_seed for row in rows]
-    runs.sort(key=lambda r: (r["seed"], r["policy"]))
+    seeds = range(args.sweep)
+    runs = [row for seed in seeds for row in _experiment_seed(args, seed, out)]
     config = {
         "nodes": args.nodes,
         "edges": args.edges,

@@ -146,22 +146,25 @@ class ConflictGraph:
         if len(self.blocks) != self.link_count:
             raise ParameterError("blocks adjacency must have one entry per link")
         for u, out in enumerate(self.blocks):
-            for v in out:
-                if not (0 <= v < self.link_count):
-                    raise ParameterError("blocked link index out of range")
-                if v == u:
-                    raise ParameterError("a link does not block itself")
+            # rows are sorted: negative indices come before u, indices past
+            # the end after it, which fixes the order of the checks
+            if out and out[0] < 0:
+                raise ParameterError("blocked link index out of range")
+            if u in out:
+                raise ParameterError("a link does not block itself")
+            if out and out[-1] >= self.link_count:
+                raise ParameterError("blocked link index out of range")
         blocked_by: list[list[int]] = [[] for _ in range(self.link_count)]
         for u, out in enumerate(self.blocks):
             for v in out:
                 blocked_by[v].append(u)
-        object.__setattr__(self, "_blocked_by", tuple(tuple(v) for v in blocked_by))
-        und: list[set[int]] = [set() for _ in range(self.link_count)]
-        for u, out in enumerate(self.blocks):
-            for v in out:
-                und[u].add(v)
-                und[v].add(u)
-        object.__setattr__(self, "_undirected", tuple(frozenset(s) for s in und))
+        into = tuple(tuple(v) for v in blocked_by)
+        object.__setattr__(self, "_blocked_by", into)
+        # a frozenset copied from a set gets a table sized to fit; one built
+        # straight from the tuple keeps the sparser table of its growth
+        object.__setattr__(
+            self, "_undirected", tuple(frozenset(set(out + inn)) for out, inn in zip(self.blocks, into))
+        )
 
     def blocked_by(self, link: int) -> tuple[int, ...]:
         return self._blocked_by[link]
@@ -248,13 +251,18 @@ def successful_links(g: NetworkGraph, candidates) -> tuple[int, ...]:
     transmitting in-neighbor of v.
     """
     cand = sorted(set(candidates))
-    tail_mult = Counter(g.links[i][0] for i in cand)
+    links = g.links
+    tails = [links[i][0] for i in cand]
+    busy = set(tails)
+    shared = {u for u in busy if tails.count(u) > 1} if len(busy) < len(tails) else ()
     out = []
-    for i in cand:
-        u, v = g.links[i]
-        if tail_mult[u] != 1 or v in tail_mult:
+    for i, u in zip(cand, tails):
+        v = links[i][1]
+        if u in shared or v in busy:
             continue
-        if any(w in tail_mult and w != u for w in g.in_neighbors(v)):
+        # u itself is an in-neighbor of v, so any other transmitting one
+        # makes the intersection larger than {u}
+        if len(busy.intersection(g.in_neighbors(v))) > 1:
             continue
         out.append(i)
     return tuple(out)

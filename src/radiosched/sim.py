@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,15 +24,17 @@ from .graphs import NetworkGraph, successful_links
 from .schedules import TransmissionSchedule
 from .traffic import AdversaryConfig, InjectionTrace, Packet, check_routes
 
-POLICIES: dict[str, Callable[[Packet], tuple]] = {
+# Primary heap key of a packet waiting at a link after `hops` completed
+# hops; the packet id breaks ties.  A packet's key is fixed while it waits.
+POLICIES: dict[str, Callable[[Packet, int], int]] = {
     # longest-in-system: oldest injection first
-    "lis": lambda p: (p.injection_round, p.id),
+    "lis": lambda p, hops: p.injection_round,
     # shortest-in-system: newest injection first
-    "sis": lambda p: (-p.injection_round, p.id),
+    "sis": lambda p, hops: -p.injection_round,
     # nearest-from-source: fewest completed hops first
-    "nfs": lambda p: (p.hops_done, p.id),
+    "nfs": lambda p, hops: hops,
     # furthest-to-go: most remaining hops first
-    "ftg": lambda p: (p.hops_done - len(p.route), p.id),
+    "ftg": lambda p, hops: hops - len(p.route),
 }
 
 
@@ -101,10 +105,22 @@ def run(
     m = g.link_count
     by_round: dict[int, list[Packet]] = {}
     for r, pkt in trace.injections:
-        by_round.setdefault(r, []).append(Packet(pkt.id, pkt.injection_round, pkt.route))
+        by_round.setdefault(r, []).append(pkt)
 
-    queues: list[list[Packet]] = [[] for _ in range(m)]
-    active = np.zeros((m, rounds), dtype=bool)
+    # queues[e] is a binary heap of (key, id, arrival, hops, packet) entries.
+    # Ids are unique, so the head is the policy's choice and comparisons
+    # never reach the later fields.  arrival numbers the pushes, so sorting
+    # by it restores queue order; hops counts the packet's completed hops,
+    # which keeps the trace's packets unmodified.
+    queues: list[list[tuple]] = [[] for _ in range(m)]
+    span = min(schedule.period, rounds)
+    pattern = np.zeros((m, span), dtype=bool)
+    for r in range(span):
+        pattern[list(schedule.active[r]), r] = True
+    if span:
+        active = np.tile(pattern, -(-rounds // span))[:, :rounds]
+    else:
+        active = np.zeros((m, rounds), dtype=bool)
     attempted = np.zeros((m, rounds), dtype=bool)
     success = np.zeros((m, rounds), dtype=bool)
     backlogged = np.zeros((m, rounds), dtype=bool)
@@ -112,6 +128,7 @@ def run(
     per_round_max_queue = np.zeros(rounds, dtype=np.int64)
     delivered: list[DeliveryRecord] = []
     queued = 0
+    arrivals = 0
     # Incremental view of the queues, so a round costs O(activity), not
     # O(links): since[e] is the first round of link e's current backlogged
     # stretch (present iff its queue is nonempty), length_count[n] is the
@@ -120,11 +137,13 @@ def run(
     length_count: Counter[int] = Counter()
     longest = 0
 
-    def push(e: int, pkt: Packet, start: int) -> None:
-        nonlocal longest
+    def push(pkt: Packet, hops: int, start: int) -> None:
+        nonlocal longest, arrivals
+        e = pkt.route[hops]
         q = queues[e]
         n = len(q)
-        q.append(pkt)
+        heappush(q, (key(pkt, hops), pkt.id, arrivals, hops, pkt))
+        arrivals += 1
         if n:
             length_count[n] -= 1
         else:
@@ -133,11 +152,11 @@ def run(
         if n + 1 > longest:
             longest = n + 1
 
-    def pop(e: int, i: int, r: int) -> Packet:
+    def pop(e: int, r: int) -> tuple:
         nonlocal longest
         q = queues[e]
         n = len(q)
-        pkt = q.pop(i)
+        entry = heappop(q)
         length_count[n] -= 1
         if n > 1:
             length_count[n - 1] += 1
@@ -145,30 +164,30 @@ def run(
             backlogged[e, since.pop(e) : r + 1] = True
         if n == longest and not length_count[n]:
             longest -= 1  # the queue just popped now has length n - 1
-        return pkt
+        return entry
 
     for r in range(rounds):
         for pkt in by_round.get(r, ()):
-            push(pkt.route[0], pkt, r)
+            push(pkt, 0, r)
             queued += 1
 
-        act = schedule.active_at(r)
-        active[list(act), r] = True
-        candidates = [e for e in act if queues[e]]
-        attempted[candidates, r] = True
-        winners = successful_links(g, candidates)
-        success[list(winners), r] = True
-
-        moves = [(e, min(range(len(queues[e])), key=lambda i: key(queues[e][i]))) for e in winners]
-        for e, i in moves:
-            pkt = pop(e, i, r)
-            pkt.hops_done += 1
-            if pkt.hops_done == len(pkt.route):
-                delivered.append(DeliveryRecord(pkt.id, pkt.injection_round, r))
-                queued -= 1
-            else:
-                # a forwarded packet waits from the next round on
-                push(pkt.route[pkt.hops_done], pkt, r + 1)
+        candidates = [e for e in schedule.active_at(r) if queues[e]]
+        if candidates:
+            for e in candidates:
+                attempted[e, r] = True
+            winners = successful_links(g, candidates)
+            # a winner's head is silent, so a packet forwarded this round
+            # never joins the queue of a later winner
+            for e in winners:
+                success[e, r] = True
+                _, pid, _, hops, pkt = pop(e, r)
+                hops += 1
+                if hops == len(pkt.route):
+                    delivered.append(DeliveryRecord(pid, pkt.injection_round, r))
+                    queued -= 1
+                else:
+                    # a forwarded packet waits from the next round on
+                    push(pkt, hops, r + 1)
         per_round_backlog[r] = queued
         per_round_max_queue[r] = longest
     for e, start in since.items():
@@ -184,7 +203,7 @@ def run(
         per_round_max_queue=per_round_max_queue,
         delivered=tuple(delivered),
         undelivered_count=len(trace) - len(delivered),
-        final_queues=tuple(tuple(p.id for p in q) for q in queues),
+        final_queues=tuple(tuple(entry[1] for entry in sorted(q, key=itemgetter(2))) for q in queues),
     )
 
 

@@ -163,6 +163,7 @@ class TestSimulate:
         assert fields["undelivered"] == "0"
         assert fields["stable"] == "True"
         assert fields["fail_holds"] == "True"
+        assert "fail_witness_link" not in fields
         header = metrics.read_text().splitlines()[0]
         assert header == "round,total_backlog,delivered_cum,max_queue"
         first = log.read_text().splitlines()[0]
@@ -200,6 +201,32 @@ class TestSimulate:
         fields = parse_text(capsys.readouterr().out)
         assert fields["fail_holds"] == "False"
         assert fields["delivered"] == "0"
+        assert (fields["fail_witness_link"], fields["fail_witness_start"]) == ("0", "0")
+        assert fields["fail_witness_count"] == "8"
+
+    def test_failure_witness_on_overloaded_clique(self, tmp_path, capsys):
+        out = tmp_path / "clique"
+        argv = [
+            "scenario", "clique", "--nodes", "3", "--epsilon", "1/32",
+            "--horizon", "300", "--out-dir", str(out),
+        ]
+        assert main(argv) == 0
+        sched = str(tmp_path / "sched.txt")
+        assert main(["color", str(out / "graph.txt"), "--out", sched]) == 0
+        capsys.readouterr()
+        # a backlogged clique link succeeds once per 6-round period, far
+        # short of the claimed service rate 1
+        argv = [
+            "simulate", str(out / "graph.txt"), sched, str(out / "trace.txt"),
+            "--rounds", "300", "--rho", "67/192", "--burst", "2", "--rho-prime", "1",
+            "--format", "json-lines",
+        ]
+        assert main(argv) == 2
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["fail_holds"] is False and rec["fail_window"] == 6
+        assert 0 <= rec["fail_witness_link"] < 6
+        assert 0 <= rec["fail_witness_start"] <= 300 - 6
+        assert rec["fail_witness_count"] == rec["fail_max_count"] == 5
 
 
 class TestExperiment:
@@ -235,6 +262,10 @@ class TestExitCodes:
         trace = tmp_path / "t.txt"
         trace.write_text("inject 0 0 0\n")
         assert main(["validate-trace", str(trace), "--rho", "fast", "--burst", "1"]) == 3
+
+    def test_empty_sweep_is_parameter_error(self, tmp_path, capsys):
+        assert main(["experiment", "--sweep", "0", "--out-dir", str(tmp_path / "out")]) == 3
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file(self, capsys):
         assert main(["conflict-graph", "no-such-file.txt"]) == 3

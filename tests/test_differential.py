@@ -1,19 +1,24 @@
 """Differential tests: the integer token buckets, the neighbourhood-built
-conflict graph and the incremental simulation kernel against the direct
-implementations they replaced, kept here as reference oracles.
+conflict graph and its validation, round resolution and the heap-ordered
+simulation kernel against the direct implementations they replaced, kept
+here as reference oracles.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from radiosched.errors import ParameterError
 from radiosched.graphs import (
+    ConflictGraph,
     NetworkGraph,
     build_conflict_graph,
     clique_graph,
@@ -72,9 +77,57 @@ def ref_blocks(g: NetworkGraph):
     return tuple(out)
 
 
+def ref_conflict_closure(link_count, blocks):
+    """ConflictGraph's checks, one element at a time, and its in-link and
+    undirected tables built one edge end at a time; returns the first
+    error message instead of raising."""
+    blocks = tuple(tuple(sorted(set(v))) for v in blocks)
+    if len(blocks) != link_count:
+        return "blocks adjacency must have one entry per link"
+    for u, out in enumerate(blocks):
+        for v in out:
+            if not (0 <= v < link_count):
+                return "blocked link index out of range"
+            if v == u:
+                return "a link does not block itself"
+    blocked_by = [[] for _ in range(link_count)]
+    und = [set() for _ in range(link_count)]
+    for u, out in enumerate(blocks):
+        for v in out:
+            blocked_by[v].append(u)
+            und[u].add(v)
+            und[v].add(u)
+    return tuple(map(tuple, blocked_by)), tuple(map(frozenset, und))
+
+
+def ref_successful_links(g, candidates):
+    """Round resolution with a Counter of transmitting tails."""
+    cand = sorted(set(candidates))
+    tail_mult = Counter(g.links[i][0] for i in cand)
+    out = []
+    for i in cand:
+        u, v = g.links[i]
+        if tail_mult[u] != 1 or v in tail_mult:
+            continue
+        if any(w in tail_mult and w != u for w in g.in_neighbors(v)):
+            continue
+        out.append(i)
+    return tuple(out)
+
+
+# the tuple-valued packet keys of the list-and-min kernel
+REF_KEYS = {
+    "lis": lambda p: (p.injection_round, p.id),
+    "sis": lambda p: (-p.injection_round, p.id),
+    "nfs": lambda p: (p.hops_done, p.id),
+    "ftg": lambda p: (p.hops_done - len(p.route), p.id),
+}
+
+
 def ref_run(g, schedule, policy, trace, rounds) -> RunMetrics:
-    """Simulation loop that rescans every link every round."""
-    key = POLICIES[policy]
+    """Simulation loop that rescans every link every round and picks each
+    winner's packet with a linear min over its queue."""
+    key = REF_KEYS[policy]
     m = g.link_count
     by_round: dict[int, list[Packet]] = {}
     for r, pkt in trace.injections:
@@ -99,7 +152,7 @@ def ref_run(g, schedule, policy, trace, rounds) -> RunMetrics:
         active[list(act), r] = True
         candidates = [e for e in act if queues[e]]
         attempted[candidates, r] = True
-        winners = successful_links(g, candidates)
+        winners = ref_successful_links(g, candidates)
         success[list(winners), r] = True
         moves = [(e, min(range(len(queues[e])), key=lambda i: key(queues[e][i]))) for e in winners]
         for e, i in moves:
@@ -211,11 +264,54 @@ class TestConflictGraphMatchesPairwise:
     @settings(max_examples=150, deadline=None)
     @given(networks(max_nodes=14))
     def test_same_blocks(self, g):
-        assert build_conflict_graph(g).blocks == ref_blocks(g)
+        h = build_conflict_graph(g)
+        assert h.blocks == ref_blocks(g)
+        blocked_by, undirected = ref_conflict_closure(h.link_count, h.blocks)
+        assert tuple(map(h.blocked_by, range(h.link_count))) == blocked_by
+        assert tuple(map(h.conflict_neighbors, range(h.link_count))) == undirected
 
     def test_fixed_shapes(self):
         for g in (path_graph(2), path_graph(5), clique_graph(4), NetworkGraph((0, 1, 2), ())):
             assert build_conflict_graph(g).blocks == ref_blocks(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 8).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                st.lists(
+                    st.lists(st.integers(-2, m + 1), max_size=2 * m),
+                    min_size=max(m - 1, 0),
+                    max_size=m + 1,
+                ),
+            )
+        )
+    )
+    # each error at the edge of its range, and the self-loop between them
+    @example((1, [[1]]))
+    @example((2, [[-1, 0]]))
+    @example((2, [[0, 2]]))
+    @example((2, [[1], [0]]))
+    def test_same_checks_and_closure(self, case):
+        m, rows = case
+        want = ref_conflict_closure(m, rows)
+        if isinstance(want, str):
+            with pytest.raises(ParameterError) as err:
+                ConflictGraph(m, rows)
+            assert str(err.value) == want
+        else:
+            h = ConflictGraph(m, rows)
+            assert tuple(map(h.blocked_by, range(m))) == want[0]
+            assert tuple(map(h.conflict_neighbors, range(m))) == want[1]
+
+
+class TestSuccessfulLinksMatchesCounter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_same_winners(self, data):
+        g = data.draw(networks(max_nodes=12))
+        cands = data.draw(st.lists(st.integers(0, g.link_count - 1), max_size=2 * g.link_count))
+        assert successful_links(g, cands) == ref_successful_links(g, cands)
 
 
 # ---------------------------------------------------------------------------
