@@ -318,10 +318,7 @@ def cmd_scenario_leaky_bucket(args) -> int:
     return 0
 
 
-def cmd_validate_trace(args) -> int:
-    tr = read_trace(args.trace, horizon=args.horizon)
-    adv = AdversaryConfig(parse_fraction(args.rho), args.burst)
-    rep = validate_trace(tr, adv, link_count=args.links)
+def _admissibility_record(rep, adv) -> dict:
     record = {"admissible": rep.admissible, "rho": adv.rho, "burst": adv.b}
     if rep.witness is not None:
         w = rep.witness
@@ -334,7 +331,14 @@ def cmd_validate_trace(args) -> int:
                 "witness_allowed": w.allowed,
             }
         )
-    emit(record, args.format)
+    return record
+
+
+def cmd_validate_trace(args) -> int:
+    tr = read_trace(args.trace, horizon=args.horizon)
+    adv = AdversaryConfig(parse_fraction(args.rho), args.burst)
+    rep = validate_trace(tr, adv, link_count=args.links)
+    emit(_admissibility_record(rep, adv), args.format)
     return 0 if rep.admissible else 2
 
 
@@ -380,18 +384,7 @@ def cmd_simulate(args) -> int:
         adv = AdversaryConfig(parse_fraction(args.rho), args.burst)
         rep = validate_trace(tr, adv, link_count=g.link_count)
         if not rep.admissible:
-            w = rep.witness
-            emit(
-                {
-                    "admissible": False,
-                    "witness_link": w.link,
-                    "witness_start": w.start,
-                    "witness_length": w.length,
-                    "witness_load": w.load,
-                },
-                args.format,
-                stream=sys.stderr,
-            )
+            emit(_admissibility_record(rep, adv), args.format, stream=sys.stderr)
             return 2
     metrics = run(g, sched, args.policy, tr, args.rounds)
     record = {

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FormatError, ParameterError, SizeError
+from .selectors import parse_count
 
 
 @dataclass(frozen=True)
@@ -408,11 +409,11 @@ def read_graph(path) -> NetworkGraph:
         if parts[0] == "nodes" and len(parts) == 2:
             if node_count is not None:
                 raise FormatError(f"line {ln}: repeated nodes header")
-            node_count = int(parts[1])
+            node_count = parse_count(parts[1])
         elif parts[0] == "edge" and len(parts) == 3:
             if node_count is None:
                 raise FormatError(f"line {ln}: edge before nodes header")
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append((parse_count(parts[1]), parse_count(parts[2])))
         else:
             raise FormatError(f"line {ln}: expected 'nodes <count>' or 'edge <a> <b>'")
     if node_count is None:

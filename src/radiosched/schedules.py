@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import FormatError, ParameterError
 from .graphs import Coloring, ConflictGraph, NetworkGraph, build_conflict_graph, successful_links
-from .selectors import SelectorMatrix, format_fraction, parse_fraction
+from .selectors import SelectorMatrix, format_fraction, parse_count, parse_fraction, parse_header
 
 
 @dataclass(frozen=True)
@@ -209,18 +209,8 @@ def write_schedule(schedule: TransmissionSchedule, path) -> None:
 
 def read_schedule(path) -> TransmissionSchedule:
     text = Path(path).read_text().splitlines()
-    if not text or not text[0].startswith("schedule"):
-        raise FormatError("schedule files start with a 'schedule' header")
-    fields: dict[str, str] = {}
-    for token in text[0].split()[1:]:
-        if "=" not in token:
-            raise FormatError(f"bad header token {token!r}")
-        key, value = token.split("=", 1)
-        fields[key] = value
-    try:
-        period, links = int(fields["period"]), int(fields["links"])
-    except KeyError as exc:
-        raise FormatError("header must carry period= and links=") from exc
+    fields = parse_header(text[0] if text else "", "schedule", ("period", "links"))
+    period, links = parse_count(fields["period"]), parse_count(fields["links"])
     body = text[1:]
     while len(body) > period and not body[-1].strip():
         body.pop()
@@ -232,7 +222,7 @@ def read_schedule(path) -> TransmissionSchedule:
         raise FormatError("round lines must hold integer link indices") from exc
     claimed = None
     if "rho" in fields and "T" in fields:
-        claimed = (parse_fraction(fields["rho"]), int(fields["T"]))
+        claimed = (parse_fraction(fields["rho"]), parse_count(fields["T"]))
     try:
         return TransmissionSchedule(period, active, links, claimed_frequency=claimed)
     except ParameterError as exc:

@@ -337,6 +337,29 @@ def parse_fraction(text: str) -> Fraction:
         raise FormatError(f"bad rational literal {text!r}") from exc
 
 
+def parse_count(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise FormatError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def parse_header(line: str, kind: str, required: tuple[str, ...]) -> dict[str, str]:
+    """Split a '<kind> key=value ...' header line into its fields, checking
+    that the line starts with exactly ``kind`` and carries every ``required`` key."""
+    parts = line.split()
+    if not parts or parts[0] != kind:
+        raise FormatError(f"expected a {kind!r} header")
+    fields: dict[str, str] = {}
+    for token in parts[1:]:
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise FormatError(f"bad header token {token!r}")
+        fields[key] = value
+    if any(key not in fields for key in required):
+        raise FormatError("header must carry " + " and ".join(f"{key}=" for key in required))
+    return fields
+
+
 def format_fraction(f: Fraction) -> str:
     f = Fraction(f)
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
@@ -354,18 +377,8 @@ def write_selector(m: SelectorMatrix, path) -> None:
 
 def read_selector(path) -> SelectorMatrix:
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("uss"):
-        raise FormatError("selector files start with a 'uss' header")
-    fields: dict[str, str] = {}
-    for token in lines[0].split()[1:]:
-        if "=" not in token:
-            raise FormatError(f"bad header token {token!r}")
-        key, value = token.split("=", 1)
-        fields[key] = value
-    try:
-        n, t = int(fields["n"]), int(fields["t"])
-    except KeyError as exc:
-        raise FormatError("header must carry n= and t=") from exc
+    fields = parse_header(lines[0] if lines else "", "uss", ("n", "t"))
+    n, t = parse_count(fields["n"]), parse_count(fields["t"])
     body = lines[1:]
     if len(body) != t:
         raise FormatError(f"expected {t} rows, found {len(body)}")
@@ -375,6 +388,9 @@ def read_selector(path) -> SelectorMatrix:
         if len(bits) != n or set(bits) - {"0", "1"}:
             raise FormatError(f"row {i}: expected {n} chars of 0/1")
         rows[i] = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
-    claimed_k = int(fields["k"]) if "k" in fields else None
+    claimed_k = parse_count(fields["k"]) if "k" in fields else None
     claimed_eps = parse_fraction(fields["eps"]) if "eps" in fields else None
-    return SelectorMatrix(n, t, rows, claimed_k=claimed_k, claimed_eps=claimed_eps)
+    try:
+        return SelectorMatrix(n, t, rows, claimed_k=claimed_k, claimed_eps=claimed_eps)
+    except ParameterError as exc:
+        raise FormatError(str(exc)) from exc

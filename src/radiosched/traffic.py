@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import FormatError, ParameterError
 from .graphs import NetworkGraph, clique_graph, from_undirected_edges
+from .selectors import parse_count
 
 
 @dataclass
@@ -374,7 +375,7 @@ def read_trace(path, horizon: int | None = None) -> InjectionTrace:
         if stripped.startswith("#"):
             parts = stripped[1:].split()
             if len(parts) == 2 and parts[0] == "horizon":
-                file_horizon = int(parts[1])
+                file_horizon = parse_count(parts[1])
             continue
         if not stripped:
             continue

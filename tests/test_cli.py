@@ -180,11 +180,15 @@ class TestSimulate:
         sched = str(tmp_path / "sched.txt")
         assert main(["color", str(out / "graph.txt"), "--out", sched]) == 0
         capsys.readouterr()
-        argv = [
-            "simulate", str(out / "graph.txt"), sched, str(out / "trace.txt"),
-            "--rounds", "120", "--rho", "1/6", "--burst", "2",
-        ]
+        trace = str(out / "trace.txt")
+        budget = ["--rho", "1/6", "--burst", "2", "--format", "json-lines"]
+        assert main(["validate-trace", trace, "--links", "6", *budget]) == 2
+        validated = json.loads(capsys.readouterr().out)
+        argv = ["simulate", str(out / "graph.txt"), sched, trace, "--rounds", "120", *budget]
         assert main(argv) == 2
+        refused = json.loads(capsys.readouterr().err)
+        assert refused == validated
+        assert refused["admissible"] is False and "witness_allowed" in refused
 
     def test_failure_bound_violation(self, tmp_path, capsys):
         g_file = tmp_path / "pair.txt"

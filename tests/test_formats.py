@@ -4,11 +4,14 @@ and reads again to the same object."""
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from radiosched import graphs, schedules, selectors, traffic
+from radiosched.cli import build_parser, main
+from radiosched.errors import FormatError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -50,3 +53,55 @@ def test_readme_example_roundtrip(tmp_path, index, name):
     write(obj, out)
     assert out.read_text() == example
     assert view(read(out)) == view(obj)
+
+
+# one row per malformed file: the reader raises FormatError, the CLI exits 3
+MALFORMED = {
+    "nodes-not-int": ("graph", "nodes x\n"),
+    "edge-not-int": ("graph", "nodes 2\nedge 0 x\n"),
+    "period-not-int": ("schedule", "schedule period=x links=1\n"),
+    "period-negative": ("schedule", "schedule period=-1 links=1\n"),
+    "schedule-kind": ("schedule", "schedules period=1 links=1\n0\n"),
+    "n-not-int": ("selector", "uss n=x t=1\n1\n"),
+    "k-not-int": ("selector", "uss n=2 t=1 k=z\n11\n"),
+    "selector-kind": ("selector", "ussx n=2 t=1\n11\n"),
+    "no-columns": ("selector", "uss n=0 t=0\n"),
+    "horizon-not-int": ("trace", "# horizon x\ninject 0 0 0\n"),
+}
+
+COMMANDS = {
+    "graph": lambda path, graph: ["conflict-graph", path],
+    "selector": lambda path, graph: ["verify-selector", path],
+    "schedule": lambda path, graph: ["schedule", "verify", graph, path],
+    "trace": lambda path, graph: ["validate-trace", path, "--rho", "1/2", "--burst", "1"],
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_file_is_format_error(tmp_path, capsys, case):
+    name, text = MALFORMED[case]
+    src = tmp_path / "bad.txt"
+    src.write_text(text)
+    with pytest.raises(FormatError):
+        FORMATS[name][0](src)
+    graph = tmp_path / "graph.txt"
+    graphs.write_graph(graphs.path_graph(3), graph)
+    assert main(COMMANDS[name](str(src), str(graph))) == 3
+
+
+def readme_commands(heading: str, next_heading: str) -> list[str]:
+    text = README.read_text()
+    section = text[text.index(heading) : text.index(next_heading)]
+    lines = "\n".join(re.findall(r"```\n(.*?)\n```", section, re.S)).replace("\\\n", " ")
+    return [line for line in lines.splitlines() if line.startswith("radiosched ")]
+
+
+@pytest.mark.parametrize(
+    "heading, next_heading", [("## CLI", "## File formats"), ("## Experiments", "## Tests")]
+)
+def test_readme_commands_parse(heading, next_heading):
+    commands = readme_commands(heading, next_heading)
+    assert commands
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])  # exits 3 on drift
