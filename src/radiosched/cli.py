@@ -198,6 +198,8 @@ def cmd_verify_selector(args) -> int:
     target = parse_fraction(args.eps) if args.eps else sel.claimed_eps
     if target is None:
         raise ParameterError("no stored eps; pass --eps")
+    if not 0 <= target <= 1:
+        raise ParameterError(f"target eps={target} outside [0, 1]")
     if args.sample:
         chk = uss_sample_check(sel, k, target, trials=args.trials, seed=args.seed)
         record = {"mode": "sample", "trials": chk.trials, "threshold": chk.threshold, "ok": chk.ok}

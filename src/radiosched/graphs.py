@@ -252,6 +252,9 @@ def successful_links(g: NetworkGraph, candidates) -> tuple[int, ...]:
     transmitting in-neighbor of v.
     """
     cand = sorted(set(candidates))
+    if len(cand) < 2:
+        # a lone tail sends once, its head is silent and hears no one else
+        return tuple(cand)
     links = g.links
     tails = [links[i][0] for i in cand]
     busy = set(tails)

@@ -30,15 +30,16 @@ class TransmissionSchedule:
     claimed_frequency: tuple[Fraction, int] | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "active", tuple(tuple(sorted(set(int(i) for i in row))) for row in self.active)
-        )
-        if self.period != len(self.active):
+        rows = [tuple(map(int, row)) for row in self.active]
+        active = tuple(r if len(r) < 2 else tuple(sorted(set(r))) for r in rows)
+        object.__setattr__(self, "active", active)
+        if self.period != len(active):
             raise ParameterError("period must equal the number of active sets")
-        for row in self.active:
-            for i in row:
-                if not 0 <= i < self.link_count:
-                    raise ParameterError(f"scheduled link {i} out of range")
+        for row in active:
+            # rows are sorted, so only their ends can leave the range
+            if row and (row[0] < 0 or row[-1] >= self.link_count):
+                bad = next(i for i in row if not 0 <= i < self.link_count)
+                raise ParameterError(f"scheduled link {bad} out of range")
         if self.claimed_frequency is not None:
             rho, T = self.claimed_frequency
             if T < 1 or not 0 < Fraction(rho) <= 1:
@@ -107,9 +108,10 @@ def schedule_from_selector(
                 "the frequency claim may not hold",
                 stacklevel=2,
             )
-    active = tuple(
-        tuple(int(z) for z in np.flatnonzero(sel.rows[r, :m])) for r in range(sel.t)
-    )
+    used = sel.rows[:, :m]
+    links = (np.flatnonzero(used) % m).tolist()  # row-major, so ascending within each row
+    ends = np.cumsum(used.sum(axis=1, dtype=np.int64)).tolist()
+    active = tuple(tuple(links[a:b]) for a, b in zip([0] + ends[:-1], ends))
     return TransmissionSchedule(
         period=sel.t,
         active=active,
@@ -159,12 +161,15 @@ class FrequencyReport:
 def verify_frequent(
     schedule: TransmissionSchedule, g: NetworkGraph, windows: int = 2
 ) -> FrequencyReport:
-    """Replay the schedule under full backlog and count per-link successes
-    in every window of the claimed length.
+    """Resolve each round of the period once under full backlog and count
+    per-link successes in every cyclic window of the claimed length.
 
-    Runs max(windows*T, period + T - 1) rounds, so every cyclic window
-    start is checked; ok means every link clears rho*T in every window.
-    Exact rational comparison, no tolerance.
+    Successes repeat with the period P, so a window of T rounds holds
+    T // P whole periods plus T % P rounds from its start, and its count
+    depends only on the start modulo P.  Every one of the P cyclic starts
+    is checked exactly; ok means every link clears rho*T in every window.
+    The report's rounds is the replay length max(windows*T, P + T - 1)
+    that covers the same starts.  Exact rational comparison, no tolerance.
     """
     if schedule.claimed_frequency is None:
         raise ParameterError("schedule carries no frequency claim to verify")
@@ -173,24 +178,29 @@ def verify_frequent(
     if schedule.link_count != g.link_count:
         raise ParameterError("schedule and network disagree on link count")
     rho, T = schedule.claimed_frequency
-    m = g.link_count
-    total = max(windows * T, schedule.period + T - 1)
-    per_period = {}
-    succ = np.zeros((total, m), dtype=bool)
-    for r in range(total):
-        key = r % schedule.period if schedule.period else 0
-        if key not in per_period:
-            per_period[key] = successful_links(g, schedule.active_at(r))
-        for i in per_period[key]:
-            succ[r, i] = True
-    cum = np.zeros((total + 1, m), dtype=np.int64)
-    np.cumsum(succ, axis=0, out=cum[1:])
-    window_counts = cum[T:] - cum[:-T]  # one row per window start
-    per_min = window_counts.min(axis=0) if m else np.zeros(0, dtype=np.int64)
-    per_max = window_counts.max(axis=0) if m else np.zeros(0, dtype=np.int64)
+    m, P = g.link_count, schedule.period
+    total = max(windows * T, P + T - 1)
+    won_rounds, won_links = [], []
+    for r, candidates in enumerate(schedule.active):
+        won = successful_links(g, candidates)
+        won_rounds += [r] * len(won)
+        won_links += won
+    succ = np.zeros((P, m), dtype=bool)
+    succ[won_rounds, won_links] = True
+    whole, rest = divmod(T, P) if P else (0, 0)
+    per_period = succ.sum(axis=0, dtype=np.int64).tolist()
+    if rest:
+        # successes in rounds s .. s+rest-1 (mod P), one row per start s
+        cum = np.zeros((P + rest, m), dtype=np.int64)
+        np.cumsum(np.concatenate((succ, succ[: rest - 1])), axis=0, out=cum[1:])
+        stretch = cum[rest:] - cum[:P]
+        part_min, part_max = stretch.min(axis=0).tolist(), stretch.max(axis=0).tolist()
+    else:
+        part_min = part_max = [0] * m
+    per_min = tuple(whole * c + p for c, p in zip(per_period, part_min))
+    per_max = tuple(whole * c + p for c, p in zip(per_period, part_max))
     need = rho * T
-    ok = all(Fraction(int(v)) >= need for v in per_min)
-    return FrequencyReport(ok, rho, T, total, tuple(int(v) for v in per_min), tuple(int(v) for v in per_max))
+    return FrequencyReport(all(v >= need for v in per_min), rho, T, total, per_min, per_max)
 
 
 # ---------------------------------------------------------------------------

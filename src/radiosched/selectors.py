@@ -62,8 +62,12 @@ class SelectorMatrix:
             raise ParameterError("matrix entries must be 0/1")
         rows.setflags(write=False)
         self.rows = rows
+        if self.claimed_k is not None and not 1 <= self.claimed_k <= self.n:
+            raise ParameterError(f"claimed k={self.claimed_k} outside [1, {self.n}]")
         if self.claimed_eps is not None:
             self.claimed_eps = Fraction(self.claimed_eps)
+            if not 0 <= self.claimed_eps <= 1:
+                raise ParameterError(f"claimed eps={self.claimed_eps} outside [0, 1]")
 
 
 class MinCountResult(NamedTuple):
@@ -104,6 +108,18 @@ def _pack_words(rows: np.ndarray) -> np.ndarray:
     return words
 
 
+def _pack_combos(combos: list[tuple[int, ...]], size: int, n: int) -> np.ndarray:
+    """Pack column sets of ``size`` distinct columns out of ``n`` into the
+    words of _pack_words, one set per entry."""
+    members = np.array(combos, dtype=np.int64).reshape(len(combos), size)
+    bits = np.uint64(1) << (members % 64).astype(np.uint64)
+    words = np.zeros((len(combos), (n + 63) // 64), dtype=np.uint64)
+    for w in range(words.shape[1]):
+        # distinct columns set distinct bits, so their sum is their OR
+        words[:, w] = np.where(members // 64 == w, bits, 0).sum(axis=1, dtype=np.uint64)
+    return words
+
+
 def uss_min_count(m: SelectorMatrix, k: int, budget: int = SUBSET_BUDGET) -> MinCountResult:
     """Exhaustive minimum isolation count over all (A, a) with |A| = k.
 
@@ -120,10 +136,7 @@ def uss_min_count(m: SelectorMatrix, k: int, budget: int = SUBSET_BUDGET) -> Min
     words = _pack_words(m.rows)
     nwords = words.shape[1]
     rest_combos = list(itertools.combinations(range(n), k - 1))
-    rest_words = np.zeros((len(rest_combos), nwords), dtype=np.uint64)
-    for i, combo in enumerate(rest_combos):
-        for j in combo:
-            rest_words[i, j // 64] |= np.uint64(1 << (j % 64))
+    rest_words = _pack_combos(rest_combos, k - 1, n)
 
     best = t + 1
     witness = (tuple(range(k)), 0)
@@ -184,6 +197,8 @@ def uss_sample_check(
     """
     if not 1 <= k <= m.n:
         raise ParameterError(f"need 1 <= k <= {m.n}, got {k}")
+    if trials < 1:
+        raise ParameterError(f"need at least one trial, got {trials}")
     eps = Fraction(eps)
     threshold = math.ceil(eps * m.t / k)
     rng = random.Random(seed)

@@ -93,6 +93,19 @@ class TestSelectorVerification:
         assert main(["build-selector", "--n", "16", "--k", "2", "--out", sel]) == 0
         assert main(["verify-selector", sel, "--sample", "--trials", "200"]) == 0
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_sample_without_trials_is_parameter_error(self, tmp_path, capsys, trials):
+        sel = str(tmp_path / "sel.txt")
+        assert main(["build-selector", "--n", "16", "--k", "2", "--out", sel]) == 0
+        assert main(["verify-selector", sel, "--sample", "--trials", trials]) == 3
+
+    @pytest.mark.parametrize("eps", ["-1/2", "3/2"])
+    @pytest.mark.parametrize("mode", [[], ["--sample"]])
+    def test_target_outside_unit_interval_is_parameter_error(self, tmp_path, capsys, eps, mode):
+        sel = str(tmp_path / "sel.txt")
+        assert main(["build-selector", "--n", "8", "--k", "2", "--out", sel]) == 0
+        assert main(["verify-selector", sel, f"--eps={eps}", *mode]) == 3
+
 
 class TestScenariosAndTraces:
     def test_clique_scenario_and_validation(self, tmp_path, capsys):

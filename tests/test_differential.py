@@ -1,7 +1,8 @@
 """Differential tests: the integer token buckets, the neighbourhood-built
-conflict graph and its validation, round resolution and the heap-ordered
-simulation kernel against the direct implementations they replaced, kept
-here as reference oracles.
+conflict graph and its validation, round resolution, the heap-ordered
+simulation kernel, the cyclic-window frequency check, the selector to
+schedule extraction and the packing of selector column sets against the
+direct implementations they replaced, kept here as reference oracles.
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from radiosched.graphs import (
     random_network,
     successful_links,
 )
-from radiosched.schedules import TransmissionSchedule
+from radiosched.schedules import (
+    FrequencyReport,
+    TransmissionSchedule,
+    schedule_from_selector,
+    verify_frequent,
+)
+from radiosched.selectors import SelectorMatrix, _pack_combos
 from radiosched.sim import POLICIES, DeliveryRecord, RunMetrics, run
 from radiosched.traffic import (
     AdversaryConfig,
@@ -179,6 +186,56 @@ def ref_run(g, schedule, policy, trace, rounds) -> RunMetrics:
     )
 
 
+def ref_verify_frequent(schedule, g, windows=2):
+    """Round-by-round replay of max(windows*T, period + T - 1) rounds with a
+    cumsum over every replayed round."""
+    rho, T = schedule.claimed_frequency
+    m = g.link_count
+    total = max(windows * T, schedule.period + T - 1)
+    per_period = {}
+    succ = np.zeros((total, m), dtype=bool)
+    for r in range(total):
+        key = r % schedule.period if schedule.period else 0
+        if key not in per_period:
+            per_period[key] = successful_links(g, schedule.active_at(r))
+        for i in per_period[key]:
+            succ[r, i] = True
+    cum = np.zeros((total + 1, m), dtype=np.int64)
+    np.cumsum(succ, axis=0, out=cum[1:])
+    window_counts = cum[T:] - cum[:-T]
+    per_min = window_counts.min(axis=0) if m else np.zeros(0, dtype=np.int64)
+    per_max = window_counts.max(axis=0) if m else np.zeros(0, dtype=np.int64)
+    ok = all(Fraction(int(v)) >= rho * T for v in per_min)
+    return FrequencyReport(ok, rho, T, total, tuple(int(v) for v in per_min), tuple(int(v) for v in per_max))
+
+
+def ref_schedule_active(period, active, link_count):
+    """Per-element canonicalisation and range check of a schedule's rows:
+    the rows, or the message of the first error."""
+    rows = tuple(tuple(sorted(set(int(i) for i in row))) for row in active)
+    if period != len(rows):
+        return "period must equal the number of active sets"
+    for row in rows:
+        for i in row:
+            if not 0 <= i < link_count:
+                return f"scheduled link {i} out of range"
+    return rows
+
+
+def ref_selector_active(sel, m):
+    """Per-row flatnonzero extraction of a selector's active sets."""
+    return tuple(tuple(int(z) for z in np.flatnonzero(sel.rows[r, :m])) for r in range(sel.t))
+
+
+def ref_pack_combos(combos, n):
+    """One uint64 OR per member of every column set."""
+    words = np.zeros((len(combos), (n + 63) // 64), dtype=np.uint64)
+    for i, combo in enumerate(combos):
+        for j in combo:
+            words[i, j // 64] |= np.uint64(1 << (j % 64))
+    return words
+
+
 def assert_metrics_equal(got: RunMetrics, want: RunMetrics):
     for f in dataclasses.fields(RunMetrics):
         a, b = getattr(got, f.name), getattr(want, f.name)
@@ -312,6 +369,125 @@ class TestSuccessfulLinksMatchesCounter:
         g = data.draw(networks(max_nodes=12))
         cands = data.draw(st.lists(st.integers(0, g.link_count - 1), max_size=2 * g.link_count))
         assert successful_links(g, cands) == ref_successful_links(g, cands)
+
+
+# ---------------------------------------------------------------------------
+# schedules and selectors
+
+
+@st.composite
+def claimed_schedules(draw, g: NetworkGraph):
+    """Schedules with a (rho, T) claim: period 0 to 7, rows that repeat links,
+    and T below, at, a multiple of, or off a multiple of the period."""
+    m = g.link_count
+    period = draw(st.integers(0, 7))
+    rows = tuple(
+        tuple(draw(st.lists(st.integers(0, m - 1), max_size=2 * m))) for _ in range(period)
+    )
+    if period:
+        T = draw(
+            st.one_of(
+                st.integers(1, period),
+                st.integers(1, 4).map(lambda j: j * period),
+                st.integers(1, 4 * period + 3),
+            )
+        )
+    else:
+        T = draw(st.integers(1, 6))
+    rho = Fraction(draw(st.integers(1, 2 * T)), 2 * T)
+    return TransmissionSchedule(period, rows, m, claimed_frequency=(rho, T))
+
+
+def outcome(build):
+    try:
+        return build()
+    except ParameterError as exc:
+        return str(exc)
+
+
+class TestVerifyFrequentMatchesReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_report(self, data):
+        g = data.draw(networks(max_nodes=8))
+        sched = data.draw(claimed_schedules(g))
+        windows = data.draw(st.integers(1, 4))
+        assert verify_frequent(sched, g, windows) == ref_verify_frequent(sched, g, windows)
+
+    def test_partial_window_at_every_start(self):
+        # link 0 wins in rounds 0 and 3 of 5, link 1 in rounds 1 and 4: with
+        # T = 7 the stretch beyond one whole period is 2 rounds long
+        g = path_graph(2)
+        rows = ((0,), (1,), (), (0,), (1,))
+        for T in range(1, 13):
+            sched = TransmissionSchedule(5, rows, 2, claimed_frequency=(Fraction(1, 5), T))
+            for windows in (1, 2, 3):
+                assert verify_frequent(sched, g, windows) == ref_verify_frequent(sched, g, windows)
+
+    def test_no_links(self):
+        g = NetworkGraph((0, 1), ())
+        for period, T in ((0, 3), (2, 2), (2, 3)):
+            sched = TransmissionSchedule(period, ((),) * period, 0, claimed_frequency=(Fraction(1, 2), T))
+            assert verify_frequent(sched, g) == ref_verify_frequent(sched, g)
+
+
+class TestScheduleRowsMatchPerElement:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_same_rows_and_errors(self, data):
+        m = data.draw(st.integers(0, 6))
+        period = data.draw(st.integers(0, 5))
+        element = st.integers(-2, m + 2) | st.integers(-2, m + 2).map(np.int64)
+        rows = data.draw(
+            st.lists(st.lists(element, max_size=8), min_size=max(period - 1, 0), max_size=period + 1)
+        )
+        want = ref_schedule_active(period, rows, m)
+        got = outcome(lambda: TransmissionSchedule(period, rows, m).active)
+        assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_selector_extraction(self, data):
+        g = data.draw(networks(max_nodes=8))
+        m = g.link_count
+        n = data.draw(st.integers(m, m + 5))
+        t = data.draw(st.integers(0, 12))
+        zero_rows = data.draw(st.sets(st.integers(0, max(t - 1, 0))))
+        rows = np.array(
+            [[0 if r in zero_rows else data.draw(st.integers(0, 1)) for _ in range(n)] for r in range(t)],
+            dtype=np.uint8,
+        ).reshape(t, n)
+        sel = SelectorMatrix(n, t, rows, claimed_k=n, claimed_eps=Fraction(1, 2))
+        want = outcome(
+            lambda: TransmissionSchedule(
+                t, ref_selector_active(sel, m), m, "selector", (Fraction(1, 2 * n), t)
+            )
+        )
+        assert outcome(lambda: schedule_from_selector(sel, g)) == want
+
+
+class TestPackCombosMatchesPerElement:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_same_words(self, data):
+        n = data.draw(st.integers(60, 130))
+        size = data.draw(st.integers(0, 5))
+        combos = data.draw(
+            st.lists(
+                st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True)
+                .map(lambda c: tuple(sorted(c))),
+                max_size=20,
+            )
+        )
+        got = _pack_combos(combos, size, n)
+        assert got.dtype == np.uint64 and np.array_equal(got, ref_pack_combos(combos, n))
+
+    def test_word_edges(self):
+        for n in (64, 65, 128, 130):
+            singles = [(j,) for j in range(n)]
+            pairs = [(0, n - 1), (62, 63), (n - 2, n - 1)]
+            assert np.array_equal(_pack_combos(singles, 1, n), ref_pack_combos(singles, n))
+            assert np.array_equal(_pack_combos(pairs, 2, n), ref_pack_combos(pairs, n))
 
 
 # ---------------------------------------------------------------------------

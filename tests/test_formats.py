@@ -66,6 +66,10 @@ MALFORMED = {
     "k-not-int": ("selector", "uss n=2 t=1 k=z\n11\n"),
     "selector-kind": ("selector", "ussx n=2 t=1\n11\n"),
     "no-columns": ("selector", "uss n=0 t=0\n"),
+    "k-zero": ("selector", "uss n=2 t=1 k=0\n11\n"),
+    "k-above-n": ("selector", "uss n=2 t=1 k=3\n11\n"),
+    "eps-negative": ("selector", "uss n=2 t=1 k=2 eps=-1/2\n11\n"),
+    "eps-above-one": ("selector", "uss n=2 t=1 k=2 eps=3/2\n11\n"),
     "horizon-not-int": ("trace", "# horizon x\ninject 0 0 0\n"),
 }
 
