@@ -1,10 +1,9 @@
 """Selector families: boolean matrices whose columns can be isolated.
 
-A t x n matrix is an (n, k, m)-selector when any k columns contain at
-least m distinct rows of the k x k identity.  The stronger uniform notion
-asks that for every column set A with |A| <= k, every a in A is isolated
-(row meets A exactly in {a}) by at least eps*t/k rows.  Two constructions
-are provided: a randomized one with a retry-until-verified loop, and a
+A t x n matrix is a uniform strong selector of strength (k, eps) when for
+every column set A with |A| <= k, every a in A is isolated (the row meets
+A exactly in {a}) by at least eps*t/k rows.  Two constructions are
+provided: a randomized one with a retry-until-verified loop, and a
 deterministic one from polynomials over a prime field.
 """
 
@@ -74,11 +73,6 @@ class MinCountResult(NamedTuple):
     min_count: int
     eps: Fraction
     witness: tuple[tuple[int, ...], int]
-
-
-class SelectorCheck(NamedTuple):
-    holds: bool
-    witness: tuple[int, ...] | None
 
 
 class SampleCheck(NamedTuple):
@@ -166,28 +160,6 @@ def uss_min_count(m: SelectorMatrix, k: int, budget: int = SUBSET_BUDGET) -> Min
     return MinCountResult(best, Fraction(k * best, t), witness)
 
 
-def is_selector(m: SelectorMatrix, k: int, target_m: int, budget: int = SUBSET_BUDGET) -> SelectorCheck:
-    """Does every k-column subset contain target_m distinct identity rows?"""
-    if not 1 <= k <= m.n:
-        raise ParameterError(f"need 1 <= k <= {m.n}, got {k}")
-    if not 1 <= target_m <= k:
-        raise ParameterError(f"need 1 <= m <= k, got m={target_m}")
-    _check_subset_budget(m.n, k, budget)
-    row_sets = [frozenset(np.flatnonzero(r).tolist()) for r in m.rows]
-    for combo in itertools.combinations(range(m.n), k):
-        sub = frozenset(combo)
-        found = set()
-        for r in row_sets:
-            hit = r & sub
-            if len(hit) == 1:
-                found |= hit
-                if len(found) >= target_m:
-                    break
-        if len(found) < target_m:
-            return SelectorCheck(False, combo)
-    return SelectorCheck(True, None)
-
-
 def uss_sample_check(
     m: SelectorMatrix, k: int, eps, trials: int, seed: int
 ) -> SampleCheck:
@@ -211,12 +183,6 @@ def uss_sample_check(
         if count < threshold:
             return SampleCheck(False, trials, threshold, (combo, a, count))
     return SampleCheck(True, trials, threshold, None)
-
-
-def with_verified_params(m: SelectorMatrix, k: int, budget: int = SUBSET_BUDGET) -> SelectorMatrix:
-    """Attach (k, eps) claims backed by an exhaustive verifier pass."""
-    res = uss_min_count(m, k, budget=budget)
-    return replace(m, claimed_k=k, claimed_eps=res.eps)
 
 
 # ---------------------------------------------------------------------------

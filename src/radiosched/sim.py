@@ -10,8 +10,10 @@ packets only become selectable in the next round.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import itemgetter
@@ -46,27 +48,70 @@ class DeliveryRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """Per-round telemetry of one simulation.
+    """What one simulation produced, in memory that grows with links,
+    rounds and events, not with links x rounds.
 
-    Boolean arrays have shape (link_count, rounds).  `attempted` marks
-    active links with a nonempty queue; `collided` is attempted without
-    success.  `backlogged` marks links whose queue was nonempty after the
-    injection phase.  `per_round_backlog` is the total queued packet count
-    at the end of each round.  `undelivered_count` counts trace packets
-    not delivered within the simulated rounds, including any whose
-    injection round was never reached.
+    `pattern` is the schedule's active sets over its first
+    `min(period, rounds)` rounds, a (link_count, span) bool array; round r
+    uses column r % span.  `stretches` holds the rounds in which a link's
+    queue was nonempty after the injection phase, as int64 rows
+    (link, start, end) of half-open stretches [start, end), sorted by link
+    and then start; stretches are disjoint and nonempty but may touch.
+    `success_events` is the sorted int64 array of link * rounds + round
+    over every successful transmission.  `per_round_backlog` is the total
+    queued packet count at the end of each round.  `undelivered_count`
+    counts trace packets not delivered within the simulated rounds,
+    including any whose injection round was never reached.
+
+    The dense (link_count, rounds) bool views `active`, `backlogged` and
+    `success` are built on first read and kept.  `attempted` is
+    `active & backlogged`, since a link attempts exactly when it is
+    scheduled with a nonempty queue; `collided` is attempted without
+    success.
     """
 
     rounds: int
-    active: np.ndarray
-    attempted: np.ndarray
-    success: np.ndarray
-    backlogged: np.ndarray
+    pattern: np.ndarray
+    stretches: np.ndarray
+    success_events: np.ndarray
     per_round_backlog: np.ndarray
     per_round_max_queue: np.ndarray
     delivered: tuple[DeliveryRecord, ...]
     undelivered_count: int
     final_queues: tuple[tuple[int, ...], ...]
+
+    @property
+    def link_count(self) -> int:
+        return self.pattern.shape[0]
+
+    @cached_property
+    def active(self) -> np.ndarray:
+        span = self.pattern.shape[1]
+        if not span:
+            return np.zeros((self.link_count, self.rounds), dtype=bool)
+        return np.tile(self.pattern, -(-self.rounds // span))[:, : self.rounds]
+
+    @cached_property
+    def backlogged(self) -> np.ndarray:
+        # +1 at each stretch's first flat index, -1 just past its last; a
+        # stretch may start where the previous one ends, so the ends are
+        # subtracted after the starts are set.  The running sum is 0 or 1.
+        m, n = self.link_count, self.rounds
+        first = self.stretches[:, 0] * n + self.stretches[:, 1]
+        delta = np.zeros(m * n + 1, dtype=np.int8)
+        delta[first] = 1
+        delta[first + (self.stretches[:, 2] - self.stretches[:, 1])] -= 1
+        return np.cumsum(delta[:-1], dtype=np.int8).view(bool).reshape(m, n)
+
+    @cached_property
+    def success(self) -> np.ndarray:
+        flat = np.zeros(self.link_count * self.rounds, dtype=bool)
+        flat[self.success_events] = True
+        return flat.reshape(self.link_count, self.rounds)
+
+    @cached_property
+    def attempted(self) -> np.ndarray:
+        return self.active & self.backlogged
 
     @property
     def collided(self) -> np.ndarray:
@@ -117,13 +162,10 @@ def run(
     pattern = np.zeros((m, span), dtype=bool)
     for r in range(span):
         pattern[list(schedule.active[r]), r] = True
-    if span:
-        active = np.tile(pattern, -(-rounds // span))[:, :rounds]
-    else:
-        active = np.zeros((m, rounds), dtype=bool)
-    attempted = np.zeros((m, rounds), dtype=bool)
-    success = np.zeros((m, rounds), dtype=bool)
-    backlogged = np.zeros((m, rounds), dtype=bool)
+    # (link, start, end) of every closed backlogged stretch, and
+    # link * rounds + round of every success
+    stretches = array("q")
+    events = array("q")
     per_round_backlog = np.zeros(rounds, dtype=np.int64)
     per_round_max_queue = np.zeros(rounds, dtype=np.int64)
     delivered: list[DeliveryRecord] = []
@@ -161,7 +203,7 @@ def run(
         if n > 1:
             length_count[n - 1] += 1
         else:
-            backlogged[e, since.pop(e) : r + 1] = True
+            stretches.extend((e, since.pop(e), r + 1))
         if n == longest and not length_count[n]:
             longest -= 1  # the queue just popped now has length n - 1
         return entry
@@ -173,13 +215,11 @@ def run(
 
         candidates = [e for e in schedule.active_at(r) if queues[e]]
         if candidates:
-            for e in candidates:
-                attempted[e, r] = True
             winners = successful_links(g, candidates)
             # a winner's head is silent, so a packet forwarded this round
             # never joins the queue of a later winner
             for e in winners:
-                success[e, r] = True
+                events.append(e * rounds + r)
                 _, pid, _, hops, pkt = pop(e, r)
                 hops += 1
                 if hops == len(pkt.route):
@@ -191,14 +231,15 @@ def run(
         per_round_backlog[r] = queued
         per_round_max_queue[r] = longest
     for e, start in since.items():
-        backlogged[e, start:] = True
+        if start < rounds:  # a packet forwarded in the last round waits past the run
+            stretches.extend((e, start, rounds))
+    spans = np.frombuffer(stretches, dtype=np.int64).reshape(-1, 3)
 
     return RunMetrics(
         rounds=rounds,
-        active=active,
-        attempted=attempted,
-        success=success,
-        backlogged=backlogged,
+        pattern=pattern,
+        stretches=spans[np.argsort(spans[:, 0] * rounds + spans[:, 1])],
+        success_events=np.sort(np.frombuffer(events, dtype=np.int64)),
         per_round_backlog=per_round_backlog,
         per_round_max_queue=per_round_max_queue,
         delivered=tuple(delivered),
@@ -229,7 +270,18 @@ def failure_accounting(
     every window of T consecutive rounds.
 
     A link fails in a round when its queue is nonempty after injections but
-    the link does not succeed.  The witness is the fullest window.
+    the link does not succeed.  The witness is the fullest window, the first
+    in (link, start) order among equals.
+
+    Let F(s) count a link's failed rounds in the window starting at s.  Then
+    F(s) - F(s - 1) = fail(s + T - 1) - fail(s - 1), so at a link's first
+    maximum s > 0 round s - 1 does not fail and round s + T - 1 does.
+    Either round s fails, and s starts a run of failed rounds, or it does
+    not, and then, as F(s + 1) <= F(s) unless s = rounds - T, s + T ends a
+    run.  A first maximum at 0 is one of these clipped to 0.  So F is
+    evaluated only at each run's start and end - T, clipped to
+    [0, rounds - T]: O(stretches + successes) points, no links x rounds
+    array.
     """
     rho_prime = Fraction(rho_prime)
     if not 0 < rho_prime <= 1:
@@ -239,16 +291,62 @@ def failure_accounting(
     if metrics.rounds < window:
         raise ParameterError("run is shorter than one window")
     bound = (1 + adv.rho - rho_prime) * window + adv.b
-    fails = (metrics.backlogged & ~metrics.success).astype(np.int64)
-    cum = np.cumsum(fails, axis=1)
-    padded = np.concatenate([np.zeros((fails.shape[0], 1), dtype=np.int64), cum], axis=1)
-    counts = padded[:, window:] - padded[:, :-window]
-    flat = int(np.argmax(counts))
-    link, start = divmod(flat, counts.shape[1])
-    max_count = int(counts[link, start])
+    n = metrics.rounds
+    starts, ends = _failed_runs(metrics)
+    # failed rounds in, and end of the last of, the first i runs
+    cum = np.zeros(starts.size + 1, dtype=np.int64)
+    np.cumsum(ends - starts, out=cum[1:])
+    last_end = np.concatenate(([0], ends))
+
+    def failed_before(y):
+        # whole runs starting at or before flat index y, less the part of
+        # the last of them that lies past y
+        i = np.searchsorted(starts, y, side="right")
+        past = last_end[i]
+        past -= y
+        np.maximum(past, 0, out=past)
+        count = cum[i]
+        count -= past
+        return count
+
+    first = starts - starts % n  # flat index of round 0 of each run's link
+    max_count = best = 0
+    for edge, shift in ((starts, 0), (ends, window)):
+        if not edge.size:
+            break
+        x = edge - first
+        x -= shift
+        np.clip(x, 0, n - window, out=x)
+        x += first
+        f = failed_before(x + window)
+        f -= failed_before(x)
+        top = int(f.max())
+        if top >= max_count:
+            at = int(x[f == top].min())
+            best = at if top > max_count else min(best, at)
+            max_count = top
+    best_link, best_start = divmod(best, n)
     holds = Fraction(max_count) <= bound
-    witness = None if holds else FailureWindow(link, start, max_count)
+    witness = None if holds else FailureWindow(best_link, best_start, max_count)
     return FailureReport(holds, bound, window, max_count, Fraction(max_count) / bound, witness)
+
+
+def _failed_runs(metrics: RunMetrics) -> tuple[np.ndarray, np.ndarray]:
+    """Flat starts and ends, link * rounds + round, of the runs of failed
+    rounds: each backlogged stretch [a, b) cut by its successes r into
+    [a, r), [r + 1, ...), ..., [..., b), empty pieces dropped.  The pieces
+    lie in order with nondecreasing starts and ends, so sorting the starts
+    and the ends apart pairs them up."""
+    n = metrics.rounds
+    link, start, end = metrics.stretches.T
+    events = metrics.success_events
+    starts = np.concatenate((link * n + start, events + 1))
+    ends = np.concatenate((link * n + end, events))
+    # both are two sorted runs, which a stable sort merges in linear time
+    starts.sort(kind="stable")
+    ends.sort(kind="stable")
+    keep = starts < ends
+    return starts[keep], ends[keep]
 
 
 class StabilityVerdict(NamedTuple):

@@ -1,16 +1,17 @@
 """Differential tests: the integer token buckets, the neighbourhood-built
 conflict graph and its validation, round resolution, the heap-ordered
-simulation kernel, the cyclic-window frequency check, the selector to
-schedule extraction and the packing of selector column sets against the
-direct implementations they replaced, kept here as reference oracles.
+simulation kernel and its sparse record, the event-based failure
+accounting, the cyclic-window frequency check, the selector to schedule
+extraction and the packing of selector column sets against the direct
+implementations they replaced, kept here as reference oracles.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from radiosched.graphs import (
     NetworkGraph,
     build_conflict_graph,
     clique_graph,
+    greedy_coloring,
     path_graph,
     random_network,
     successful_links,
@@ -30,11 +32,20 @@ from radiosched.graphs import (
 from radiosched.schedules import (
     FrequencyReport,
     TransmissionSchedule,
+    schedule_from_coloring,
     schedule_from_selector,
     verify_frequent,
 )
 from radiosched.selectors import SelectorMatrix, _pack_combos
-from radiosched.sim import POLICIES, DeliveryRecord, RunMetrics, run
+from radiosched.sim import (
+    POLICIES,
+    DeliveryRecord,
+    FailureReport,
+    FailureWindow,
+    RunMetrics,
+    failure_accounting,
+    run,
+)
 from radiosched.traffic import (
     AdversaryConfig,
     InjectionTrace,
@@ -131,9 +142,10 @@ REF_KEYS = {
 }
 
 
-def ref_run(g, schedule, policy, trace, rounds) -> RunMetrics:
+def ref_run(g, schedule, policy, trace, rounds) -> SimpleNamespace:
     """Simulation loop that rescans every link every round and picks each
-    winner's packet with a linear min over its queue."""
+    winner's packet with a linear min over its queue, recording every
+    round of every link in dense (links, rounds) arrays."""
     key = REF_KEYS[policy]
     m = g.link_count
     by_round: dict[int, list[Packet]] = {}
@@ -172,18 +184,36 @@ def ref_run(g, schedule, policy, trace, rounds) -> RunMetrics:
                 queues[pkt.route[pkt.hops_done]].append(pkt)
         per_round_backlog[r] = queued
         per_round_max_queue[r] = max(map(len, queues), default=0)
-    return RunMetrics(
+    return SimpleNamespace(
         rounds=rounds,
         active=active,
         attempted=attempted,
         success=success,
         backlogged=backlogged,
+        collided=attempted & ~success,
         per_round_backlog=per_round_backlog,
         per_round_max_queue=per_round_max_queue,
         delivered=tuple(delivered),
         undelivered_count=len(trace) - len(delivered),
         final_queues=tuple(tuple(p.id for p in q) for q in queues),
     )
+
+
+def ref_failure_accounting(dense, adv, rho_prime, window) -> FailureReport:
+    """Window failure counts from cumulative sums over the dense
+    backlogged-without-success mask; the witness is numpy's first argmax."""
+    rho_prime = Fraction(rho_prime)
+    bound = (1 + adv.rho - rho_prime) * window + adv.b
+    fails = (dense.backlogged & ~dense.success).astype(np.int64)
+    cum = np.cumsum(fails, axis=1)
+    padded = np.concatenate([np.zeros((fails.shape[0], 1), dtype=np.int64), cum], axis=1)
+    counts = padded[:, window:] - padded[:, :-window]
+    flat = int(np.argmax(counts))
+    link, start = divmod(flat, counts.shape[1])
+    max_count = int(counts[link, start])
+    holds = Fraction(max_count) <= bound
+    witness = None if holds else FailureWindow(link, start, max_count)
+    return FailureReport(holds, bound, window, max_count, Fraction(max_count) / bound, witness)
 
 
 def ref_verify_frequent(schedule, g, windows=2):
@@ -236,13 +266,39 @@ def ref_pack_combos(combos, n):
     return words
 
 
-def assert_metrics_equal(got: RunMetrics, want: RunMetrics):
-    for f in dataclasses.fields(RunMetrics):
-        a, b = getattr(got, f.name), getattr(want, f.name)
+METRIC_VIEWS = (
+    "rounds",
+    "active",
+    "attempted",
+    "success",
+    "backlogged",
+    "collided",
+    "per_round_backlog",
+    "per_round_max_queue",
+    "delivered",
+    "undelivered_count",
+    "final_queues",
+)
+
+
+def assert_record_canonical(metrics):
+    """The sparse record's documented order: stretches nonempty, disjoint and
+    sorted by link then start; success events strictly increasing."""
+    link, start, end = metrics.stretches.T
+    assert metrics.stretches.dtype == metrics.success_events.dtype == np.int64
+    assert (0 <= start).all() and (start < end).all() and (end <= metrics.rounds).all()
+    assert (link[:-1] * metrics.rounds + end[:-1] <= link[1:] * metrics.rounds + start[1:]).all()
+    assert (np.diff(metrics.success_events) > 0).all()
+
+
+def assert_metrics_equal(got, want):
+    assert_record_canonical(got)
+    for name in METRIC_VIEWS:
+        a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
         else:
-            assert a == b, f.name
+            assert a == b, name
 
 
 # ---------------------------------------------------------------------------
@@ -534,3 +590,91 @@ class TestRunMatchesRescan:
         rows = tuple((e,) for e in range(m)) + ((),) * offset
         sched = TransmissionSchedule(len(rows), rows, m)
         assert_metrics_equal(run(sc.g, sched, policy, sc.trace, 200), ref_run(sc.g, sched, policy, sc.trace, 200))
+
+
+# every window length, against a bound loose enough to hold and one no
+# failure fits under, so each nonzero maximum also yields a witness
+ACCOUNTING_ADVERSARIES = (
+    (AdversaryConfig(Fraction(1, 2), 3), Fraction(1, 2)),
+    (AdversaryConfig(Fraction(1, 1000), 0), Fraction(1)),
+)
+
+
+def assert_accounting_equal(metrics, dense):
+    for window in range(1, min(dense.rounds, 40) + 1):
+        for adv, rho_prime in ACCOUNTING_ADVERSARIES:
+            got = failure_accounting(metrics, adv, rho_prime, window)
+            assert got == ref_failure_accounting(dense, adv, rho_prime, window), window
+
+
+class TestFailureAccountingMatchesDense:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_random_mesh(self, data):
+        g = data.draw(networks(max_nodes=8))
+        if data.draw(st.booleans()):
+            sched = data.draw(schedules_for(g))
+        else:
+            coloring = greedy_coloring(build_conflict_graph(g))
+            sched = schedule_from_coloring(coloring).rotated(data.draw(st.integers(0, 20)))
+        routes = data.draw(route_sets(g))
+        adv = AdversaryConfig(data.draw(rates), data.draw(st.integers(1, 5)))
+        trace = gen_leaky_bucket(
+            g, routes, adv, data.draw(st.integers(0, 60)), data.draw(st.integers(0, 10**6)),
+            data.draw(intensities),
+        )
+        policy = data.draw(st.sampled_from(sorted(POLICIES)))
+        rounds = data.draw(st.integers(1, 70))
+        metrics = run(g, sched, policy, trace, rounds)
+        dense = ref_run(g, sched, policy, trace, rounds)
+        assert_metrics_equal(metrics, dense)
+        assert_accounting_equal(metrics, dense)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(2, 3),
+        st.integers(2, 12),
+        st.integers(0, 11),
+        st.integers(40, 160),
+        st.sampled_from(sorted(POLICIES)),
+    )
+    def test_overloaded_clique(self, n, d, offset, rounds, policy):
+        sc = gen_clique_scenario(n, Fraction(1, d), 150)
+        sched = schedule_from_coloring(greedy_coloring(build_conflict_graph(sc.g))).rotated(offset)
+        metrics = run(sc.g, sched, policy, sc.trace, rounds)
+        dense = ref_run(sc.g, sched, policy, sc.trace, rounds)
+        assert_metrics_equal(metrics, dense)
+        assert_accounting_equal(metrics, dense)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_stretches_and_successes(self, data):
+        # a record built directly: its stretches may touch, and may end
+        # before the last round without a success, which `run`'s never do
+        m = data.draw(st.integers(1, 4))
+        rounds = data.draw(st.integers(1, 40))
+        cells = st.lists(st.booleans(), min_size=m * rounds, max_size=m * rounds)
+        backlogged = np.array(data.draw(cells), dtype=bool).reshape(m, rounds)
+        success = backlogged & np.array(data.draw(cells), dtype=bool).reshape(m, rounds)
+        rows = []
+        for e in range(m):
+            # each maximal backlogged run, cut into touching stretches
+            edges = np.flatnonzero(np.diff(backlogged[e], prepend=False, append=False)).tolist()
+            for a, b in zip(edges[::2], edges[1::2]):
+                cuts = sorted(data.draw(st.sets(st.integers(a + 1, b - 1)))) if b - a > 1 else []
+                ends = [a, *cuts, b]
+                rows += [(e, lo, hi) for lo, hi in zip(ends, ends[1:])]
+        metrics = RunMetrics(
+            rounds=rounds,
+            pattern=np.zeros((m, 1), dtype=bool),
+            stretches=np.array(rows, dtype=np.int64).reshape(-1, 3),
+            success_events=np.flatnonzero(success),
+            per_round_backlog=np.zeros(rounds, dtype=np.int64),
+            per_round_max_queue=np.zeros(rounds, dtype=np.int64),
+            delivered=(),
+            undelivered_count=0,
+            final_queues=((),) * m,
+        )
+        assert np.array_equal(metrics.backlogged, backlogged)
+        assert np.array_equal(metrics.success, success)
+        assert_accounting_equal(metrics, SimpleNamespace(rounds=rounds, backlogged=backlogged, success=success))

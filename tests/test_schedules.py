@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -44,9 +45,8 @@ class TestFromColoring:
 class TestFromSelector:
     def test_identity_alternation(self):
         g = graphs.path_graph(2)
-        ident = sel.with_verified_params(
-            sel.SelectorMatrix(2, 2, np.eye(2, dtype=np.uint8)), 2
-        )
+        plain = sel.SelectorMatrix(2, 2, np.eye(2, dtype=np.uint8))
+        ident = replace(plain, claimed_k=2, claimed_eps=sel.uss_min_count(plain, 2).eps)
         s = schedules.schedule_from_selector(ident, g)
         assert s.period == 2 and s.active == ((0,), (1,))
         assert s.claimed_frequency == (Fraction(1, 2), 2)

@@ -103,42 +103,6 @@ class TestMinCount:
         assert trimmed >= full
 
 
-class TestIsSelector:
-    def test_identity_is_full_selector(self):
-        m = sel.SelectorMatrix(6, 6, np.eye(6, dtype=np.uint8))
-        for k in (1, 2, 4, 6):
-            assert sel.is_selector(m, k, k).holds
-
-    def test_zero_fails(self):
-        m = sel.SelectorMatrix(4, 3, np.zeros((3, 4), dtype=np.uint8))
-        check = sel.is_selector(m, 2, 1)
-        assert not check.holds and check.witness == (0, 1)
-
-    def test_small_example(self):
-        rows = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=np.uint8)
-        m = sel.SelectorMatrix(3, 4, rows)
-        assert sel.is_selector(m, 2, 2).holds
-        assert sel.is_selector(m, 3, 3).holds
-
-    def test_witness_is_a_failing_subset(self):
-        rows = np.array([[1, 0, 0], [1, 1, 0]], dtype=np.uint8)
-        m = sel.SelectorMatrix(3, 2, rows)
-        check = sel.is_selector(m, 2, 2)
-        assert not check.holds and check.witness == (0, 1)
-
-    def test_uss_implies_selector(self):
-        for n, k in [(8, 2), (16, 4), (27, 3)]:
-            m = sel.poly_uss(n, k)
-            assert sel.is_selector(m, k, 1).holds
-
-    def test_param_errors(self):
-        m = sel.SelectorMatrix(4, 2, np.zeros((2, 4), dtype=np.uint8))
-        with pytest.raises(ParameterError):
-            sel.is_selector(m, 5, 1)
-        with pytest.raises(ParameterError):
-            sel.is_selector(m, 3, 4)
-
-
 class TestSampleCheck:
     def test_pass_and_fail(self):
         m = sel.SelectorMatrix(8, 8, np.eye(8, dtype=np.uint8))
@@ -251,11 +215,6 @@ class TestClaims:
     def test_plain_matrix_has_no_claims(self):
         m = sel.SelectorMatrix(4, 4, np.eye(4, dtype=np.uint8))
         assert m.claimed_k is None and m.claimed_eps is None
-
-    def test_with_verified_params(self):
-        m = sel.SelectorMatrix(4, 4, np.eye(4, dtype=np.uint8))
-        v = sel.with_verified_params(m, 2)
-        assert v.claimed_k == 2 and v.claimed_eps == Fraction(1, 2)
 
 
 class TestSelectorFiles:

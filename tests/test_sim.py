@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radiosched.bounds import coloring_threshold
 from radiosched.errors import ParameterError
 from radiosched.graphs import (
     build_conflict_graph,
@@ -223,6 +225,14 @@ class TestFailureAccounting:
         assert rep.bound == Fraction(3)
         assert rep.witness == (0, 0, 4)
 
+    def test_no_links(self):
+        g = random_network(1, 0, seed=0)
+        sched = TransmissionSchedule(period=1, active=((),), link_count=0)
+        metrics = run(g, sched, "lis", InjectionTrace((), 0), 5)
+        rep = failure_accounting(metrics, AdversaryConfig(Fraction(1, 2), 1), Fraction(1, 2), 2)
+        assert rep.holds and rep.max_count == 0 and rep.witness is None
+        assert metrics.backlogged.shape == metrics.success.shape == (0, 5)
+
     def test_window_guards(self):
         metrics = self.starved_metrics(4)
         adv = AdversaryConfig(Fraction(1, 2), 1)
@@ -271,3 +281,44 @@ class TestCliqueThroughput:
         assert (metrics.success.sum(axis=0) <= 1).all()
         # a singleton color class always finds its queue backed up
         assert metrics.delivered_count == 120
+
+
+class TestSparseRecord:
+    DENSE_VIEWS = {"active", "attempted", "backlogged", "success"}
+
+    def test_long_run_memory(self):
+        # 120 links x 20k rounds with traffic throughout: one dense bool view
+        # is 2.4 MB, one int64 links x rounds array 19.2 MB
+        g = random_network(50, 60, seed=1)
+        sched = schedule_from_coloring(greedy_coloring(build_conflict_graph(g)))
+        threshold = coloring_threshold(sched.period)
+        adv = AdversaryConfig(threshold * Fraction(3, 4), 2)
+        rounds = 20_000
+        trace = gen_leaky_bucket(g, random_routes(g, 40, 3, seed=2), adv, rounds, seed=3)
+        dense = g.link_count * rounds
+        tracemalloc.start()
+        try:
+            metrics = run(g, sched, "lis", trace, rounds)
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            rep = failure_accounting(metrics, adv, threshold, sched.period)
+            check_peak = tracemalloc.get_traced_memory()[1] - held
+            assert not self.DENSE_VIEWS & vars(metrics).keys()
+            del metrics
+            tracemalloc.reset_peak()
+            # the trace ends at round `rounds` and drains soon after, so
+            # twice the rounds adds idle rounds only, each of which would
+            # add a column to every dense view
+            longer = run(g, sched, "lis", trace, 2 * rounds)
+            longer_peak = tracemalloc.get_traced_memory()[1]
+            assert not self.DENSE_VIEWS & vars(longer).keys()
+            held = tracemalloc.get_traced_memory()[0]
+            longer.backlogged
+            view_bytes = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        assert rep.max_count > 0 and longer.per_round_backlog[rounds + 1000 :].max() == 0
+        assert check_peak < 8 * dense / 4
+        assert longer_peak - run_peak < dense / 2
+        assert view_bytes >= 2 * dense  # the views are dense once read
