@@ -50,7 +50,6 @@ class NetworkGraph:
         for a, b in self.links:
             if (b, a) not in seen:
                 raise ParameterError(f"link ({a},{b}) lacks its reverse; edge set must be symmetric")
-        object.__setattr__(self, "_link_index", {lk: i for i, lk in enumerate(self.links)})
         in_nbrs: dict[int, list[int]] = {n: [] for n in self.nodes}
         out_lks: dict[int, list[int]] = {n: [] for n in self.nodes}
         for i, (a, b) in enumerate(self.links):
@@ -63,11 +62,8 @@ class NetworkGraph:
     def link_count(self) -> int:
         return len(self.links)
 
-    def link_index(self, tail: int, head: int) -> int:
-        return self._link_index[(tail, head)]
-
     def has_link(self, tail: int, head: int) -> bool:
-        return (tail, head) in self._link_index
+        return tail in self._in_neighbors.get(head, ())
 
     def in_neighbors(self, node: int) -> tuple[int, ...]:
         return self._in_neighbors[node]

@@ -22,6 +22,9 @@ import numpy as np
 from .errors import ConstructionError, FormatError, ParameterError, SizeError
 
 SUBSET_BUDGET = 2_000_000
+# random_uss: matrices drawn before giving up, and pairs per sample check
+MAX_DRAWS = 64
+SAMPLE_TRIALS = 2000
 
 
 @dataclass(eq=False)
@@ -207,15 +210,7 @@ def random_uss_size(n: int, k: int, eps) -> int:
     return math.ceil(num / (c - eps) ** 2) + 1
 
 
-def random_uss(
-    n: int,
-    k: int,
-    eps,
-    seed: int,
-    max_retries: int = 64,
-    budget: int = SUBSET_BUDGET,
-    sample_trials: int = 2000,
-) -> SelectorMatrix:
+def random_uss(n: int, k: int, eps, seed: int) -> SelectorMatrix:
     """Draw Bernoulli(1/k) matrices until one verifies at strength eps.
 
     Verification is exhaustive when C(n, k) fits the subset budget and a
@@ -228,18 +223,18 @@ def random_uss(
             f"a verified matrix at eps={eps} needs {t} rows; pick eps further below "
             "the survival constant or build the matrix yourself from random_uss_size"
         )
-    exhaustive = math.comb(n, k) <= budget
+    exhaustive = math.comb(n, k) <= SUBSET_BUDGET
     rng = np.random.default_rng(seed)
-    for attempt in range(max_retries):
+    for attempt in range(MAX_DRAWS):
         rows = (rng.random((t, n)) < 1.0 / k).astype(np.uint8)
         m = SelectorMatrix(n, t, rows)
         if exhaustive:
-            ok = uss_min_count(m, k, budget=budget).eps >= eps
+            ok = uss_min_count(m, k).eps >= eps
         else:
-            ok = uss_sample_check(m, k, eps, trials=sample_trials, seed=seed + attempt).ok
+            ok = uss_sample_check(m, k, eps, trials=SAMPLE_TRIALS, seed=seed + attempt).ok
         if ok:
             return replace(m, claimed_k=k, claimed_eps=eps)
-    raise ConstructionError(f"no verified matrix within {max_retries} draws")
+    raise ConstructionError(f"no verified matrix within {MAX_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------

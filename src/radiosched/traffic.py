@@ -16,8 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import FormatError, ParameterError
 from .graphs import NetworkGraph, clique_graph, from_undirected_edges
 from .selectors import parse_count
@@ -25,25 +23,20 @@ from .selectors import parse_count
 
 @dataclass
 class Packet:
-    """One packet with a fixed route of link indices.
-
-    hops_done counts completed hops; the packet currently waits at link
-    route[hops_done] (or has been delivered when hops_done == len(route)).
-    """
+    """One packet with a fixed route of link indices."""
 
     id: int
     injection_round: int
     route: tuple[int, ...]
-    hops_done: int = 0
 
     def __post_init__(self):
         self.route = tuple(int(i) for i in self.route)
         if not self.route:
             raise ParameterError(f"packet {self.id}: empty route")
+        if min(self.route) < 0:
+            raise ParameterError(f"packet {self.id}: negative link {min(self.route)}")
         if self.injection_round < 0:
             raise ParameterError(f"packet {self.id}: negative injection round")
-        if not 0 <= self.hops_done <= len(self.route):
-            raise ParameterError(f"packet {self.id}: hops_done out of range")
 
 
 @dataclass(frozen=True)
@@ -87,29 +80,30 @@ class InjectionTrace:
         return len(self.injections)
 
 
+def _route_fault(route, link_count: int, links=None) -> str | None:
+    """Why route is not a path of the network: a link index outside
+    0..link_count-1 or, when the links' (tail, head) pairs are given, two
+    consecutive links not chained head to tail.  None for a valid route."""
+    for i in route:
+        if not 0 <= i < link_count:
+            return f"link {i} out of range"
+    if links is not None:
+        for a, b in zip(route, route[1:]):
+            if links[a][1] != links[b][0]:
+                return f"links {a} and {b} do not share an endpoint"
+    return None
+
+
 def check_routes(tr: InjectionTrace, g: NetworkGraph) -> None:
     """Routes must be link paths of g: valid indices, consecutive links
     chained head to tail."""
-    m = g.link_count
+    checked = set()
     for _, pkt in tr.injections:
-        for i in pkt.route:
-            if not 0 <= i < m:
-                raise ParameterError(f"packet {pkt.id}: link {i} out of range")
-        for a, b in zip(pkt.route, pkt.route[1:]):
-            if g.links[a][1] != g.links[b][0]:
-                raise ParameterError(
-                    f"packet {pkt.id}: links {a} and {b} do not share an endpoint"
-                )
-
-
-def link_loads(tr: InjectionTrace, link_count: int) -> np.ndarray:
-    """Per-link, per-round injected load; a packet loads every link of its
-    route at its injection round.  Shape (link_count, horizon + 1)."""
-    loads = np.zeros((link_count, tr.horizon + 1), dtype=np.int64)
-    for r, pkt in tr.injections:
-        for i in set(pkt.route):
-            loads[i, r] += 1
-    return loads
+        if pkt.route not in checked:
+            fault = _route_fault(pkt.route, g.link_count, g.links)
+            if fault:
+                raise ParameterError(f"packet {pkt.id}: {fault}")
+            checked.add(pkt.route)
 
 
 class Violation(NamedTuple):
@@ -128,39 +122,48 @@ class AdmissibilityReport(NamedTuple):
 def validate_trace(tr: InjectionTrace, adv: AdversaryConfig, link_count: int | None = None) -> AdmissibilityReport:
     """Check every window of every length on every link against rho*T + b.
 
-    Equivalent to a per-link token filter, computed exactly with integers:
-    window load L over length T violates iff den*L - num*T > den*b.  Every
-    intermediate lies within den*(b + load) + num*(horizon + 1) of zero;
-    a link whose bound exceeds int64 is computed with Python ints instead.
+    Exact in Python ints: a window holding load L over T rounds violates iff
+    den*L - num*T > den*b.  With d(t) = den*load(0..t) - num*(t + 1) and
+    d(-1) = 0, the window s..t violates iff d(t) - d(s - 1) > den*b.  d rises
+    only at a link's injection rounds and falls strictly between them, so
+    the first violating end, and the earliest start that minimises
+    d(s - 1) before it, are both injection rounds (or the start 0).  Each
+    link's injection rounds are walked once, lowest link first: memory and
+    time grow with link-events, not links x horizon.  A link at or past
+    link_count (inferred from the routes when None) is a ParameterError.
     """
     if link_count is None:
         link_count = 1 + max((max(p.route) for _, p in tr.injections), default=0)
-    loads = link_loads(tr, link_count)
+    # per link, {round: load} in round order, since the trace is sorted
+    loads: dict[int, dict[int, int]] = {}
+    checked = set()
+    for r, pkt in tr.injections:
+        if pkt.route not in checked:
+            fault = _route_fault(pkt.route, link_count)
+            if fault:
+                raise ParameterError(f"packet {pkt.id}: {fault}")
+            checked.add(pkt.route)
+        for e in set(pkt.route):
+            at = loads.get(e)
+            if at is None:
+                at = loads[e] = {}
+            at[r] = at.get(r, 0) + 1
     num, den = adv.rho.numerator, adv.rho.denominator
     cap = den * adv.b
-    lengths = np.arange(1, tr.horizon + 2, dtype=np.int64)
-    int64_max = np.iinfo(np.int64).max
-    for e_link in range(link_count):
-        row = loads[e_link]
-        if not row.any():
-            continue
-        cum = np.cumsum(row)
-        if cap + den * int(cum[-1]) + num * (tr.horizon + 1) > int64_max:
-            d = den * cum.astype(object) - num * lengths.astype(object)
-        else:
-            d = den * cum - num * lengths
-        d_pre = np.concatenate(([0], d[:-1]))
-        runmin = np.minimum.accumulate(d_pre)
-        excess = d - runmin
-        bad = np.nonzero(excess > cap)[0]
-        if bad.size:
-            end = int(bad[0])
-            start = int(np.argmin(d_pre[: end + 1]))
-            load = int(cum[end] - (cum[start - 1] if start else 0))
-            length = end - start + 1
-            return AdmissibilityReport(
-                False, Violation(e_link, start, length, load, adv.rho * length + adv.b)
-            )
+    for link in sorted(loads):
+        # low: the first minimum of d(s - 1) over the starts s seen so far,
+        # at start low_at, where low_count packets precede it on the link
+        low = low_at = low_count = count = 0
+        for r, load in loads[link].items():
+            pre = den * count - num * r
+            if pre < low:
+                low, low_at, low_count = pre, r, count
+            count += load
+            if den * count - num * (r + 1) - low > cap:
+                length = r - low_at + 1
+                return AdmissibilityReport(
+                    False, Violation(link, low_at, length, count - low_count, adv.rho * length + adv.b)
+                )
     return AdmissibilityReport(True, None)
 
 
@@ -189,9 +192,9 @@ def gen_leaky_bucket(
     if adv.b < 1:
         raise ParameterError("bucket generation needs burst allowance >= 1")
     for rt in routes:
-        for a, b2 in zip(rt, rt[1:]):
-            if g.links[a][1] != g.links[b2][0]:
-                raise ParameterError("route is not a link path")
+        fault = _route_fault(rt, g.link_count, g.links)
+        if fault:
+            raise ParameterError(f"route {rt}: {fault}")
     rng = random.Random(seed)
     # Tokens are scaled by den: one token is den, a round adds num.  After
     # the refill of round r, link e holds min(cap, num*(r + 1) - debit[e]).

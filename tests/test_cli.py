@@ -280,6 +280,20 @@ class TestExitCodes:
         trace.write_text("inject 0 0 0\n")
         assert main(["validate-trace", str(trace), "--rho", "fast", "--burst", "1"]) == 3
 
+    def test_link_out_of_range_is_parameter_error(self, tmp_path, capsys):
+        g_file = tmp_path / "pair.txt"
+        write_graph(path_graph(2), g_file)
+        sched = tmp_path / "sched.txt"
+        sched.write_text("schedule period=1 links=2\n0 1\n")
+        trace = tmp_path / "trace.txt"
+        trace.write_text("# horizon 0\ninject 0 0 0\ninject 0 1 5\n")
+        budget = ["--rho", "1/2", "--burst", "1"]
+        assert main(["validate-trace", str(trace), "--links", "2", *budget]) == 3
+        assert "packet 1: link 5 out of range" in capsys.readouterr().err
+        argv = ["simulate", str(g_file), str(sched), str(trace), "--rounds", "4", *budget]
+        assert main(argv) == 3
+        assert "packet 1: link 5 out of range" in capsys.readouterr().err
+
     def test_empty_sweep_is_parameter_error(self, tmp_path, capsys):
         assert main(["experiment", "--sweep", "0", "--out-dir", str(tmp_path / "out")]) == 3
         assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
-"""Differential tests: the integer token buckets, the neighbourhood-built
+"""Differential tests: the integer token buckets, the per-link trace
+admissibility check, the neighbourhood-built
 conflict graph and its validation, round resolution, the heap-ordered
 simulation kernel and its sparse record, the event-based failure
 accounting, the cyclic-window frequency check, the selector to schedule
@@ -47,12 +48,15 @@ from radiosched.sim import (
     run,
 )
 from radiosched.traffic import (
+    AdmissibilityReport,
     AdversaryConfig,
     InjectionTrace,
     Packet,
+    Violation,
     gen_clique_scenario,
     gen_leaky_bucket,
     random_routes,
+    validate_trace,
 )
 
 # ---------------------------------------------------------------------------
@@ -79,6 +83,55 @@ def ref_gen_leaky_bucket(g, routes, adv, horizon, seed, intensity=0.9):
                 injections.append((r, Packet(next_id, r, rt)))
                 next_id += 1
     return InjectionTrace(tuple(injections), horizon)
+
+
+def link_loads(tr: InjectionTrace, link_count: int) -> np.ndarray:
+    """Per-link, per-round injected load; a packet loads every link of its
+    route at its injection round.  Shape (link_count, horizon + 1)."""
+    loads = np.zeros((link_count, tr.horizon + 1), dtype=np.int64)
+    for r, pkt in tr.injections:
+        for i in set(pkt.route):
+            loads[i, r] += 1
+    return loads
+
+
+def ref_validate_trace(tr: InjectionTrace, adv: AdversaryConfig, link_count: int | None = None) -> AdmissibilityReport:
+    """Check every window of every length on every link against rho*T + b.
+
+    Equivalent to a per-link token filter, computed exactly with integers:
+    window load L over length T violates iff den*L - num*T > den*b.  Every
+    intermediate lies within den*(b + load) + num*(horizon + 1) of zero;
+    a link whose bound exceeds int64 is computed with Python ints instead.
+    """
+    if link_count is None:
+        link_count = 1 + max((max(p.route) for _, p in tr.injections), default=0)
+    loads = link_loads(tr, link_count)
+    num, den = adv.rho.numerator, adv.rho.denominator
+    cap = den * adv.b
+    lengths = np.arange(1, tr.horizon + 2, dtype=np.int64)
+    int64_max = np.iinfo(np.int64).max
+    for e_link in range(link_count):
+        row = loads[e_link]
+        if not row.any():
+            continue
+        cum = np.cumsum(row)
+        if cap + den * int(cum[-1]) + num * (tr.horizon + 1) > int64_max:
+            d = den * cum.astype(object) - num * lengths.astype(object)
+        else:
+            d = den * cum - num * lengths
+        d_pre = np.concatenate(([0], d[:-1]))
+        runmin = np.minimum.accumulate(d_pre)
+        excess = d - runmin
+        bad = np.nonzero(excess > cap)[0]
+        if bad.size:
+            end = int(bad[0])
+            start = int(np.argmin(d_pre[: end + 1]))
+            load = int(cum[end] - (cum[start - 1] if start else 0))
+            length = end - start + 1
+            return AdmissibilityReport(
+                False, Violation(e_link, start, length, load, adv.rho * length + adv.b)
+            )
+    return AdmissibilityReport(True, None)
 
 
 def ref_blocks(g: NetworkGraph):
@@ -133,25 +186,26 @@ def ref_successful_links(g, candidates):
     return tuple(out)
 
 
-# the tuple-valued packet keys of the list-and-min kernel
+# the tuple-valued keys of the list-and-min kernel's (hops, packet) entries
 REF_KEYS = {
-    "lis": lambda p: (p.injection_round, p.id),
-    "sis": lambda p: (-p.injection_round, p.id),
-    "nfs": lambda p: (p.hops_done, p.id),
-    "ftg": lambda p: (p.hops_done - len(p.route), p.id),
+    "lis": lambda hops, p: (p.injection_round, p.id),
+    "sis": lambda hops, p: (-p.injection_round, p.id),
+    "nfs": lambda hops, p: (hops, p.id),
+    "ftg": lambda hops, p: (hops - len(p.route), p.id),
 }
 
 
 def ref_run(g, schedule, policy, trace, rounds) -> SimpleNamespace:
     """Simulation loop that rescans every link every round and picks each
     winner's packet with a linear min over its queue, recording every
-    round of every link in dense (links, rounds) arrays."""
+    round of every link in dense (links, rounds) arrays.  A queue holds
+    (completed hops, packet) entries."""
     key = REF_KEYS[policy]
     m = g.link_count
     by_round: dict[int, list[Packet]] = {}
     for r, pkt in trace.injections:
-        by_round.setdefault(r, []).append(Packet(pkt.id, pkt.injection_round, pkt.route))
-    queues: list[list[Packet]] = [[] for _ in range(m)]
+        by_round.setdefault(r, []).append(pkt)
+    queues: list[list[tuple[int, Packet]]] = [[] for _ in range(m)]
     active = np.zeros((m, rounds), dtype=bool)
     attempted = np.zeros((m, rounds), dtype=bool)
     success = np.zeros((m, rounds), dtype=bool)
@@ -162,7 +216,7 @@ def ref_run(g, schedule, policy, trace, rounds) -> SimpleNamespace:
     queued = 0
     for r in range(rounds):
         for pkt in by_round.get(r, ()):
-            queues[pkt.route[0]].append(pkt)
+            queues[pkt.route[0]].append((0, pkt))
             queued += 1
         for e in range(m):
             if queues[e]:
@@ -173,15 +227,15 @@ def ref_run(g, schedule, policy, trace, rounds) -> SimpleNamespace:
         attempted[candidates, r] = True
         winners = ref_successful_links(g, candidates)
         success[list(winners), r] = True
-        moves = [(e, min(range(len(queues[e])), key=lambda i: key(queues[e][i]))) for e in winners]
+        moves = [(e, min(range(len(queues[e])), key=lambda i: key(*queues[e][i]))) for e in winners]
         for e, i in moves:
-            pkt = queues[e].pop(i)
-            pkt.hops_done += 1
-            if pkt.hops_done == len(pkt.route):
+            hops, pkt = queues[e].pop(i)
+            hops += 1
+            if hops == len(pkt.route):
                 delivered.append(DeliveryRecord(pkt.id, pkt.injection_round, r))
                 queued -= 1
             else:
-                queues[pkt.route[pkt.hops_done]].append(pkt)
+                queues[pkt.route[hops]].append((hops, pkt))
         per_round_backlog[r] = queued
         per_round_max_queue[r] = max(map(len, queues), default=0)
     return SimpleNamespace(
@@ -195,7 +249,7 @@ def ref_run(g, schedule, policy, trace, rounds) -> SimpleNamespace:
         per_round_max_queue=per_round_max_queue,
         delivered=tuple(delivered),
         undelivered_count=len(trace) - len(delivered),
-        final_queues=tuple(tuple(p.id for p in q) for q in queues),
+        final_queues=tuple(tuple(p.id for _, p in q) for q in queues),
     )
 
 
@@ -367,6 +421,73 @@ class TestLeakyBucketMatchesFraction:
         for intensity in (1.0, 0.6):
             got = gen_leaky_bucket(g, routes, adv, 2000, 5, intensity)
             assert got == ref_gen_leaky_bucket(g, routes, adv, 2000, 5, intensity)
+
+
+@st.composite
+def admissibility_cases(draw):
+    """A trace with several packets per round, routes that may repeat a
+    link and a horizon up to far past the last injection, and the
+    link_count to pass: none (inferred), exact, or with unused links."""
+    links = draw(st.integers(1, 5))
+    last = draw(st.integers(0, 30))
+    routes = st.lists(st.integers(0, links - 1), min_size=1, max_size=4).map(tuple)
+    sent = [(r, draw(routes)) for r in draw(st.lists(st.integers(0, last), max_size=30))]
+    # link 0 served every `step` rounds meets rho = 1/step exactly, so
+    # d(s - 1) ties and the witness must start at the first minimum
+    step = draw(st.sampled_from([None, 1, 2, 3]))
+    if step:
+        sent += [(r, (0,)) for r in range(0, last + 1, step)]
+    sent.sort(key=lambda pair: pair[0])
+    injections = tuple((r, Packet(pid, r, route)) for pid, (r, route) in enumerate(sent))
+    horizon = max((r for r, _ in sent), default=0) + draw(st.sampled_from([0, 1, 5, 40, 10**4]))
+    link_count = draw(st.sampled_from([None, links, links + 3]))
+    return InjectionTrace(injections, horizon), link_count
+
+
+admissibility_rates = st.one_of(
+    # small denominators make d(s - 1) tie, so the first minimum matters
+    st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]),
+    st.fractions(min_value=Fraction(1, 16), max_value=3, max_denominator=16),
+    # near k/8 with a denominator of 10^15..10^30, past int64
+    st.builds(lambda k, e: Fraction(k * 10**e + 1, 8 * 10**e), st.integers(1, 16), st.integers(15, 30)),
+    st.builds(Fraction, st.integers(1, 10**30), st.integers(1, 10**30)),
+)
+
+
+class TestValidateTraceMatchesDense:
+    @settings(max_examples=400, deadline=None)
+    @given(admissibility_cases(), admissibility_rates, st.integers(0, 3))
+    # d(s - 1) is 0 before rounds 0 and 2: the witness starts at round 0
+    @example(
+        (InjectionTrace(tuple((r, Packet(i, r, (0,))) for i, r in enumerate((0, 2, 2))), 2), None),
+        Fraction(1, 2),
+        1,
+    )
+    def test_same_report(self, case, rho, b):
+        tr, link_count = case
+        adv = AdversaryConfig(rho, b)
+        got = validate_trace(tr, adv, link_count)
+        want = ref_validate_trace(tr, adv, link_count)
+        assert got == want and repr(got) == repr(want)
+
+    def test_huge_denominator(self):
+        # den * load reaches 1.001e19, past int64
+        tr = InjectionTrace(tuple((r, Packet(r, r, (0,))) for r in range(1001)), 1000)
+        for b in (999, 1000, 1001):
+            adv = AdversaryConfig(Fraction(1, 10**16), b)
+            assert validate_trace(tr, adv) == ref_validate_trace(tr, adv)
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_generated_traces_at_other_rates(self, b):
+        # workload-shaped traces checked at rates and bursts around their own
+        g = random_network(30, 60, seed=b)
+        routes = random_routes(g, 12, 3, seed=b)
+        tr = gen_leaky_bucket(g, routes, AdversaryConfig(Fraction(1, 8), b), 300, seed=b)
+        for rho in (Fraction(1, 16), Fraction(1, 8), Fraction(1, 8) + Fraction(1, 10**20)):
+            for burst in (b - 1, b):
+                adv = AdversaryConfig(rho, burst)
+                want = ref_validate_trace(tr, adv, g.link_count)
+                assert validate_trace(tr, adv, g.link_count) == want
 
 
 # ---------------------------------------------------------------------------

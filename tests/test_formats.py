@@ -71,6 +71,7 @@ MALFORMED = {
     "eps-negative": ("selector", "uss n=2 t=1 k=2 eps=-1/2\n11\n"),
     "eps-above-one": ("selector", "uss n=2 t=1 k=2 eps=3/2\n11\n"),
     "horizon-not-int": ("trace", "# horizon x\ninject 0 0 0\n"),
+    "link-negative": ("trace", "inject 0 0 -1\ninject 0 1 -1\ninject 0 2 -1\ninject 1 3 0\n"),
 }
 
 COMMANDS = {

@@ -158,8 +158,8 @@ class TestRandomConstruction:
     def test_retry_exhaustion(self, monkeypatch):
         never = sel.MinCountResult(0, Fraction(0), ((0, 1), 0))
         monkeypatch.setattr(sel, "uss_min_count", lambda *a, **k: never)
-        with pytest.raises(ConstructionError, match="3 draws"):
-            sel.random_uss(8, 2, Fraction(1, 4), seed=1, max_retries=3)
+        with pytest.raises(ConstructionError, match="64 draws"):
+            sel.random_uss(8, 2, Fraction(1, 4), seed=1)
 
     def test_oversized_draw_refused(self):
         # eps this close to c calls for ~1e9 rows; refuse instead of OOM

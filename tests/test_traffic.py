@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,6 @@ from radiosched.traffic import (
     gen_clique_scenario,
     gen_leaky_bucket,
     gen_tree_family,
-    link_loads,
     random_routes,
     read_trace,
     validate_trace,
@@ -78,9 +79,36 @@ class TestValidateTrace:
         assert not validate_trace(over, adv).admissible
 
     def test_route_charges_every_link(self):
-        tr = InjectionTrace(((0, Packet(0, 0, (0, 2))),), 0)
-        loads = link_loads(tr, 3)
-        assert loads[:, 0].tolist() == [1, 0, 1]
+        # link 2 carries both packets; link 0, twice on one route, is charged once
+        tr = InjectionTrace(((0, Packet(0, 0, (0, 2, 0))), (0, Packet(1, 0, (2,)))), 0)
+        rep = validate_trace(tr, AdversaryConfig(Fraction(1), 0))
+        assert rep.witness == (2, 0, 1, 2, 1)
+
+    def test_link_out_of_range(self):
+        tr = InjectionTrace(((0, Packet(0, 0, (0,))), (1, Packet(1, 1, (1, 5)))), 2)
+        adv = AdversaryConfig(Fraction(1, 2), 1)
+        with pytest.raises(ParameterError, match="packet 1: link 5 out of range"):
+            validate_trace(tr, adv, link_count=2)
+        assert validate_trace(tr, adv).admissible
+
+    def test_memory_follows_injections_not_horizon(self):
+        # 100 links, one packet per link every 1000 rounds: any 1001-round
+        # window from round 0 holds 2 > 1001/5000 + 1
+        tr = InjectionTrace(
+            tuple((r, Packet(r, r, (r // 10 % 100,))) for r in range(0, 20_000, 10)), 20_000
+        )
+        adv = AdversaryConfig(Fraction(1, 5000), 1)
+        tracemalloc.start()
+        try:
+            rep = validate_trace(tr, adv, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense_bytes = 100 * (tr.horizon + 1) * 8
+        assert peak < dense_bytes / 4
+        assert rep.witness == (0, 0, 1001, 2, Fraction(1001, 5000) + 1)
+        longer = InjectionTrace(tr.injections, 10 * tr.horizon)
+        assert validate_trace(longer, adv, 100) == rep
 
     def test_huge_denominator_not_wrapped(self):
         # den * load reaches 1.001e19, past int64
@@ -111,8 +139,9 @@ class TestValidateTrace:
         assert rep.admissible == naive_admissible(tr, adv, link_count)
         if not rep.admissible:
             w = rep.witness
-            loads = link_loads(tr, link_count)
-            window = int(loads[w.link, w.start : w.start + w.length].sum())
+            window = sum(
+                w.link in p.route for r, p in tr.injections if w.start <= r < w.start + w.length
+            )
             assert window == w.load
             assert w.load > adv.rho * w.length + adv.b
             assert w.allowed == adv.rho * w.length + adv.b
@@ -138,8 +167,8 @@ class TestTraceInvariants:
     def test_packet_validation(self):
         with pytest.raises(ParameterError, match="empty route"):
             Packet(0, 0, ())
-        with pytest.raises(ParameterError, match="hops_done"):
-            Packet(0, 0, (0,), hops_done=2)
+        with pytest.raises(ParameterError, match="negative link -1"):
+            Packet(0, 0, (0, -1))
 
     def test_check_routes(self):
         g = path_graph(3)  # links: 0->1, 1->0, 1->2, 2->1
@@ -176,6 +205,21 @@ class TestLeakyBucket:
         a = gen_leaky_bucket(g, [(0, 2)], adv, 30, seed=9)
         b = gen_leaky_bucket(g, [(0, 2)], adv, 30, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "route, fault",
+        [
+            ((-1,), "link -1 out of range"),
+            ((7,), "link 7 out of range"),
+            ((7, 0), "link 7 out of range"),
+            ((0, 3), "links 0 and 3 do not share an endpoint"),
+        ],
+    )
+    def test_rejects_non_path_route(self, route, fault):
+        g = path_graph(3)  # links: 0->1, 1->0, 1->2, 2->1
+        adv = AdversaryConfig(Fraction(1, 2), 1)
+        with pytest.raises(ParameterError, match=re.escape(f"route {route}: {fault}")):
+            gen_leaky_bucket(g, [(0, 2), route], adv, 10, seed=0)
 
     def test_rejects_zero_burst(self):
         g = path_graph(2)
