@@ -60,12 +60,18 @@ def coloring_threshold(chi: int) -> Fraction:
     return Fraction(1, chi)
 
 
-def _decay(rho: Fraction, rho_prime: Fraction, nesting: int) -> Fraction:
-    r = 1 - rho / rho_prime
-    return r**nesting
+class LatencyBound(NamedTuple):
+    active_classes: Fraction
+    delivery_windows: Fraction
+    rounds: Fraction
 
 
-def _check_rates(rho, rho_prime, window, b, nesting):
+def latency_bound(rho, rho_prime, window: int, b: int, nesting: int) -> LatencyBound:
+    """End-to-end latency under a schedule that serves every link at rate
+    rho' per window, against a (rho, b) adversary whose routes nest at most
+    `nesting` deep: the bound on simultaneously backlogged age classes, the
+    windows needed to flush one class when at most that many are ever
+    backlogged, and the resulting round count window * windows."""
     rho, rho_prime = Fraction(rho), Fraction(rho_prime)
     if not 0 < rho < rho_prime <= 1:
         raise ParameterError("need 0 < rho < rho' <= 1")
@@ -75,38 +81,7 @@ def _check_rates(rho, rho_prime, window, b, nesting):
         raise ParameterError("burst allowance must be at least 1")
     if nesting < 1:
         raise ParameterError("nesting depth must be at least 1")
-    return rho, rho_prime
-
-
-def active_class_bound(rho, rho_prime, window: int, b: int, nesting: int) -> Fraction:
-    """Bound on simultaneously backlogged age classes under a schedule that
-    serves every link at rate rho' per window, against a (rho, b)
-    adversary whose routes nest at most `nesting` deep."""
-    rho, rho_prime = _check_rates(rho, rho_prime, window, b, nesting)
-    rl = _decay(rho, rho_prime, nesting)
-    return (b - 1) * (1 - rl) / (rl * rho * window) + 1 / rl
-
-
-def delivery_window_bound(rho, rho_prime, window: int, b: int, nesting: int, classes) -> Fraction:
-    """Windows needed to flush one age class when at most `classes` classes
-    are ever simultaneously backlogged."""
-    rho, rho_prime = _check_rates(rho, rho_prime, window, b, nesting)
-    classes = Fraction(classes)
-    if classes < 1:
-        raise ParameterError("need at least one class")
-    rl = _decay(rho, rho_prime, nesting)
-    return (1 - rl) * (b - 1) / (rho * window) + classes * (1 - rl)
-
-
-class LatencyBound(NamedTuple):
-    active_classes: Fraction
-    delivery_windows: Fraction
-    rounds: Fraction
-
-
-def latency_bound(rho, rho_prime, window: int, b: int, nesting: int) -> LatencyBound:
-    """End-to-end latency: the class count at its fixed point, the windows
-    to drain one class, and the resulting round count window * windows."""
-    classes = active_class_bound(rho, rho_prime, window, b, nesting)
-    windows = delivery_window_bound(rho, rho_prime, window, b, nesting, classes)
+    rl = (1 - rho / rho_prime) ** nesting
+    classes = (b - 1) * (1 - rl) / (rl * rho * window) + 1 / rl
+    windows = (1 - rl) * (b - 1) / (rho * window) + classes * (1 - rl)
     return LatencyBound(classes, windows, window * windows)

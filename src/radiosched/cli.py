@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -115,11 +114,6 @@ def emit(records, fmt: str, stream=None) -> None:
                 print(f"{k}: {v}", file=stream)
 
 
-def _coloring_for(g, exact: bool):
-    h = build_conflict_graph(g)
-    return h, (exact_chromatic(h) if exact else greedy_coloring(h))
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -138,30 +132,6 @@ def cmd_conflict_graph(args) -> int:
             "bound": rep.bound if rep.bound is not None else "-",
             "holds": rep.holds,
             "tight": rep.tight,
-        },
-        args.format,
-    )
-    return 0
-
-
-def cmd_color(args) -> int:
-    g = read_graph(args.graph)
-    h, coloring = _coloring_for(g, args.exact)
-    if args.maximal:
-        sched = extend_to_maximal_independent(coloring, h)
-    else:
-        sched = schedule_from_coloring(coloring)
-    if args.out:
-        write_schedule(sched, args.out)
-    rho, period = sched.claimed_frequency or (Fraction(0), 0)
-    emit(
-        {
-            "links": g.link_count,
-            "colors": coloring.color_count,
-            "period": sched.period,
-            "rho": rho,
-            "window": period,
-            "provenance": sched.provenance,
         },
         args.format,
     )
@@ -221,14 +191,19 @@ def cmd_verify_selector(args) -> int:
 def cmd_schedule_build(args) -> int:
     g = read_graph(args.graph)
     if args.method == "coloring":
-        _, coloring = _coloring_for(g, args.exact)
-        sched = schedule_from_coloring(coloring)
+        h = build_conflict_graph(g)
+        coloring = exact_chromatic(h) if args.exact else greedy_coloring(h)
+        if args.maximal:
+            sched = extend_to_maximal_independent(coloring, h)
+        else:
+            sched = schedule_from_coloring(coloring)
     else:
         if not args.selector:
             raise ParameterError("selector method needs --selector FILE")
         sel = read_selector(args.selector)
         sched = schedule_from_selector(sel, g, delta_bound=args.delta_bound)
-    write_schedule(sched, args.out)
+    if args.out:
+        write_schedule(sched, args.out)
     rho, period = sched.claimed_frequency or (Fraction(0), 0)
     emit(
         {
@@ -337,7 +312,7 @@ def _admissibility_record(rep, adv) -> dict:
 
 
 def cmd_validate_trace(args) -> int:
-    tr = read_trace(args.trace, horizon=args.horizon)
+    tr = read_trace(args.trace)
     adv = AdversaryConfig(parse_fraction(args.rho), args.burst)
     rep = validate_trace(tr, adv, link_count=args.links)
     emit(_admissibility_record(rep, adv), args.format)
@@ -477,8 +452,8 @@ def _experiment_seed(args, seed: int, out: Path) -> list[dict]:
     coloring = greedy_coloring(h)
     sched = schedule_from_coloring(coloring)
     chi = coloring.color_count
-    rho = parse_fraction(args.rho_scale) * Fraction(1, chi)
     threshold = coloring_threshold(chi)
+    rho = parse_fraction(args.rho_scale) * threshold
     lat = latency_bound(rho, threshold, chi, args.burst, args.max_hops) if rho < threshold else None
     adv = AdversaryConfig(rho, args.burst)
     routes = random_routes(g, args.routes, args.max_hops, seed=seed)
@@ -520,7 +495,7 @@ def _experiment_seed(args, seed: int, out: Path) -> list[dict]:
 def cmd_experiment(args) -> int:
     if args.sweep < 1:
         raise ParameterError("--sweep needs at least one seed")
-    out = Path(args.out_dir or os.environ.get("RADIOSCHED_OUT", "experiments"))
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = range(args.sweep)
     runs = [row for seed in seeds for row in _experiment_seed(args, seed, out)]
@@ -559,14 +534,6 @@ def build_parser() -> _Parser:
     _add_format(p)
     p.set_defaults(func=cmd_conflict_graph)
 
-    p = sub.add_parser("color", help="color the conflict graph and emit a schedule")
-    p.add_argument("graph")
-    p.add_argument("--exact", action="store_true", help="exact chromatic number (small graphs)")
-    p.add_argument("--maximal", action="store_true", help="extend classes to maximal independent sets")
-    p.add_argument("--out", help="write the schedule to this file")
-    _add_format(p)
-    p.set_defaults(func=cmd_color)
-
     p = sub.add_parser("build-selector", help="construct a strong selector family")
     p.add_argument("--method", choices=("poly", "random"), default="poly")
     p.add_argument("--n", type=int, required=True)
@@ -594,10 +561,11 @@ def build_parser() -> _Parser:
     b = ssub.add_parser("build")
     b.add_argument("graph")
     b.add_argument("--method", choices=("coloring", "selector"), default="coloring")
-    b.add_argument("--exact", action="store_true")
+    b.add_argument("--exact", action="store_true", help="exact chromatic number (small graphs)")
+    b.add_argument("--maximal", action="store_true", help="extend color classes to maximal independent sets")
     b.add_argument("--selector", help="selector file for the selector method")
     b.add_argument("--delta-bound", type=int, help="known upper bound on conflict in-degree")
-    b.add_argument("--out", required=True)
+    b.add_argument("--out", help="write the schedule to this file")
     _add_format(b)
     b.set_defaults(func=cmd_schedule_build)
     v = ssub.add_parser("verify")
@@ -642,7 +610,6 @@ def build_parser() -> _Parser:
     p.add_argument("--rho", required=True)
     p.add_argument("--burst", type=int, required=True)
     p.add_argument("--links", type=int, help="link count; default: inferred from routes")
-    p.add_argument("--horizon", type=int, help="override the stored horizon")
     _add_format(p)
     p.set_defaults(func=cmd_validate_trace)
 
@@ -681,7 +648,7 @@ def build_parser() -> _Parser:
     lt.set_defaults(func=cmd_bounds_latency)
 
     p = sub.add_parser("experiment", help="seeded sweep: network, trace, schedule, all policies")
-    p.add_argument("--out-dir", help="default: $RADIOSCHED_OUT or ./experiments")
+    p.add_argument("--out-dir", default="experiments")
     p.add_argument("--sweep", type=int, default=1, help="number of seeds")
     p.add_argument("--nodes", type=int, default=8)
     p.add_argument("--edges", type=int, default=10)

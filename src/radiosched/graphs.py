@@ -62,9 +62,6 @@ class NetworkGraph:
     def link_count(self) -> int:
         return len(self.links)
 
-    def has_link(self, tail: int, head: int) -> bool:
-        return tail in self._in_neighbors.get(head, ())
-
     def in_neighbors(self, node: int) -> tuple[int, ...]:
         return self._in_neighbors[node]
 
@@ -176,12 +173,6 @@ class ConflictGraph:
             return 0
         return max(len(v) for v in self._blocked_by)
 
-    @property
-    def max_conflict_degree(self) -> int:
-        if self.link_count == 0:
-            return 0
-        return max(len(s) for s in self._undirected)
-
 
 def build_conflict_graph(g: NetworkGraph) -> ConflictGraph:
     """Case analysis of when one link's transmission kills another.
@@ -216,21 +207,20 @@ class DegreeBoundReport:
     bound: int | None
     holds: bool
     tight: bool
-    note: str = ""
 
 
 def degree_bound_check(g: NetworkGraph, h: ConflictGraph | None = None) -> DegreeBoundReport:
     """Check the conflict in-degree against delta^2 + delta - 1.
 
-    The bound is undefined on an empty link set; that case reports holds=True
-    with a note.
+    The bound is undefined on an empty link set; that case reports
+    bound=None and holds=True.
     """
     if h is None:
         h = build_conflict_graph(g)
     delta = g.max_degree
     din = h.max_in_degree
     if delta == 0:
-        return DegreeBoundReport(0, din, None, True, False, "no links; bound undefined")
+        return DegreeBoundReport(0, din, None, True, False)
     bound = delta * delta + delta - 1
     return DegreeBoundReport(delta, din, bound, din <= bound, din == bound)
 

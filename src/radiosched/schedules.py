@@ -230,8 +230,10 @@ def read_schedule(path) -> TransmissionSchedule:
         active = tuple(tuple(int(v) for v in line.split()) for line in body)
     except ValueError as exc:
         raise FormatError("round lines must hold integer link indices") from exc
+    if ("rho" in fields) != ("T" in fields):
+        raise FormatError("a frequency claim needs both rho= and T=")
     claimed = None
-    if "rho" in fields and "T" in fields:
+    if "rho" in fields:
         claimed = (parse_fraction(fields["rho"]), parse_count(fields["T"]))
     try:
         return TransmissionSchedule(period, active, links, claimed_frequency=claimed)

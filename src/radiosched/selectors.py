@@ -321,7 +321,8 @@ def parse_count(text: str) -> int:
 
 def parse_header(line: str, kind: str, required: tuple[str, ...]) -> dict[str, str]:
     """Split a '<kind> key=value ...' header line into its fields, checking
-    that the line starts with exactly ``kind`` and carries every ``required`` key."""
+    that the line starts with exactly ``kind``, names no key twice and
+    carries every ``required`` key."""
     parts = line.split()
     if not parts or parts[0] != kind:
         raise FormatError(f"expected a {kind!r} header")
@@ -330,6 +331,8 @@ def parse_header(line: str, kind: str, required: tuple[str, ...]) -> dict[str, s
         key, eq, value = token.partition("=")
         if not eq:
             raise FormatError(f"bad header token {token!r}")
+        if key in fields:
+            raise FormatError(f"header repeats {key}=")
         fields[key] = value
     if any(key not in fields for key in required):
         raise FormatError("header must carry " + " and ".join(f"{key}=" for key in required))

@@ -259,7 +259,6 @@ class FailureReport(NamedTuple):
     bound: Fraction
     window: int
     max_count: int
-    max_ratio: Fraction
     witness: FailureWindow | None
 
 
@@ -328,7 +327,7 @@ def failure_accounting(
     best_link, best_start = divmod(best, n)
     holds = Fraction(max_count) <= bound
     witness = None if holds else FailureWindow(best_link, best_start, max_count)
-    return FailureReport(holds, bound, window, max_count, Fraction(max_count) / bound, witness)
+    return FailureReport(holds, bound, window, max_count, witness)
 
 
 def _failed_runs(metrics: RunMetrics) -> tuple[np.ndarray, np.ndarray]:
@@ -349,19 +348,21 @@ def _failed_runs(metrics: RunMetrics) -> tuple[np.ndarray, np.ndarray]:
     return starts[keep], ends[keep]
 
 
+STABLE_SLOPE = 1e-3
+
+
 class StabilityVerdict(NamedTuple):
     stable: bool
     slope: float
-    mean_backlog: float
     max_backlog: int
 
 
-def stability_verdict(metrics: RunMetrics, threshold: float = 1e-3) -> StabilityVerdict:
+def stability_verdict(metrics: RunMetrics) -> StabilityVerdict:
     """Fit a line to the second half of the backlog curve; a slope under
-    `threshold` packets per round counts as stable."""
+    STABLE_SLOPE packets per round counts as stable."""
     series = metrics.per_round_backlog
     if series.size < 10:
         raise ParameterError("need at least 10 rounds for a stability verdict")
     tail = series[series.size // 2 :]
     slope = float(np.polyfit(np.arange(tail.size), tail.astype(float), 1)[0])
-    return StabilityVerdict(slope < threshold, slope, float(tail.mean()), metrics.max_backlog)
+    return StabilityVerdict(slope < STABLE_SLOPE, slope, metrics.max_backlog)

@@ -184,8 +184,11 @@ def gen_leaky_bucket(
     Every link starts with b tokens and gains rho per round, capped at b;
     a route injects only when every link on it holds a full token, so no
     window can exceed rho*T + b on any link.  Each route attempts each
-    round with probability `intensity`.  Deterministic for a given seed.
+    round with probability `intensity`, which must lie in (0, 1].
+    Deterministic for a given seed.
     """
+    if not 0 < intensity <= 1:
+        raise ParameterError(f"intensity {intensity} outside (0, 1]")
     routes = [tuple(rt) for rt in routes]
     if not routes:
         raise ParameterError("need at least one route")
@@ -370,15 +373,15 @@ def write_trace(tr: InjectionTrace, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_trace(path, horizon: int | None = None) -> InjectionTrace:
+def read_trace(path) -> InjectionTrace:
     injections = []
-    file_horizon = None
+    horizon = None
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = raw.strip()
         if stripped.startswith("#"):
             parts = stripped[1:].split()
             if len(parts) == 2 and parts[0] == "horizon":
-                file_horizon = parse_count(parts[1])
+                horizon = parse_count(parts[1])
             continue
         if not stripped:
             continue
@@ -394,10 +397,9 @@ def read_trace(path, horizon: int | None = None) -> InjectionTrace:
             injections.append((r, Packet(pid, r, route)))
         except ParameterError as exc:
             raise FormatError(f"line {ln}: {exc}") from exc
-    h = horizon if horizon is not None else file_horizon
-    if h is None:
-        h = max((r for r, _ in injections), default=0)
+    if horizon is None:
+        horizon = max((r for r, _ in injections), default=0)
     try:
-        return InjectionTrace(tuple(injections), h)
+        return InjectionTrace(tuple(injections), horizon)
     except ParameterError as exc:
         raise FormatError(str(exc)) from exc

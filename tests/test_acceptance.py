@@ -14,12 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from radiosched.bounds import (
-    active_class_bound,
-    coloring_threshold,
-    delivery_window_bound,
-    uss_threshold,
-)
+from radiosched.bounds import coloring_threshold, latency_bound, uss_threshold
 from radiosched.graphs import (
     build_conflict_graph,
     clique_graph,
@@ -179,9 +174,7 @@ def test_criterion_5_stability_and_latency(stable_runs):
         ok = ok and v.slope < 1e-3
         if sr.policy == "lis":
             rho, chi = sr.adv.rho, sr.chi
-            classes = active_class_bound(rho, Fraction(1, chi), chi, sr.adv.b, 2)
-            windows = delivery_window_bound(rho, Fraction(1, chi), chi, sr.adv.b, 2, classes)
-            latency_cap = chi * windows
+            latency_cap = latency_bound(rho, Fraction(1, chi), chi, sr.adv.b, 2).rounds
             ok = ok and Fraction(sr.metrics.max_latency) <= latency_cap
             details.append(
                 f"{sr.tag}: slope={v.slope:.1e} latency {sr.metrics.max_latency} <= {float(latency_cap):g}"
@@ -229,8 +222,9 @@ def test_criterion_7_failure_accounting(stable_runs):
         for window in range(sr.chi, 131, 2):
             rep = failure_accounting(sr.metrics, sr.adv, rho_prime, window)
             ok = ok and rep.holds
-            if rep.max_ratio > best:
-                best = rep.max_ratio
+            ratio = Fraction(rep.max_count) / rep.bound
+            if ratio > best:
+                best = ratio
                 best_tag = f"{sr.tag}/{sr.policy} window {window}: {rep.max_count}/{rep.bound}"
     ok = ok and best >= Fraction(9, 10)
     verdict(7, ok, f"bound holds everywhere; tightest window {best_tag} = {float(best):.3f}")

@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radiosched.bounds import (
-    active_class_bound,
-    coloring_threshold,
-    delivery_window_bound,
-    latency_bound,
-    uss_threshold,
-)
+from radiosched.bounds import coloring_threshold, latency_bound, uss_threshold
 from radiosched.errors import ParameterError
 
 
@@ -53,9 +47,9 @@ class TestThresholds:
 
 class TestBacklogBounds:
     def test_frozen_example(self):
-        args = (Fraction(1, 8), Fraction(1, 4), 4, 2, 2)
-        assert active_class_bound(*args) == Fraction(10)
-        assert delivery_window_bound(*args, classes=10) == Fraction(9)
+        lb = latency_bound(Fraction(1, 8), Fraction(1, 4), 4, 2, 2)
+        assert lb.active_classes == Fraction(10)
+        assert lb.delivery_windows == Fraction(9)
 
     def test_path_parameters(self):
         args = (Fraction(3, 16), Fraction(1, 4), 4, 2, 2)
@@ -66,8 +60,8 @@ class TestBacklogBounds:
 
     def test_burst_one_collapses(self):
         # with b = 1 only the geometric term survives
-        got = active_class_bound(Fraction(1, 4), Fraction(1, 2), 3, 1, 2)
-        assert got == Fraction(4)
+        got = latency_bound(Fraction(1, 4), Fraction(1, 2), 3, 1, 2)
+        assert got.active_classes == Fraction(4)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -82,18 +76,17 @@ class TestBacklogBounds:
             rho, rho_prime = rho_prime, rho
         if rho == rho_prime or rho_prime > 1:
             return
-        classes = active_class_bound(rho, rho_prime, window, b, nesting)
-        windows = delivery_window_bound(rho, rho_prime, window, b, nesting, classes)
-        assert windows == classes - 1
+        lb = latency_bound(rho, rho_prime, window, b, nesting)
+        assert lb.delivery_windows == lb.active_classes - 1
 
     def test_rate_validation(self):
         with pytest.raises(ParameterError, match="rho"):
-            active_class_bound(Fraction(1, 2), Fraction(1, 2), 4, 2, 2)
+            latency_bound(Fraction(1, 2), Fraction(1, 2), 4, 2, 2)
         with pytest.raises(ParameterError, match="rho"):
-            active_class_bound(Fraction(1, 2), Fraction(1, 4), 4, 2, 2)
+            latency_bound(Fraction(1, 2), Fraction(1, 4), 4, 2, 2)
         with pytest.raises(ParameterError, match="burst"):
-            active_class_bound(Fraction(1, 8), Fraction(1, 4), 4, 0, 2)
+            latency_bound(Fraction(1, 8), Fraction(1, 4), 4, 0, 2)
         with pytest.raises(ParameterError, match="nesting"):
-            active_class_bound(Fraction(1, 8), Fraction(1, 4), 4, 2, 0)
-        with pytest.raises(ParameterError, match="class"):
-            delivery_window_bound(Fraction(1, 8), Fraction(1, 4), 4, 2, 2, 0)
+            latency_bound(Fraction(1, 8), Fraction(1, 4), 4, 2, 0)
+        with pytest.raises(ParameterError, match="window"):
+            latency_bound(Fraction(1, 8), Fraction(1, 4), 0, 2, 2)

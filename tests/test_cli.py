@@ -5,7 +5,8 @@ import json
 import pytest
 
 from radiosched.cli import main
-from radiosched.graphs import path_graph, write_graph
+from radiosched.graphs import path_graph, random_network, write_graph
+from radiosched.schedules import read_schedule
 
 
 @pytest.fixture
@@ -54,9 +55,9 @@ class TestReports:
 class TestScheduleFlow:
     def test_color_then_verify(self, path3_file, tmp_path, capsys):
         sched = str(tmp_path / "sched.txt")
-        assert main(["color", path3_file, "--exact", "--out", sched]) == 0
+        assert main(["schedule", "build", path3_file, "--exact", "--out", sched]) == 0
         fields = parse_text(capsys.readouterr().out)
-        assert fields["colors"] == "4" and fields["rho"] == "1/4"
+        assert fields["period"] == "4" and fields["rho"] == "1/4"
         assert main(["schedule", "verify", path3_file, sched]) == 0
         assert parse_text(capsys.readouterr().out)["ok"] == "True"
 
@@ -69,6 +70,24 @@ class TestScheduleFlow:
         assert main(argv) == 0
         assert parse_text(capsys.readouterr().out)["provenance"] == "selector"
         assert main(["schedule", "verify", path3_file, sched]) == 0
+
+    def test_maximal_coloring(self, tmp_path, capsys):
+        g_file = tmp_path / "net.txt"
+        write_graph(random_network(6, 7, seed=2), g_file)
+        plain, padded = tmp_path / "plain.sched", tmp_path / "padded.sched"
+        assert main(["schedule", "build", str(g_file), "--exact", "--out", str(plain)]) == 0
+        assert main(["schedule", "build", str(g_file), "--exact", "--maximal", "--out", str(padded)]) == 0
+        a, b = read_schedule(plain), read_schedule(padded)
+        assert a.period == b.period == 12 and a.claimed_frequency == b.claimed_frequency
+        assert all(set(x) <= set(y) for x, y in zip(a.active, b.active))
+        assert sum(map(len, a.active)) < sum(map(len, b.active))
+        capsys.readouterr()
+        # without --out the record is printed and no file is written
+        argv = ["schedule", "build", str(g_file), "--exact", "--maximal", "--format", "json-lines"]
+        assert main(argv) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["period"], rec["rho"], rec["window"]) == (12, "1/12", 12)
+        assert sorted(tmp_path.iterdir()) == [g_file, padded, plain]
 
 
 class TestSelectorVerification:
@@ -153,7 +172,7 @@ class TestSimulate:
     def prepared(self, tmp_path, path3_file):
         sched = str(tmp_path / "sched.txt")
         trace = str(tmp_path / "trace.txt")
-        assert main(["color", path3_file, "--out", sched]) == 0
+        assert main(["schedule", "build", path3_file, "--out", sched]) == 0
         argv = [
             "scenario", "leaky-bucket", path3_file, "--rho", "3/16", "--burst", "2",
             "--routes", "2", "--max-hops", "2", "--horizon", "200", "--out", trace,
@@ -191,7 +210,7 @@ class TestSimulate:
         ]
         assert main(argv) == 0
         sched = str(tmp_path / "sched.txt")
-        assert main(["color", str(out / "graph.txt"), "--out", sched]) == 0
+        assert main(["schedule", "build", str(out / "graph.txt"), "--out", sched]) == 0
         capsys.readouterr()
         trace = str(out / "trace.txt")
         budget = ["--rho", "1/6", "--burst", "2", "--format", "json-lines"]
@@ -229,7 +248,7 @@ class TestSimulate:
         ]
         assert main(argv) == 0
         sched = str(tmp_path / "sched.txt")
-        assert main(["color", str(out / "graph.txt"), "--out", sched]) == 0
+        assert main(["schedule", "build", str(out / "graph.txt"), "--out", sched]) == 0
         capsys.readouterr()
         # a backlogged clique link succeeds once per 6-round period, far
         # short of the claimed service rate 1
@@ -263,15 +282,14 @@ class TestExperiment:
         assert (a / "seed_000" / "lis.csv").exists()
         assert (a / "seed_001" / "trace.txt").exists()
 
-    def test_out_dir_from_env(self, tmp_path, capsys, monkeypatch):
-        target = tmp_path / "fromenv"
-        monkeypatch.setenv("RADIOSCHED_OUT", str(target))
+    def test_out_dir_default(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         args = [
             "experiment", "--sweep", "1", "--nodes", "5", "--edges", "5",
             "--horizon", "120", "--rounds", "120",
         ]
         assert main(args) == 0
-        assert (target / "summary.json").exists()
+        assert (tmp_path / "experiments" / "summary.json").exists()
 
 
 class TestExitCodes:
@@ -297,6 +315,23 @@ class TestExitCodes:
     def test_empty_sweep_is_parameter_error(self, tmp_path, capsys):
         assert main(["experiment", "--sweep", "0", "--out-dir", str(tmp_path / "out")]) == 3
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("net", [["--edges", "0"], ["--nodes", "1"]])
+    def test_linkless_experiment_is_parameter_error(self, tmp_path, capsys, net):
+        argv = ["experiment", *net, "--horizon", "20", "--rounds", "20", "--out-dir", str(tmp_path)]
+        assert main(argv) == 3
+        assert "color" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("intensity", ["1.5", "nan", "0", "-0.5"])
+    def test_intensity_outside_unit_interval(self, path3_file, tmp_path, capsys, intensity):
+        trace = tmp_path / "load.trace"
+        argv = [
+            "scenario", "leaky-bucket", path3_file, "--rho", "1/4", "--horizon", "20",
+            "--intensity", intensity, "--out", str(trace),
+        ]
+        assert main(argv) == 3
+        assert "intensity" in capsys.readouterr().err
+        assert not trace.exists()
 
     def test_missing_file(self, capsys):
         assert main(["conflict-graph", "no-such-file.txt"]) == 3

@@ -3,6 +3,7 @@ and reads again to the same object."""
 
 from __future__ import annotations
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -62,9 +63,12 @@ MALFORMED = {
     "period-not-int": ("schedule", "schedule period=x links=1\n"),
     "period-negative": ("schedule", "schedule period=-1 links=1\n"),
     "schedule-kind": ("schedule", "schedules period=1 links=1\n0\n"),
+    "schedule-key-repeated": ("schedule", "schedule period=1 links=2 links=3\n0\n"),
+    "schedule-half-claim": ("schedule", "schedule period=1 links=1 rho=1/2\n0\n"),
     "n-not-int": ("selector", "uss n=x t=1\n1\n"),
     "k-not-int": ("selector", "uss n=2 t=1 k=z\n11\n"),
     "selector-kind": ("selector", "ussx n=2 t=1\n11\n"),
+    "selector-key-repeated": ("selector", "uss n=3 t=1 n=2\n11\n"),
     "no-columns": ("selector", "uss n=0 t=0\n"),
     "k-zero": ("selector", "uss n=2 t=1 k=0\n11\n"),
     "k-above-n": ("selector", "uss n=2 t=1 k=3\n11\n"),
@@ -110,3 +114,20 @@ def test_readme_commands_parse(heading, next_heading):
     parser = build_parser()
     for command in commands:
         parser.parse_args(shlex.split(command)[1:])  # exits 3 on drift
+
+
+def leaf_commands(parser, prefix=()) -> list[str]:
+    """Every runnable subcommand path of the parser, such as 'schedule build'."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [" ".join(prefix)]
+    return [leaf for name, sub in subs[0].choices.items() for leaf in leaf_commands(sub, (*prefix, name))]
+
+
+def test_readme_lists_every_command():
+    commands = [f"{c} " for c in readme_commands("## CLI", "## File formats")]
+    missing = [
+        leaf for leaf in leaf_commands(build_parser())
+        if not any(c.startswith(f"radiosched {leaf} ") for c in commands)
+    ]
+    assert not missing

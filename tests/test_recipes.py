@@ -46,14 +46,15 @@ def test_clique_overload(tmp_path, capsys):
     ])
     assert (scenario["injections"], scenario["predicted_backlog"]) == (150, 30)
     sched = str(out / "schedule.txt")
-    run_json(capsys, ["color", str(out / "graph.txt"), "--exact", "--out", sched])
+    run_json(capsys, ["schedule", "build", str(out / "graph.txt"), "--exact", "--out", sched])
     metrics, log = out / "backlog.csv", out / "rounds.log"
     sim = run_json(capsys, [
         "simulate", str(out / "graph.txt"), sched, str(out / "trace.txt"), "--rounds", "120",
         "--metrics", str(metrics), "--log", str(log),
     ])
     assert sim["undelivered"] == 30
-    rows = list(csv.DictReader(metrics.open()))
+    with metrics.open() as fh:
+        rows = list(csv.DictReader(fh))
     backlog = [int(r["total_backlog"]) for r in rows[11::12]]
     assert backlog == [6, 6, 12, 12, 12, 18, 18, 18, 24, 24]
     successes = [line.split(" successful ")[1].split()[0] for line in log.read_text().splitlines()]
@@ -77,7 +78,7 @@ def test_schedule_compare(tmp_path, capsys):
         "--delta-bound", "9", "--out", sel_sched,
     ])
     assert (built["rho"], built["window"]) == ("13/529", 529)
-    colored = run_json(capsys, ["color", graph, "--out", col_sched])
+    colored = run_json(capsys, ["schedule", "build", graph, "--out", col_sched])
     assert (colored["rho"], colored["window"]) == ("1/10", 10)
     trace = str(tmp_path / "load.trace")
     load = run_json(capsys, [

@@ -215,7 +215,7 @@ class TestFailureAccounting:
         rep = failure_accounting(metrics, AdversaryConfig(Fraction(1, 2), 1), Fraction(1, 2), 4)
         assert rep.holds and rep.witness is None
         assert rep.bound == Fraction(5) and rep.max_count == 4
-        assert rep.max_ratio == Fraction(4, 5)
+        assert Fraction(rep.max_count) / rep.bound == Fraction(4, 5)
 
     def test_bound_violated_with_witness(self):
         metrics = self.starved_metrics(4)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -226,6 +227,12 @@ class TestLeakyBucket:
         with pytest.raises(ParameterError, match="burst"):
             gen_leaky_bucket(g, [(0,)], AdversaryConfig(Fraction(1, 2), 0), 10, seed=0)
 
+    @pytest.mark.parametrize("intensity", [1.5, math.nan, 0.0, -0.5])
+    def test_rejects_intensity_outside_unit_interval(self, intensity):
+        g = path_graph(2)
+        with pytest.raises(ParameterError, match="intensity"):
+            gen_leaky_bucket(g, [(0,)], AdversaryConfig(Fraction(1, 2), 1), 10, seed=0, intensity=intensity)
+
 
 class TestCliqueScenario:
     def test_three_node_counts(self):
@@ -330,7 +337,9 @@ class TestTraceFiles:
         p = tmp_path / "t.txt"
         p.write_text("inject 2 0 1\n")
         assert read_trace(p).horizon == 2
-        assert read_trace(p, horizon=50).horizon == 50
+        # a stored horizon overrides the one inferred from the injections
+        p.write_text("# horizon 50\ninject 2 0 1\n")
+        assert read_trace(p).horizon == 50
 
     def test_format_errors(self, tmp_path):
         p = tmp_path / "bad.txt"
