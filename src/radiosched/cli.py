@@ -86,32 +86,20 @@ def _plain(v):
     return v
 
 
-def emit(records, fmt: str, stream=None) -> None:
+def emit(record: dict, fmt: str, stream=None) -> None:
     stream = stream if stream is not None else sys.stdout
-    if isinstance(records, dict):
-        records = [records]
-    records = [{k: _plain(v) for k, v in r.items()} for r in records]
+    record = {k: _plain(v) for k, v in record.items()}
     if fmt == "json-lines":
-        for r in records:
-            print(json.dumps(r, sort_keys=True), file=stream)
+        print(json.dumps(record, sort_keys=True), file=stream)
     elif fmt == "csv":
-        if not records:
-            return
-        keys = list(records[0])
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(keys)
-        for r in records:
-            writer.writerow(
-                [" ".join(map(str, v)) if isinstance(v, list) else v for v in (r[k] for k in keys)]
-            )
+        writer.writerow(record.keys())
+        writer.writerow(" ".join(map(str, v)) if isinstance(v, list) else v for v in record.values())
     else:
-        for i, r in enumerate(records):
-            if i:
-                print(file=stream)
-            for k, v in r.items():
-                if isinstance(v, list):
-                    v = " ".join(map(str, v)) if v else "-"
-                print(f"{k}: {v}", file=stream)
+        for k, v in record.items():
+            if isinstance(v, list):
+                v = " ".join(map(str, v)) if v else "-"
+            print(f"{k}: {v}", file=stream)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +128,7 @@ def cmd_conflict_graph(args) -> int:
 
 def cmd_build_selector(args) -> int:
     if args.method == "poly":
-        sel = poly_uss(args.n, args.k, c=args.c)
+        sel = poly_uss(args.n, args.k)
     else:
         if args.eps is None:
             raise ParameterError("random construction needs --eps")
@@ -223,7 +211,7 @@ def cmd_schedule_verify(args) -> int:
     sched = read_schedule(args.schedule)
     if sched.claimed_frequency is None:
         raise ParameterError("schedule file carries no rho=/T= claim to verify")
-    rep = verify_frequent(sched, g, windows=args.windows)
+    rep = verify_frequent(sched, g)
     emit(
         {
             "ok": rep.ok,
@@ -496,7 +484,6 @@ def cmd_experiment(args) -> int:
     if args.sweep < 1:
         raise ParameterError("--sweep needs at least one seed")
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     seeds = range(args.sweep)
     runs = [row for seed in seeds for row in _experiment_seed(args, seed, out)]
     config = {
@@ -538,7 +525,6 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=("poly", "random"), default="poly")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c", type=int, default=2, help="field size multiplier for the poly method")
     p.add_argument("--eps", help="target strength p/q for the random method")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the selector to this file")
@@ -571,7 +557,6 @@ def build_parser() -> _Parser:
     v = ssub.add_parser("verify")
     v.add_argument("graph")
     v.add_argument("schedule")
-    v.add_argument("--windows", type=int, default=2)
     _add_format(v)
     v.set_defaults(func=cmd_schedule_verify)
 
@@ -670,10 +655,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ParameterError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

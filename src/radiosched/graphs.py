@@ -129,16 +129,16 @@ def random_network(node_count: int, edge_count: int, seed: int, max_degree: int 
 class ConflictGraph:
     """Directed conflict relation between links.
 
-    blocks[u] lists the links whose reception fails while link u transmits.
+    blocks[u] lists the links whose reception fails while link u transmits;
+    there is one row per link.
     """
 
-    link_count: int
     blocks: tuple[tuple[int, ...], ...]
+    max_in_degree: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(tuple(sorted(set(v))) for v in self.blocks))
-        if len(self.blocks) != self.link_count:
-            raise ParameterError("blocks adjacency must have one entry per link")
+        m = self.link_count
         for u, out in enumerate(self.blocks):
             # rows are sorted: negative indices come before u, indices past
             # the end after it, which fixes the order of the checks
@@ -146,32 +146,28 @@ class ConflictGraph:
                 raise ParameterError("blocked link index out of range")
             if u in out:
                 raise ParameterError("a link does not block itself")
-            if out and out[-1] >= self.link_count:
+            if out and out[-1] >= m:
                 raise ParameterError("blocked link index out of range")
-        blocked_by: list[list[int]] = [[] for _ in range(self.link_count)]
+        blocked_by: list[list[int]] = [[] for _ in range(m)]
         for u, out in enumerate(self.blocks):
             for v in out:
                 blocked_by[v].append(u)
-        into = tuple(tuple(v) for v in blocked_by)
-        object.__setattr__(self, "_blocked_by", into)
+        object.__setattr__(self, "max_in_degree", max(map(len, blocked_by), default=0))
         # a frozenset copied from a set gets a table sized to fit; one built
         # straight from the tuple keeps the sparser table of its growth
         object.__setattr__(
-            self, "_undirected", tuple(frozenset(set(out + inn)) for out, inn in zip(self.blocks, into))
+            self,
+            "_undirected",
+            tuple(frozenset(set(out + tuple(inn))) for out, inn in zip(self.blocks, blocked_by)),
         )
 
-    def blocked_by(self, link: int) -> tuple[int, ...]:
-        return self._blocked_by[link]
+    @property
+    def link_count(self) -> int:
+        return len(self.blocks)
 
     def conflict_neighbors(self, link: int) -> frozenset[int]:
         """Neighbors in the undirected closure of the blocking relation."""
         return self._undirected[link]
-
-    @property
-    def max_in_degree(self) -> int:
-        if self.link_count == 0:
-            return 0
-        return max(len(v) for v in self._blocked_by)
 
 
 def build_conflict_graph(g: NetworkGraph) -> ConflictGraph:
@@ -197,7 +193,7 @@ def build_conflict_graph(g: NetworkGraph) -> ConflictGraph:
             near.update(in_links[g.links[o][1]])
         near.discard(a)
         blocks.append(tuple(near))
-    return ConflictGraph(g.link_count, tuple(blocks))
+    return ConflictGraph(tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -267,15 +263,13 @@ class Coloring:
     """Proper coloring of the undirected conflict closure; colors are 0-based."""
 
     colors: tuple[int, ...]
-    color_count: int
+    color_count: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
-        if any(c < 0 or c >= self.color_count for c in self.colors):
+        if any(c < 0 for c in self.colors):
             raise ParameterError("color out of range")
-        used = set(self.colors)
-        if self.colors and self.color_count != max(used) + 1:
-            raise ParameterError("color_count must equal the greatest color + 1")
+        object.__setattr__(self, "color_count", max(self.colors, default=-1) + 1)
 
     def classes(self) -> list[tuple[int, ...]]:
         by_color: list[list[int]] = [[] for _ in range(self.color_count)]
@@ -301,8 +295,7 @@ def greedy_coloring(h: ConflictGraph) -> Coloring:
         while c in taken:
             c += 1
         colors[v] = c
-    count = max(colors) + 1 if colors else 0
-    return Coloring(tuple(colors), count)
+    return Coloring(tuple(colors))
 
 
 def exact_chromatic(h: ConflictGraph, vertex_limit: int = 24) -> Coloring:
@@ -314,7 +307,7 @@ def exact_chromatic(h: ConflictGraph, vertex_limit: int = 24) -> Coloring:
     if n > vertex_limit:
         raise SizeError(f"{n} links exceeds the exact-coloring limit of {vertex_limit}; use greedy_coloring")
     if n == 0:
-        return Coloring((), 0)
+        return Coloring(())
     adj = [h.conflict_neighbors(v) for v in range(n)]
 
     # greedy clique on descending degree seeds the lower bound
@@ -366,7 +359,7 @@ def exact_chromatic(h: ConflictGraph, vertex_limit: int = 24) -> Coloring:
                     return
 
     descend(0, 0)
-    return Coloring(tuple(best_colors), best_count)
+    return Coloring(tuple(best_colors))
 
 
 # ---------------------------------------------------------------------------

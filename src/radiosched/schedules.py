@@ -10,7 +10,7 @@ selector of strength eps covering k-1 conflicting links gives (eps/k, t).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,18 +23,19 @@ from .selectors import SelectorMatrix, format_fraction, parse_count, parse_fract
 
 @dataclass(frozen=True)
 class TransmissionSchedule:
-    period: int
+    """Round r activates active[r % period]; period is the number of rows."""
+
     active: tuple[tuple[int, ...], ...]
     link_count: int
     provenance: str = "manual"
     claimed_frequency: tuple[Fraction, int] | None = None
+    period: int = field(init=False)
 
     def __post_init__(self):
         rows = [tuple(map(int, row)) for row in self.active]
         active = tuple(r if len(r) < 2 else tuple(sorted(set(r))) for r in rows)
         object.__setattr__(self, "active", active)
-        if self.period != len(active):
-            raise ParameterError("period must equal the number of active sets")
+        object.__setattr__(self, "period", len(active))
         for row in active:
             # rows are sorted, so only their ends can leave the range
             if row and (row[0] < 0 or row[-1] >= self.link_count):
@@ -56,7 +57,6 @@ class TransmissionSchedule:
             return self
         shift = offset % self.period
         return TransmissionSchedule(
-            self.period,
             self.active[shift:] + self.active[:shift],
             self.link_count,
             self.provenance,
@@ -68,7 +68,6 @@ def schedule_from_coloring(coloring: Coloring) -> TransmissionSchedule:
     """Round r activates color class r mod x; each link succeeds once per x."""
     x = coloring.color_count
     return TransmissionSchedule(
-        period=x,
         active=tuple(coloring.classes()),
         link_count=len(coloring.colors),
         provenance="coloring",
@@ -113,7 +112,6 @@ def schedule_from_selector(
     ends = np.cumsum(used.sum(axis=1, dtype=np.int64)).tolist()
     active = tuple(tuple(links[a:b]) for a, b in zip([0] + ends[:-1], ends))
     return TransmissionSchedule(
-        period=sel.t,
         active=active,
         link_count=m,
         provenance="selector",
@@ -140,7 +138,6 @@ def extend_to_maximal_independent(coloring: Coloring, h: ConflictGraph) -> Trans
         classes.append(tuple(sorted(members)))
     x = coloring.color_count
     return TransmissionSchedule(
-        period=x,
         active=tuple(classes),
         link_count=h.link_count,
         provenance="coloring",
@@ -158,9 +155,7 @@ class FrequencyReport:
     per_link_max: tuple[int, ...]
 
 
-def verify_frequent(
-    schedule: TransmissionSchedule, g: NetworkGraph, windows: int = 2
-) -> FrequencyReport:
+def verify_frequent(schedule: TransmissionSchedule, g: NetworkGraph) -> FrequencyReport:
     """Resolve each round of the period once under full backlog and count
     per-link successes in every cyclic window of the claimed length.
 
@@ -168,18 +163,16 @@ def verify_frequent(
     T // P whole periods plus T % P rounds from its start, and its count
     depends only on the start modulo P.  Every one of the P cyclic starts
     is checked exactly; ok means every link clears rho*T in every window.
-    The report's rounds is the replay length max(windows*T, P + T - 1)
-    that covers the same starts.  Exact rational comparison, no tolerance.
+    The report's rounds is the replay length max(2*T, P + T - 1) that
+    covers the same starts.  Exact rational comparison, no tolerance.
     """
     if schedule.claimed_frequency is None:
         raise ParameterError("schedule carries no frequency claim to verify")
-    if windows < 1:
-        raise ParameterError("need at least one window")
     if schedule.link_count != g.link_count:
         raise ParameterError("schedule and network disagree on link count")
     rho, T = schedule.claimed_frequency
     m, P = g.link_count, schedule.period
-    total = max(windows * T, P + T - 1)
+    total = max(2 * T, P + T - 1)
     won_rounds, won_links = [], []
     for r, candidates in enumerate(schedule.active):
         won = successful_links(g, candidates)
@@ -236,6 +229,6 @@ def read_schedule(path) -> TransmissionSchedule:
     if "rho" in fields:
         claimed = (parse_fraction(fields["rho"]), parse_count(fields["T"]))
     try:
-        return TransmissionSchedule(period, active, links, claimed_frequency=claimed)
+        return TransmissionSchedule(active, links, claimed_frequency=claimed)
     except ParameterError as exc:
         raise FormatError(str(exc)) from exc

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -25,41 +25,32 @@ SUBSET_BUDGET = 2_000_000
 # random_uss: matrices drawn before giving up, and pairs per sample check
 MAX_DRAWS = 64
 SAMPLE_TRIALS = 2000
-
-
-@dataclass(eq=False)
-class FieldParams:
-    """Parameters of the polynomial construction: degree cap d, prime
-    modulus q, and the sizing constant c with q >= c*k*d."""
-
-    d: int
-    q: int
-    c: int
+# poly_uss: the field has at least FIELD_FACTOR*k*d elements; the strength
+# guarantee scales with (c - 1)/c^2 in this factor c, largest at c = 2
+FIELD_FACTOR = 2
 
 
 @dataclass(eq=False)
 class SelectorMatrix:
-    """Boolean selector matrix with optional verified strength claims.
+    """Boolean t x n selector matrix with optional verified strength claims.
 
     claimed_k / claimed_eps are attached only by a construction with a
     proven guarantee or after an exhaustive verifier pass.
     """
 
-    n: int
-    t: int
     rows: np.ndarray
     claimed_k: int | None = None
     claimed_eps: Fraction | None = None
-    field: FieldParams | None = None
+    t: int = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
+        rows = np.ascontiguousarray(np.asarray(self.rows, dtype=np.uint8))
+        if rows.ndim != 2:
+            raise ParameterError(f"rows must be a 2-D matrix, got shape {rows.shape}")
+        self.t, self.n = rows.shape
         if self.n < 1:
             raise ParameterError("need at least one column")
-        if self.t < 0:
-            raise ParameterError("negative row count")
-        rows = np.ascontiguousarray(np.asarray(self.rows, dtype=np.uint8))
-        if rows.shape != (self.t, self.n):
-            raise ParameterError(f"rows shape {rows.shape} != ({self.t}, {self.n})")
         if rows.size and rows.max() > 1:
             raise ParameterError("matrix entries must be 0/1")
         rows.setflags(write=False)
@@ -227,7 +218,7 @@ def random_uss(n: int, k: int, eps, seed: int) -> SelectorMatrix:
     rng = np.random.default_rng(seed)
     for attempt in range(MAX_DRAWS):
         rows = (rng.random((t, n)) < 1.0 / k).astype(np.uint8)
-        m = SelectorMatrix(n, t, rows)
+        m = SelectorMatrix(rows)
         if exhaustive:
             ok = uss_min_count(m, k).eps >= eps
         else:
@@ -257,14 +248,14 @@ def _next_prime(x: int) -> int:
     return x
 
 
-def poly_uss(n: int, k: int, c: int = 2) -> SelectorMatrix:
+def poly_uss(n: int, k: int) -> SelectorMatrix:
     """Deterministic selector from degree-bounded polynomials.
 
     Column i holds the graph of the i-th polynomial of degree <= d over
     the field of q elements: a 1 in row x*q + P_i(x) for every x.  Two
     distinct columns then share at most d rows, so in any k-set a column
     is isolated on all but k*d arguments.  q is the least prime at or
-    above c*k*d; the guaranteed strength k*(q - k*d)/q^2 is attached.
+    above FIELD_FACTOR*k*d; the guaranteed strength k*(q - k*d)/q^2 is attached.
     Columns are the first n polynomials ordered lexicographically by
     coefficients, constant term varying fastest.
     """
@@ -272,12 +263,10 @@ def poly_uss(n: int, k: int, c: int = 2) -> SelectorMatrix:
         raise ParameterError(f"need n >= 2 and k >= 2, got n={n}, k={k}")
     if k > n:
         raise ParameterError(f"need k <= n, got k={k}, n={n}")
-    if c < 1:
-        raise ParameterError("sizing constant must be a positive integer")
     d = 1
     while k**d < n:
         d += 1
-    q = _next_prime(c * k * d)
+    q = _next_prime(FIELD_FACTOR * k * d)
     if q ** (d + 1) < n:
         raise ParameterError("field too small for the requested column count")
 
@@ -294,9 +283,7 @@ def poly_uss(n: int, k: int, c: int = 2) -> SelectorMatrix:
     rows = np.zeros((q * q, n), dtype=np.uint8)
     rows[xs * q + values, np.arange(n)[None, :]] = 1
     eps = Fraction(k * (q - k * d), q * q)
-    return SelectorMatrix(
-        n, q * q, rows, claimed_k=k, claimed_eps=eps, field=FieldParams(d=d, q=q, c=c)
-    )
+    return SelectorMatrix(rows, claimed_k=k, claimed_eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +357,6 @@ def read_selector(path) -> SelectorMatrix:
     claimed_k = parse_count(fields["k"]) if "k" in fields else None
     claimed_eps = parse_fraction(fields["eps"]) if "eps" in fields else None
     try:
-        return SelectorMatrix(n, t, rows, claimed_k=claimed_k, claimed_eps=claimed_eps)
+        return SelectorMatrix(rows, claimed_k=claimed_k, claimed_eps=claimed_eps)
     except ParameterError as exc:
         raise FormatError(str(exc)) from exc

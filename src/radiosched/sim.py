@@ -354,7 +354,6 @@ STABLE_SLOPE = 1e-3
 class StabilityVerdict(NamedTuple):
     stable: bool
     slope: float
-    max_backlog: int
 
 
 def stability_verdict(metrics: RunMetrics) -> StabilityVerdict:
@@ -365,4 +364,4 @@ def stability_verdict(metrics: RunMetrics) -> StabilityVerdict:
         raise ParameterError("need at least 10 rounds for a stability verdict")
     tail = series[series.size // 2 :]
     slope = float(np.polyfit(np.arange(tail.size), tail.astype(float), 1)[0])
-    return StabilityVerdict(slope < STABLE_SLOPE, slope, metrics.max_backlog)
+    return StabilityVerdict(slope < STABLE_SLOPE, slope)

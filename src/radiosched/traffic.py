@@ -234,7 +234,6 @@ class CliqueScenario:
     trace: InjectionTrace
     chi: int
     secondary_period: int
-    epsilon: Fraction
 
     def predicted_backlog(self, rounds: int) -> int:
         """Exact lower bound on undelivered packets after `rounds` rounds,
@@ -274,7 +273,7 @@ def gen_clique_scenario(n: int, epsilon, horizon: int) -> CliqueScenario:
             for e in range(m):
                 injections.append((r, Packet(next_id, r, (e,))))
                 next_id += 1
-    return CliqueScenario(g, InjectionTrace(tuple(injections), horizon), chi, secondary, epsilon)
+    return CliqueScenario(g, InjectionTrace(tuple(injections), horizon), chi, secondary)
 
 
 @dataclass(frozen=True)
@@ -289,7 +288,6 @@ class TreeFamilyScenario:
     trees: tuple[NetworkGraph, ...]
     shared_links: tuple[int, ...]
     trace: InjectionTrace
-    delta: int
 
 
 def gen_tree_family(delta: int, rho, horizon: int) -> TreeFamilyScenario:
@@ -333,9 +331,7 @@ def gen_tree_family(delta: int, rho, horizon: int) -> TreeFamilyScenario:
         for e in shared_links:
             injections.append((r, Packet(next_id, r, (e,))))
             next_id += 1
-    return TreeFamilyScenario(
-        tuple(trees), shared_links, InjectionTrace(tuple(injections), horizon), delta
-    )
+    return TreeFamilyScenario(tuple(trees), shared_links, InjectionTrace(tuple(injections), horizon))
 
 
 def random_routes(g: NetworkGraph, count: int, max_hops: int, seed: int) -> list[tuple[int, ...]]:

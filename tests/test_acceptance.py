@@ -7,6 +7,7 @@ calculations in the unit suites.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -58,7 +59,8 @@ def test_criterion_1_poly_selector_strength():
         sel = poly_uss(n, k)
         res = uss_min_count(sel, k)
         elapsed = time.monotonic() - start
-        q, d = sel.field.q, sel.field.d
+        q = math.isqrt(sel.t)
+        d = next(d for d in itertools.count(1) if k**d >= n)
         case_ok = (
             sel.t == q * q
             and res.eps >= sel.claimed_eps
@@ -191,9 +193,7 @@ def test_criterion_6_clique_instability():
     h = build_conflict_graph(sc.g)
     coloring = exact_chromatic(h)
     col_sched = schedule_from_coloring(coloring)
-    all_active = TransmissionSchedule(
-        period=1, active=(tuple(range(6)),), link_count=6
-    )
+    all_active = TransmissionSchedule(active=(tuple(range(6)),), link_count=6)
     sel = poly_uss(6, 6)
     sel_sched = schedule_from_selector(sel, sc.g, delta_bound=5)
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from radiosched.cli import main
+from radiosched.cli import build_parser, main
 from radiosched.graphs import path_graph, random_network, write_graph
 from radiosched.schedules import read_schedule
 
@@ -124,6 +127,12 @@ class TestSelectorVerification:
         sel = str(tmp_path / "sel.txt")
         assert main(["build-selector", "--n", "8", "--k", "2", "--out", sel]) == 0
         assert main(["verify-selector", sel, f"--eps={eps}", *mode]) == 3
+
+    def test_budget_caps_enumeration(self, tmp_path, capsys):
+        sel = str(tmp_path / "sel.txt")
+        assert main(["build-selector", "--n", "8", "--k", "2", "--out", sel]) == 0
+        assert main(["verify-selector", sel, "--budget", "1"]) == 3
+        assert "exceeds the enumeration budget of 1" in capsys.readouterr().err
 
 
 class TestScenariosAndTraces:
@@ -318,9 +327,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("net", [["--edges", "0"], ["--nodes", "1"]])
     def test_linkless_experiment_is_parameter_error(self, tmp_path, capsys, net):
-        argv = ["experiment", *net, "--horizon", "20", "--rounds", "20", "--out-dir", str(tmp_path)]
+        out = tmp_path / "out"
+        argv = ["experiment", *net, "--horizon", "20", "--rounds", "20", "--out-dir", str(out)]
         assert main(argv) == 3
         assert "color" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("intensity", ["1.5", "nan", "0", "-0.5"])
     def test_intensity_outside_unit_interval(self, path3_file, tmp_path, capsys, intensity):
@@ -332,6 +343,11 @@ class TestExitCodes:
         assert main(argv) == 3
         assert "intensity" in capsys.readouterr().err
         assert not trace.exists()
+        out = tmp_path / "out"
+        argv = ["experiment", "--horizon", "20", "--rounds", "20", "--intensity", intensity, "--out-dir", str(out)]
+        assert main(argv) == 3
+        assert "intensity" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file(self, capsys):
         assert main(["conflict-graph", "no-such-file.txt"]) == 3
@@ -345,3 +361,25 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["scenario", "clique", "--nodes", "3"])
         assert exc.value.code == 3
+
+
+def option_strings(parser) -> set[str]:
+    """Every option string of the parser and of its subcommands, help aside."""
+    found = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= option_strings(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            found.update(action.option_strings)
+    return found
+
+
+def test_every_flag_is_used_somewhere():
+    root = Path(__file__).resolve().parent.parent
+    texts = [(root / "README.md").read_text(), *(p.read_text() for p in (root / "tests").glob("*.py"))]
+    unused = sorted(
+        flag for flag in option_strings(build_parser())
+        if not any(re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text) for text in texts)
+    )
+    assert not unused

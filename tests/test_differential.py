@@ -148,13 +148,12 @@ def ref_blocks(g: NetworkGraph):
     return tuple(out)
 
 
-def ref_conflict_closure(link_count, blocks):
+def ref_conflict_closure(blocks):
     """ConflictGraph's checks, one element at a time, and its in-link and
     undirected tables built one edge end at a time; returns the first
     error message instead of raising."""
     blocks = tuple(tuple(sorted(set(v))) for v in blocks)
-    if len(blocks) != link_count:
-        return "blocks adjacency must have one entry per link"
+    link_count = len(blocks)
     for u, out in enumerate(blocks):
         for v in out:
             if not (0 <= v < link_count):
@@ -270,12 +269,12 @@ def ref_failure_accounting(dense, adv, rho_prime, window) -> FailureReport:
     return FailureReport(holds, bound, window, max_count, witness)
 
 
-def ref_verify_frequent(schedule, g, windows=2):
-    """Round-by-round replay of max(windows*T, period + T - 1) rounds with a
+def ref_verify_frequent(schedule, g):
+    """Round-by-round replay of max(2*T, period + T - 1) rounds with a
     cumsum over every replayed round."""
     rho, T = schedule.claimed_frequency
     m = g.link_count
-    total = max(windows * T, schedule.period + T - 1)
+    total = max(2 * T, schedule.period + T - 1)
     per_period = {}
     succ = np.zeros((total, m), dtype=bool)
     for r in range(total):
@@ -293,12 +292,10 @@ def ref_verify_frequent(schedule, g, windows=2):
     return FrequencyReport(ok, rho, T, total, tuple(int(v) for v in per_min), tuple(int(v) for v in per_max))
 
 
-def ref_schedule_active(period, active, link_count):
+def ref_schedule_active(active, link_count):
     """Per-element canonicalisation and range check of a schedule's rows:
     the rows, or the message of the first error."""
     rows = tuple(tuple(sorted(set(int(i) for i in row))) for row in active)
-    if period != len(rows):
-        return "period must equal the number of active sets"
     for row in rows:
         for i in row:
             if not 0 <= i < link_count:
@@ -500,8 +497,8 @@ class TestConflictGraphMatchesPairwise:
     def test_same_blocks(self, g):
         h = build_conflict_graph(g)
         assert h.blocks == ref_blocks(g)
-        blocked_by, undirected = ref_conflict_closure(h.link_count, h.blocks)
-        assert tuple(map(h.blocked_by, range(h.link_count))) == blocked_by
+        blocked_by, undirected = ref_conflict_closure(h.blocks)
+        assert h.max_in_degree == max(map(len, blocked_by), default=0)
         assert tuple(map(h.conflict_neighbors, range(h.link_count))) == undirected
 
     def test_fixed_shapes(self):
@@ -511,32 +508,25 @@ class TestConflictGraphMatchesPairwise:
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(0, 8).flatmap(
-            lambda m: st.tuples(
-                st.just(m),
-                st.lists(
-                    st.lists(st.integers(-2, m + 1), max_size=2 * m),
-                    min_size=max(m - 1, 0),
-                    max_size=m + 1,
-                ),
-            )
+            lambda m: st.lists(st.lists(st.integers(-2, m + 1), max_size=2 * m), min_size=m, max_size=m)
         )
     )
     # each error at the edge of its range, and the self-loop between them
-    @example((1, [[1]]))
-    @example((2, [[-1, 0]]))
-    @example((2, [[0, 2]]))
-    @example((2, [[1], [0]]))
-    def test_same_checks_and_closure(self, case):
-        m, rows = case
-        want = ref_conflict_closure(m, rows)
+    @example([[1]])
+    @example([[-1], [0]])
+    @example([[0, 1]])
+    @example([[1], [0]])
+    def test_same_checks_and_closure(self, rows):
+        want = ref_conflict_closure(rows)
         if isinstance(want, str):
             with pytest.raises(ParameterError) as err:
-                ConflictGraph(m, rows)
+                ConflictGraph(rows)
             assert str(err.value) == want
         else:
-            h = ConflictGraph(m, rows)
-            assert tuple(map(h.blocked_by, range(m))) == want[0]
-            assert tuple(map(h.conflict_neighbors, range(m))) == want[1]
+            h = ConflictGraph(rows)
+            assert h.link_count == len(rows)
+            assert h.max_in_degree == max(map(len, want[0]), default=0)
+            assert tuple(map(h.conflict_neighbors, range(len(rows)))) == want[1]
 
 
 class TestSuccessfulLinksMatchesCounter:
@@ -572,7 +562,7 @@ def claimed_schedules(draw, g: NetworkGraph):
     else:
         T = draw(st.integers(1, 6))
     rho = Fraction(draw(st.integers(1, 2 * T)), 2 * T)
-    return TransmissionSchedule(period, rows, m, claimed_frequency=(rho, T))
+    return TransmissionSchedule(rows, m, claimed_frequency=(rho, T))
 
 
 def outcome(build):
@@ -588,8 +578,7 @@ class TestVerifyFrequentMatchesReplay:
     def test_same_report(self, data):
         g = data.draw(networks(max_nodes=8))
         sched = data.draw(claimed_schedules(g))
-        windows = data.draw(st.integers(1, 4))
-        assert verify_frequent(sched, g, windows) == ref_verify_frequent(sched, g, windows)
+        assert verify_frequent(sched, g) == ref_verify_frequent(sched, g)
 
     def test_partial_window_at_every_start(self):
         # link 0 wins in rounds 0 and 3 of 5, link 1 in rounds 1 and 4: with
@@ -597,14 +586,13 @@ class TestVerifyFrequentMatchesReplay:
         g = path_graph(2)
         rows = ((0,), (1,), (), (0,), (1,))
         for T in range(1, 13):
-            sched = TransmissionSchedule(5, rows, 2, claimed_frequency=(Fraction(1, 5), T))
-            for windows in (1, 2, 3):
-                assert verify_frequent(sched, g, windows) == ref_verify_frequent(sched, g, windows)
+            sched = TransmissionSchedule(rows, 2, claimed_frequency=(Fraction(1, 5), T))
+            assert verify_frequent(sched, g) == ref_verify_frequent(sched, g)
 
     def test_no_links(self):
         g = NetworkGraph((0, 1), ())
         for period, T in ((0, 3), (2, 2), (2, 3)):
-            sched = TransmissionSchedule(period, ((),) * period, 0, claimed_frequency=(Fraction(1, 2), T))
+            sched = TransmissionSchedule(((),) * period, 0, claimed_frequency=(Fraction(1, 2), T))
             assert verify_frequent(sched, g) == ref_verify_frequent(sched, g)
 
 
@@ -613,13 +601,10 @@ class TestScheduleRowsMatchPerElement:
     @given(st.data())
     def test_same_rows_and_errors(self, data):
         m = data.draw(st.integers(0, 6))
-        period = data.draw(st.integers(0, 5))
         element = st.integers(-2, m + 2) | st.integers(-2, m + 2).map(np.int64)
-        rows = data.draw(
-            st.lists(st.lists(element, max_size=8), min_size=max(period - 1, 0), max_size=period + 1)
-        )
-        want = ref_schedule_active(period, rows, m)
-        got = outcome(lambda: TransmissionSchedule(period, rows, m).active)
+        rows = data.draw(st.lists(st.lists(element, max_size=8), max_size=6))
+        want = ref_schedule_active(rows, m)
+        got = outcome(lambda: TransmissionSchedule(rows, m).active)
         assert got == want
 
     @settings(max_examples=150, deadline=None)
@@ -634,11 +619,9 @@ class TestScheduleRowsMatchPerElement:
             [[0 if r in zero_rows else data.draw(st.integers(0, 1)) for _ in range(n)] for r in range(t)],
             dtype=np.uint8,
         ).reshape(t, n)
-        sel = SelectorMatrix(n, t, rows, claimed_k=n, claimed_eps=Fraction(1, 2))
+        sel = SelectorMatrix(rows, claimed_k=n, claimed_eps=Fraction(1, 2))
         want = outcome(
-            lambda: TransmissionSchedule(
-                t, ref_selector_active(sel, m), m, "selector", (Fraction(1, 2 * n), t)
-            )
+            lambda: TransmissionSchedule(ref_selector_active(sel, m), m, "selector", (Fraction(1, 2 * n), t))
         )
         assert outcome(lambda: schedule_from_selector(sel, g)) == want
 
@@ -678,7 +661,7 @@ def schedules_for(draw, g: NetworkGraph):
         tuple(draw(st.sets(st.integers(0, g.link_count - 1), max_size=g.link_count)))
         for _ in range(period)
     )
-    return TransmissionSchedule(period=period, active=rows, link_count=g.link_count)
+    return TransmissionSchedule(active=rows, link_count=g.link_count)
 
 
 class TestRunMatchesRescan:
@@ -709,7 +692,7 @@ class TestRunMatchesRescan:
         sc = gen_clique_scenario(n, Fraction(1, d), 150)
         m = sc.g.link_count
         rows = tuple((e,) for e in range(m)) + ((),) * offset
-        sched = TransmissionSchedule(len(rows), rows, m)
+        sched = TransmissionSchedule(rows, m)
         assert_metrics_equal(run(sc.g, sched, policy, sc.trace, 200), ref_run(sc.g, sched, policy, sc.trace, 200))
 
 

@@ -66,7 +66,7 @@ class TestConflictGraph:
         g = graphs.path_graph(3)
         h = graphs.build_conflict_graph(g)
         assert g.link_count == 4
-        in_degrees = sorted(len(h.blocked_by(v)) for v in range(4))
+        in_degrees = sorted(sum(v in out for out in h.blocks) for v in range(4))
         assert in_degrees == [2, 2, 3, 3]
         # every pair conflicts in at least one direction
         for u, v in itertools.combinations(range(4), 2):
@@ -197,7 +197,8 @@ class TestColoring:
 
     def test_coloring_validation(self):
         with pytest.raises(ParameterError):
-            graphs.Coloring((0, 2), 2)
+            graphs.Coloring((0, -1))
+        assert graphs.Coloring((0, 2)).color_count == 3
 
 
 class TestValidation:

@@ -33,19 +33,19 @@ class TestFromColoring:
         g, _, col = path3_setup()
         s = schedules.schedule_from_coloring(col)
         assert s.period == 4
-        rep = schedules.verify_frequent(s, g, windows=3)
+        rep = schedules.verify_frequent(s, g)
         assert rep.ok
         assert rep.per_link_min == (1, 1, 1, 1) and rep.per_link_max == (1, 1, 1, 1)
 
     def test_empty(self):
-        s = schedules.schedule_from_coloring(graphs.Coloring((), 0))
+        s = schedules.schedule_from_coloring(graphs.Coloring(()))
         assert s.period == 0 and s.active_at(17) == ()
 
 
 class TestFromSelector:
     def test_identity_alternation(self):
         g = graphs.path_graph(2)
-        plain = sel.SelectorMatrix(2, 2, np.eye(2, dtype=np.uint8))
+        plain = sel.SelectorMatrix(np.eye(2, dtype=np.uint8))
         ident = replace(plain, claimed_k=2, claimed_eps=sel.uss_min_count(plain, 2).eps)
         s = schedules.schedule_from_selector(ident, g)
         assert s.period == 2 and s.active == ((0,), (1,))
@@ -62,7 +62,7 @@ class TestFromSelector:
 
     def test_rejects_unverified(self):
         g = graphs.path_graph(2)
-        bare = sel.SelectorMatrix(2, 2, np.eye(2, dtype=np.uint8))
+        bare = sel.SelectorMatrix(np.eye(2, dtype=np.uint8))
         with pytest.raises(ParameterError, match="claim"):
             schedules.schedule_from_selector(bare, g)
 
@@ -125,17 +125,13 @@ class TestExtension:
 class TestVerifyFrequent:
     def test_idle_link_fails(self):
         g = graphs.path_graph(2)
-        s = schedules.TransmissionSchedule(
-            2, ((0,), (0,)), 2, claimed_frequency=(Fraction(1, 2), 2)
-        )
+        s = schedules.TransmissionSchedule(((0,), (0,)), 2, claimed_frequency=(Fraction(1, 2), 2))
         rep = schedules.verify_frequent(s, g)
         assert not rep.ok and rep.per_link_min[1] == 0
 
     def test_colliding_schedule_fails(self):
         g = graphs.path_graph(2)
-        s = schedules.TransmissionSchedule(
-            1, ((0, 1),), 2, claimed_frequency=(Fraction(1, 2), 2)
-        )
+        s = schedules.TransmissionSchedule(((0, 1),), 2, claimed_frequency=(Fraction(1, 2), 2))
         assert not schedules.verify_frequent(s, g).ok
 
     @settings(max_examples=25, deadline=None)
@@ -155,7 +151,7 @@ class TestVerifyFrequent:
         # rounds 4-5 serve no link; 2*T rounds would only see starts 0..2
         g = graphs.path_graph(2)
         s = schedules.TransmissionSchedule(
-            6, ((0,), (1,), (0,), (1,), (), ()), 2, claimed_frequency=(Fraction(1, 2), 2)
+            ((0,), (1,), (0,), (1,), (), ()), 2, claimed_frequency=(Fraction(1, 2), 2)
         )
         rep = schedules.verify_frequent(s, g)
         assert not rep.ok
@@ -163,7 +159,7 @@ class TestVerifyFrequent:
 
     def test_requires_claim(self):
         g = graphs.path_graph(2)
-        s = schedules.TransmissionSchedule(1, ((0,),), 2)
+        s = schedules.TransmissionSchedule(((0,),), 2)
         with pytest.raises(ParameterError):
             schedules.verify_frequent(s, g)
 
@@ -179,7 +175,7 @@ class TestScheduleFiles:
         assert back.claimed_frequency == s.claimed_frequency
 
     def test_idle_round_roundtrip(self, tmp_path):
-        s = schedules.TransmissionSchedule(3, ((0,), (), (1,)), 2)
+        s = schedules.TransmissionSchedule(((0,), (), (1,)), 2)
         p = tmp_path / "sched.txt"
         schedules.write_schedule(s, p)
         assert schedules.read_schedule(p).active == ((0,), (), (1,))

@@ -48,18 +48,18 @@ def small_matrices():
 
 class TestMinCount:
     def test_identity(self):
-        m = sel.SelectorMatrix(6, 6, np.eye(6, dtype=np.uint8))
+        m = sel.SelectorMatrix(np.eye(6, dtype=np.uint8))
         res = sel.uss_min_count(m, 2)
         assert res.min_count == 1
         assert res.eps == Fraction(1, 3)
 
     def test_all_zero(self):
-        m = sel.SelectorMatrix(5, 4, np.zeros((4, 5), dtype=np.uint8))
+        m = sel.SelectorMatrix(np.zeros((4, 5), dtype=np.uint8))
         res = sel.uss_min_count(m, 3)
         assert res.min_count == 0 and res.eps == 0
 
     def test_empty_matrix(self):
-        m = sel.SelectorMatrix(4, 0, np.zeros((0, 4), dtype=np.uint8))
+        m = sel.SelectorMatrix(np.zeros((0, 4), dtype=np.uint8))
         assert sel.uss_min_count(m, 2).min_count == 0
 
     @settings(max_examples=100, deadline=None)
@@ -67,7 +67,7 @@ class TestMinCount:
     def test_matches_naive(self, params):
         n, t, k, seed = params
         rng = np.random.default_rng(seed)
-        m = sel.SelectorMatrix(n, t, (rng.random((t, n)) < 0.4).astype(np.uint8))
+        m = sel.SelectorMatrix((rng.random((t, n)) < 0.4).astype(np.uint8))
         res = sel.uss_min_count(m, k)
         expect, _ = naive_min_count(m, k)
         assert res.min_count == expect
@@ -80,13 +80,13 @@ class TestMinCount:
     def test_wide_matrix_path(self):
         # crosses the 64-column word boundary
         rng = np.random.default_rng(7)
-        m = sel.SelectorMatrix(70, 24, (rng.random((24, 70)) < 0.1).astype(np.uint8))
+        m = sel.SelectorMatrix((rng.random((24, 70)) < 0.1).astype(np.uint8))
         res = sel.uss_min_count(m, 2)
         expect, _ = naive_min_count(m, 2)
         assert res.min_count == expect
 
     def test_budget_error_suggests_sampling(self):
-        m = sel.SelectorMatrix(120, 1, np.zeros((1, 120), dtype=np.uint8))
+        m = sel.SelectorMatrix(np.zeros((1, 120), dtype=np.uint8))
         with pytest.raises(SizeError, match="sample"):
             sel.uss_min_count(m, 5)
 
@@ -98,14 +98,14 @@ class TestMinCount:
             return
         rng = np.random.default_rng(seed)
         rows = (rng.random((t, n)) < 0.4).astype(np.uint8)
-        full = sel.uss_min_count(sel.SelectorMatrix(n, t, rows), k).min_count
-        trimmed = sel.uss_min_count(sel.SelectorMatrix(n - 1, t, rows[:, :-1]), k).min_count
+        full = sel.uss_min_count(sel.SelectorMatrix(rows), k).min_count
+        trimmed = sel.uss_min_count(sel.SelectorMatrix(rows[:, :-1]), k).min_count
         assert trimmed >= full
 
 
 class TestSampleCheck:
     def test_pass_and_fail(self):
-        m = sel.SelectorMatrix(8, 8, np.eye(8, dtype=np.uint8))
+        m = sel.SelectorMatrix(np.eye(8, dtype=np.uint8))
         ok = sel.uss_sample_check(m, 2, Fraction(1, 4), trials=200, seed=3)
         assert ok.ok and ok.threshold == 1
         bad = sel.uss_sample_check(m, 2, Fraction(1, 2), trials=200, seed=3)
@@ -115,7 +115,7 @@ class TestSampleCheck:
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
-        m = sel.SelectorMatrix(12, 40, (rng.random((40, 12)) < 0.3).astype(np.uint8))
+        m = sel.SelectorMatrix((rng.random((40, 12)) < 0.3).astype(np.uint8))
         r1 = sel.uss_sample_check(m, 3, Fraction(1, 10), trials=50, seed=11)
         r2 = sel.uss_sample_check(m, 3, Fraction(1, 10), trials=50, seed=11)
         assert r1 == r2
@@ -178,18 +178,17 @@ class TestPolyConstruction:
         }
         for (n, k), (d, q) in cases.items():
             m = sel.poly_uss(n, k)
-            assert (m.field.d, m.field.q) == (d, q)
             assert m.t == q * q
             assert m.claimed_eps == Fraction(k * (q - k * d), q * q)
 
     def test_smallest_case(self):
         m = sel.poly_uss(2, 2)
-        assert m.field.q == 5 and m.t == 25
+        assert m.t == 25
         assert m.claimed_eps == Fraction(6, 25)
 
     def test_column_structure(self):
         m = sel.poly_uss(27, 3)
-        q, d = m.field.q, m.field.d
+        q, d = math.isqrt(m.t), 3  # least d with 3**d >= 27
         assert (m.rows.sum(axis=0) == q).all()
         # distinct degree <= d polynomials agree on at most d arguments
         for i, j in itertools.combinations(range(0, 27, 5), 2):
@@ -203,7 +202,8 @@ class TestPolyConstruction:
     def test_min_count_meets_field_guarantee(self):
         m = sel.poly_uss(16, 2)
         res = sel.uss_min_count(m, 2)
-        assert res.min_count >= m.field.q - 2 * m.field.d
+        q, d = math.isqrt(m.t), 4  # least d with 2**d >= 16
+        assert res.min_count >= q - 2 * d
 
     def test_param_errors(self):
         for bad in [(1, 2), (4, 1), (3, 4)]:
@@ -213,8 +213,20 @@ class TestPolyConstruction:
 
 class TestClaims:
     def test_plain_matrix_has_no_claims(self):
-        m = sel.SelectorMatrix(4, 4, np.eye(4, dtype=np.uint8))
+        m = sel.SelectorMatrix(np.eye(4, dtype=np.uint8))
         assert m.claimed_k is None and m.claimed_eps is None
+        assert (m.t, m.n) == (4, 4)
+
+    def test_matrix_checks(self):
+        for rows, message in [
+            (np.ones(3, dtype=np.uint8), "2-D"),
+            (np.zeros((2, 0), dtype=np.uint8), "one column"),
+            (np.full((1, 2), 2, dtype=np.uint8), "0/1"),
+        ]:
+            with pytest.raises(ParameterError, match=message):
+                sel.SelectorMatrix(rows)
+        with pytest.raises(ParameterError, match="claimed k"):
+            sel.SelectorMatrix(np.eye(2, dtype=np.uint8), claimed_k=3)
 
 
 class TestSelectorFiles:
@@ -227,7 +239,7 @@ class TestSelectorFiles:
         assert back.claimed_k == 2 and back.claimed_eps == m.claimed_eps
 
     def test_roundtrip_without_claims(self, tmp_path):
-        m = sel.SelectorMatrix(3, 2, np.array([[1, 0, 1], [0, 1, 0]], dtype=np.uint8))
+        m = sel.SelectorMatrix(np.array([[1, 0, 1], [0, 1, 0]], dtype=np.uint8))
         p = tmp_path / "sel.txt"
         sel.write_selector(m, p)
         back = sel.read_selector(p)
