@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 when a declared property fails to hold
 (inadmissible trace, unmet selector or frequency claim, violated failure
-bound), 3 on parameter or format errors.
+bound), 3 on parameter or format errors and on a randomized construction
+that never verifies.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .bounds import (
     latency_bound,
     uss_threshold,
 )
-from .errors import FormatError, ParameterError
+from .errors import ConstructionError, FormatError, ParameterError
 from .graphs import (
     build_conflict_graph,
     degree_bound_check,
@@ -41,6 +42,8 @@ from .schedules import (
     write_schedule,
 )
 from .selectors import (
+    SAMPLE_TRIALS,
+    exhaustive_fits,
     format_fraction,
     parse_fraction,
     poly_uss,
@@ -158,12 +161,10 @@ def cmd_verify_selector(args) -> int:
         raise ParameterError("no stored eps; pass --eps")
     if not 0 <= target <= 1:
         raise ParameterError(f"target eps={target} outside [0, 1]")
-    if args.sample:
-        chk = uss_sample_check(sel, k, target, trials=args.trials, seed=args.seed)
-        record = {"mode": "sample", "trials": chk.trials, "threshold": chk.threshold, "ok": chk.ok}
-        ok = chk.ok
-    else:
-        res = uss_min_count(sel, k, budget=args.budget)
+    if not 1 <= k <= sel.n:
+        raise ParameterError(f"need 1 <= k <= {sel.n}, got {k}")
+    if exhaustive_fits(sel.n, k):
+        res = uss_min_count(sel, k)
         ok = res.eps >= target
         record = {
             "mode": "exhaustive",
@@ -172,6 +173,10 @@ def cmd_verify_selector(args) -> int:
             "target_eps": target,
             "ok": ok,
         }
+    else:
+        chk = uss_sample_check(sel, k, target, trials=SAMPLE_TRIALS, seed=0)
+        record = {"mode": "sample", "trials": chk.trials, "threshold": chk.threshold, "ok": chk.ok}
+        ok = chk.ok
     emit(record, args.format)
     return 0 if ok else 2
 
@@ -189,7 +194,7 @@ def cmd_schedule_build(args) -> int:
         if not args.selector:
             raise ParameterError("selector method needs --selector FILE")
         sel = read_selector(args.selector)
-        sched = schedule_from_selector(sel, g, delta_bound=args.delta_bound)
+        sched = schedule_from_selector(sel, g)
     if args.out:
         write_schedule(sched, args.out)
     rho, period = sched.claimed_frequency or (Fraction(0), 0)
@@ -199,7 +204,7 @@ def cmd_schedule_build(args) -> int:
             "links": sched.link_count,
             "rho": rho,
             "window": period,
-            "provenance": sched.provenance,
+            "provenance": args.method,
         },
         args.format,
     )
@@ -401,8 +406,6 @@ def cmd_bounds_threshold(args) -> int:
     if args.chi is not None:
         emit({"kind": "coloring", "chi": args.chi, "threshold": coloring_threshold(args.chi)}, args.format)
         return 0
-    if args.delta is None:
-        raise ParameterError("pass --chi for coloring or --delta for selector thresholds")
     eps = parse_fraction(args.eps) if args.eps else None
     value = uss_threshold(args.delta, eps=eps, form=args.form, m=args.links)
     emit(
@@ -535,10 +538,6 @@ def build_parser() -> _Parser:
     p.add_argument("selector")
     p.add_argument("--k", type=int)
     p.add_argument("--eps", help="target strength p/q; default: stored claim")
-    p.add_argument("--budget", type=int, default=2_000_000)
-    p.add_argument("--sample", action="store_true", help="randomized spot check instead of exhaustive")
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
     _add_format(p)
     p.set_defaults(func=cmd_verify_selector)
 
@@ -550,7 +549,6 @@ def build_parser() -> _Parser:
     b.add_argument("--exact", action="store_true", help="exact chromatic number (small graphs)")
     b.add_argument("--maximal", action="store_true", help="extend color classes to maximal independent sets")
     b.add_argument("--selector", help="selector file for the selector method")
-    b.add_argument("--delta-bound", type=int, help="known upper bound on conflict in-degree")
     b.add_argument("--out", help="write the schedule to this file")
     _add_format(b)
     b.set_defaults(func=cmd_schedule_build)
@@ -616,8 +614,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bounds", help="closed-form thresholds and latency bounds")
     bsub = p.add_subparsers(dest="bounds_command", required=True)
     th = bsub.add_parser("threshold")
-    th.add_argument("--chi", type=int, help="coloring threshold 1/chi")
-    th.add_argument("--delta", type=int, help="conflict in-degree for selector thresholds")
+    kind = th.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--chi", type=int, help="coloring threshold 1/chi")
+    kind.add_argument("--delta", type=int, help="conflict in-degree for selector thresholds")
     th.add_argument("--form", choices=THRESHOLD_FORMS, default="direct")
     th.add_argument("--eps", help="selector strength p/q")
     th.add_argument("--links", type=int, help="link count for the generic form")
@@ -655,7 +654,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, FormatError, OSError) as exc:
+    except (ParameterError, FormatError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

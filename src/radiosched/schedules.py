@@ -9,7 +9,6 @@ selector of strength eps covering k-1 conflicting links gives (eps/k, t).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +26,6 @@ class TransmissionSchedule:
 
     active: tuple[tuple[int, ...], ...]
     link_count: int
-    provenance: str = "manual"
     claimed_frequency: tuple[Fraction, int] | None = None
     period: int = field(init=False)
 
@@ -59,7 +57,6 @@ class TransmissionSchedule:
         return TransmissionSchedule(
             self.active[shift:] + self.active[:shift],
             self.link_count,
-            self.provenance,
             self.claimed_frequency,
         )
 
@@ -70,43 +67,24 @@ def schedule_from_coloring(coloring: Coloring) -> TransmissionSchedule:
     return TransmissionSchedule(
         active=tuple(coloring.classes()),
         link_count=len(coloring.colors),
-        provenance="coloring",
         claimed_frequency=(Fraction(1, x), x) if x else None,
     )
 
 
-def schedule_from_selector(
-    sel: SelectorMatrix, g: NetworkGraph, delta_bound: int | None = None
-) -> TransmissionSchedule:
+def schedule_from_selector(sel: SelectorMatrix, g: NetworkGraph) -> TransmissionSchedule:
     """Row r activates the links whose column carries a 1 (column i = link i).
 
-    The selector must carry verified claims and its k must cover one more
-    than the conflict in-degree.  A caller-supplied delta_bound is trusted
-    for that check; understating the real in-degree only draws a warning,
-    since the schedule still runs (with a claim that may not hold).
+    The selector must carry verified claims, and its k must cover one more
+    than the conflict in-degree of g, which is built here to check it.
     """
     if sel.claimed_k is None or sel.claimed_eps is None:
         raise ParameterError("selector carries no verified (k, eps) claim")
     m = g.link_count
     if sel.n < m:
         raise ParameterError(f"selector has {sel.n} columns but the network has {m} links")
-    actual = build_conflict_graph(g).max_in_degree
-    if delta_bound is None:
-        if sel.claimed_k < actual + 1:
-            raise ParameterError(
-                f"selector k={sel.claimed_k} below conflict in-degree + 1 = {actual + 1}"
-            )
-    else:
-        if sel.claimed_k < delta_bound + 1:
-            raise ParameterError(
-                f"selector k={sel.claimed_k} below supplied bound + 1 = {delta_bound + 1}"
-            )
-        if delta_bound < actual:
-            warnings.warn(
-                f"supplied conflict in-degree bound {delta_bound} understates the actual {actual}; "
-                "the frequency claim may not hold",
-                stacklevel=2,
-            )
+    need = build_conflict_graph(g).max_in_degree + 1
+    if sel.claimed_k < need:
+        raise ParameterError(f"selector k={sel.claimed_k} below conflict in-degree + 1 = {need}")
     used = sel.rows[:, :m]
     links = (np.flatnonzero(used) % m).tolist()  # row-major, so ascending within each row
     ends = np.cumsum(used.sum(axis=1, dtype=np.int64)).tolist()
@@ -114,7 +92,6 @@ def schedule_from_selector(
     return TransmissionSchedule(
         active=active,
         link_count=m,
-        provenance="selector",
         claimed_frequency=(sel.claimed_eps / sel.claimed_k, sel.t),
     )
 
@@ -140,7 +117,6 @@ def extend_to_maximal_independent(coloring: Coloring, h: ConflictGraph) -> Trans
     return TransmissionSchedule(
         active=tuple(classes),
         link_count=h.link_count,
-        provenance="coloring",
         claimed_frequency=(Fraction(1, x), x) if x else None,
     )
 

@@ -76,12 +76,10 @@ class SampleCheck(NamedTuple):
     witness: tuple[tuple[int, ...], int, int] | None
 
 
-def _check_subset_budget(n: int, k: int, budget: int) -> None:
-    if math.comb(n, k) > budget:
-        raise SizeError(
-            f"C({n},{k}) = {math.comb(n, k)} subsets exceeds the enumeration "
-            f"budget of {budget}; use uss_sample_check instead"
-        )
+def exhaustive_fits(n: int, k: int) -> bool:
+    """Whether uss_min_count's C(n, k) column sets fit SUBSET_BUDGET; above
+    it, a selector can only be checked by uss_sample_check."""
+    return math.comb(n, k) <= SUBSET_BUDGET
 
 
 def _pack_words(rows: np.ndarray) -> np.ndarray:
@@ -108,7 +106,7 @@ def _pack_combos(combos: list[tuple[int, ...]], size: int, n: int) -> np.ndarray
     return words
 
 
-def uss_min_count(m: SelectorMatrix, k: int, budget: int = SUBSET_BUDGET) -> MinCountResult:
+def uss_min_count(m: SelectorMatrix, k: int) -> MinCountResult:
     """Exhaustive minimum isolation count over all (A, a) with |A| = k.
 
     Checking |A| = k exactly suffices: dropping elements from A can only
@@ -117,7 +115,11 @@ def uss_min_count(m: SelectorMatrix, k: int, budget: int = SUBSET_BUDGET) -> Min
     n, t = m.n, m.t
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= {n}, got {k}")
-    _check_subset_budget(n, k, budget)
+    if not exhaustive_fits(n, k):
+        raise SizeError(
+            f"C({n},{k}) = {math.comb(n, k)} subsets exceeds the enumeration "
+            f"budget of {SUBSET_BUDGET}; use uss_sample_check instead"
+        )
     if t == 0:
         return MinCountResult(0, Fraction(0), (tuple(range(k)), 0))
 
@@ -204,8 +206,8 @@ def random_uss_size(n: int, k: int, eps) -> int:
 def random_uss(n: int, k: int, eps, seed: int) -> SelectorMatrix:
     """Draw Bernoulli(1/k) matrices until one verifies at strength eps.
 
-    Verification is exhaustive when C(n, k) fits the subset budget and a
-    seeded sample check otherwise.  Deterministic for a given seed.
+    Verification is exhaustive when exhaustive_fits(n, k) and a seeded
+    sample check otherwise.  Deterministic for a given seed.
     """
     eps = Fraction(eps)
     t = random_uss_size(n, k, eps)
@@ -214,7 +216,7 @@ def random_uss(n: int, k: int, eps, seed: int) -> SelectorMatrix:
             f"a verified matrix at eps={eps} needs {t} rows; pick eps further below "
             "the survival constant or build the matrix yourself from random_uss_size"
         )
-    exhaustive = math.comb(n, k) <= SUBSET_BUDGET
+    exhaustive = exhaustive_fits(n, k)
     rng = np.random.default_rng(seed)
     for attempt in range(MAX_DRAWS):
         rows = (rng.random((t, n)) < 1.0 / k).astype(np.uint8)

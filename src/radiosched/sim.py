@@ -141,8 +141,8 @@ def run(
     key = POLICIES.get(policy.lower())
     if key is None:
         raise ParameterError(f"unknown policy {policy!r}; choose from {sorted(POLICIES)}")
-    if schedule.link_count > g.link_count:
-        raise ParameterError("schedule names more links than the network has")
+    if schedule.link_count != g.link_count:
+        raise ParameterError("schedule and network disagree on link count")
     if rounds < 1:
         raise ParameterError("need at least one round")
     check_routes(trace, g)

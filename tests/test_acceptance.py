@@ -131,7 +131,7 @@ def test_criterion_4_frequent_schedules():
         )
         delta = h.max_in_degree
         sel = poly_uss(g.link_count, delta + 1)
-        sched = schedule_from_selector(sel, g, delta_bound=delta)
+        sched = schedule_from_selector(sel, g)
         rho, period = sched.claimed_frequency
         rep2 = verify_frequent(sched, g)
         ok = ok and rep2.ok and rho == sel.claimed_eps / (delta + 1) and period == sel.t
@@ -195,7 +195,7 @@ def test_criterion_6_clique_instability():
     col_sched = schedule_from_coloring(coloring)
     all_active = TransmissionSchedule(active=(tuple(range(6)),), link_count=6)
     sel = poly_uss(6, 6)
-    sel_sched = schedule_from_selector(sel, sc.g, delta_bound=5)
+    sel_sched = schedule_from_selector(sel, sc.g)
 
     ok = sc.predicted_backlog(horizon) == floor == 66
     details = [f"floor={floor}"]

@@ -3,10 +3,12 @@ from __future__ import annotations
 import argparse
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from radiosched import selectors
 from radiosched.cli import build_parser, main
 from radiosched.graphs import path_graph, random_network, write_graph
 from radiosched.schedules import read_schedule
@@ -93,13 +95,20 @@ class TestScheduleFlow:
         assert sorted(tmp_path.iterdir()) == [g_file, padded, plain]
 
 
+# (n, k) of a selector whose C(n, k) column sets fit the enumeration budget,
+# so verify-selector checks it exactly, and of one it can only sample
+EXHAUSTIVE = ("16", "4")
+SAMPLED = ("40", "8")
+
+
 class TestSelectorVerification:
     def test_verify_roundtrip(self, tmp_path, capsys):
         sel = str(tmp_path / "sel.txt")
-        assert main(["build-selector", "--n", "8", "--k", "2", "--out", sel]) == 0
+        assert main(["build-selector", "--n", "16", "--k", "4", "--out", sel]) == 0
+        capsys.readouterr()
         assert main(["verify-selector", sel]) == 0
         fields = parse_text(capsys.readouterr().out)
-        assert fields.get("ok") == "True"
+        assert (fields["mode"], fields["ok"]) == ("exhaustive", "True")
 
     def test_overstated_claim_fails(self, tmp_path, capsys):
         sel_path = tmp_path / "sel.txt"
@@ -112,27 +121,38 @@ class TestSelectorVerification:
 
     def test_sample_mode(self, tmp_path, capsys):
         sel = str(tmp_path / "sel.txt")
-        assert main(["build-selector", "--n", "16", "--k", "2", "--out", sel]) == 0
-        assert main(["verify-selector", sel, "--sample", "--trials", "200"]) == 0
-
-    @pytest.mark.parametrize("trials", ["0", "-5"])
-    def test_sample_without_trials_is_parameter_error(self, tmp_path, capsys, trials):
-        sel = str(tmp_path / "sel.txt")
-        assert main(["build-selector", "--n", "16", "--k", "2", "--out", sel]) == 0
-        assert main(["verify-selector", sel, "--sample", "--trials", trials]) == 3
+        assert main(["build-selector", "--n", "40", "--k", "8", "--out", sel]) == 0
+        capsys.readouterr()
+        assert main(["verify-selector", sel]) == 0
+        fields = parse_text(capsys.readouterr().out)
+        assert (fields["mode"], fields["trials"], fields["ok"]) == ("sample", "2000", "True")
+        assert main(["verify-selector", sel, "--eps=99/100"]) == 2
+        assert parse_text(capsys.readouterr().out)["ok"] == "False"
 
     @pytest.mark.parametrize("eps", ["-1/2", "3/2"])
-    @pytest.mark.parametrize("mode", [[], ["--sample"]])
+    @pytest.mark.parametrize("mode", [EXHAUSTIVE, SAMPLED])
     def test_target_outside_unit_interval_is_parameter_error(self, tmp_path, capsys, eps, mode):
+        n, k = mode
         sel = str(tmp_path / "sel.txt")
-        assert main(["build-selector", "--n", "8", "--k", "2", "--out", sel]) == 0
-        assert main(["verify-selector", sel, f"--eps={eps}", *mode]) == 3
+        assert main(["build-selector", "--n", n, "--k", k, "--out", sel]) == 0
+        assert main(["verify-selector", sel, f"--eps={eps}"]) == 3
 
-    def test_budget_caps_enumeration(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", [EXHAUSTIVE, SAMPLED])
+    def test_k_outside_columns_is_parameter_error(self, tmp_path, capsys, mode):
+        n, k = mode
         sel = str(tmp_path / "sel.txt")
-        assert main(["build-selector", "--n", "8", "--k", "2", "--out", sel]) == 0
-        assert main(["verify-selector", sel, "--budget", "1"]) == 3
-        assert "exceeds the enumeration budget of 1" in capsys.readouterr().err
+        assert main(["build-selector", "--n", n, "--k", k, "--out", sel]) == 0
+        capsys.readouterr()
+        for bad in ("-1", str(int(n) + 1)):
+            assert main(["verify-selector", sel, f"--k={bad}"]) == 3
+            assert f"need 1 <= k <= {n}, got {bad}" in capsys.readouterr().err
+
+    def test_failed_construction_is_parameter_error(self, monkeypatch, capsys):
+        never = selectors.MinCountResult(0, Fraction(0), ((0, 1), 0))
+        monkeypatch.setattr(selectors, "uss_min_count", lambda *a, **k: never)
+        argv = ["build-selector", "--method", "random", "--n", "8", "--k", "2", "--eps", "1/4"]
+        assert main(argv) == 3
+        assert "error: no verified matrix within 64 draws" in capsys.readouterr().err
 
 
 class TestScenariosAndTraces:
@@ -320,6 +340,25 @@ class TestExitCodes:
         argv = ["simulate", str(g_file), str(sched), str(trace), "--rounds", "4", *budget]
         assert main(argv) == 3
         assert "packet 1: link 5 out of range" in capsys.readouterr().err
+
+    def test_schedule_for_fewer_links_is_parameter_error(self, path3_file, tmp_path, capsys):
+        # the path has 4 links; a schedule for 2 of them never serves links 2 and 3
+        sched = tmp_path / "sched.txt"
+        sched.write_text("schedule period=2 links=2 rho=1/2 T=2\n0\n1\n")
+        trace = tmp_path / "trace.txt"
+        trace.write_text("# horizon 0\ninject 0 0 2\ninject 0 1 3\n")
+        for argv in (
+            ["schedule", "verify", path3_file, str(sched)],
+            ["simulate", path3_file, str(sched), str(trace), "--rounds", "20"],
+        ):
+            assert main(argv) == 3
+            assert "schedule and network disagree on link count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", [["--chi", "3", "--delta", "2"], []])
+    def test_threshold_needs_exactly_one_kind(self, capsys, kind):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "threshold", *kind])
+        assert exc.value.code == 3
 
     def test_empty_sweep_is_parameter_error(self, tmp_path, capsys):
         assert main(["experiment", "--sweep", "0", "--out-dir", str(tmp_path / "out")]) == 3

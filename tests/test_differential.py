@@ -621,7 +621,7 @@ class TestScheduleRowsMatchPerElement:
         ).reshape(t, n)
         sel = SelectorMatrix(rows, claimed_k=n, claimed_eps=Fraction(1, 2))
         want = outcome(
-            lambda: TransmissionSchedule(ref_selector_active(sel, m), m, "selector", (Fraction(1, 2 * n), t))
+            lambda: TransmissionSchedule(ref_selector_active(sel, m), m, (Fraction(1, 2 * n), t))
         )
         assert outcome(lambda: schedule_from_selector(sel, g)) == want
 

@@ -74,8 +74,7 @@ def test_schedule_compare(tmp_path, capsys):
     sel, col_sched, sel_sched = (str(tmp_path / f) for f in ("sel.txt", "col.sched", "sel.sched"))
     run_json(capsys, ["build-selector", "--method", "poly", "--n", "10", "--k", "10", "--out", sel])
     built = run_json(capsys, [
-        "schedule", "build", graph, "--method", "selector", "--selector", sel,
-        "--delta-bound", "9", "--out", sel_sched,
+        "schedule", "build", graph, "--method", "selector", "--selector", sel, "--out", sel_sched,
     ])
     assert (built["rho"], built["window"]) == ("13/529", 529)
     colored = run_json(capsys, ["schedule", "build", graph, "--out", col_sched])

@@ -78,21 +78,16 @@ class TestFromSelector:
         with pytest.raises(ParameterError, match="columns"):
             schedules.schedule_from_selector(m, g)
 
-    def test_trusted_bound_warns_when_understated(self):
-        g = graphs.path_graph(3)
-        m = sel.poly_uss(4, 3)  # k=3 covers bound 2, not the actual 3
-        with pytest.warns(UserWarning, match="understates"):
-            s = schedules.schedule_from_selector(m, g, delta_bound=2)
-        assert s.period == m.t
-
     def test_trusted_bound_quiet_when_valid(self):
+        # the selector's k is the in-degree bound; k = in-degree + 1 is accepted silently
         import warnings
 
         g = graphs.path_graph(3)
         m = sel.poly_uss(4, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            schedules.schedule_from_selector(m, g, delta_bound=3)
+            s = schedules.schedule_from_selector(m, g)
+        assert s.period == m.t
 
 
 class TestExtension:

@@ -113,6 +113,12 @@ class TestSampleCheck:
         combo, a, count = bad.witness
         assert count < bad.threshold and a in combo
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_needs_a_trial(self, trials):
+        m = sel.SelectorMatrix(np.eye(8, dtype=np.uint8))
+        with pytest.raises(ParameterError, match="at least one trial"):
+            sel.uss_sample_check(m, 2, Fraction(1, 4), trials=trials, seed=0)
+
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         m = sel.SelectorMatrix((rng.random((40, 12)) < 0.3).astype(np.uint8))
