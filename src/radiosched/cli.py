@@ -105,6 +105,13 @@ def emit(record: dict, fmt: str, stream=None) -> None:
             print(f"{k}: {v}", file=stream)
 
 
+def _refuse_unread(reader: str, **flags) -> None:
+    """Refuse the given flags (value not None or False) that `reader` does not read."""
+    given = [f"--{name}" for name, value in flags.items() if value is not None and value is not False]
+    if given:
+        raise ParameterError(f"{reader} reads no {', '.join(given)}")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -184,6 +191,7 @@ def cmd_verify_selector(args) -> int:
 def cmd_schedule_build(args) -> int:
     g = read_graph(args.graph)
     if args.method == "coloring":
+        _refuse_unread("the coloring method", selector=args.selector)
         h = build_conflict_graph(g)
         coloring = exact_chromatic(h) if args.exact else greedy_coloring(h)
         if args.maximal:
@@ -191,6 +199,7 @@ def cmd_schedule_build(args) -> int:
         else:
             sched = schedule_from_coloring(coloring)
     else:
+        _refuse_unread("the selector method", exact=args.exact, maximal=args.maximal)
         if not args.selector:
             raise ParameterError("selector method needs --selector FILE")
         sel = read_selector(args.selector)
@@ -404,15 +413,22 @@ def cmd_simulate(args) -> int:
 
 def cmd_bounds_threshold(args) -> int:
     if args.chi is not None:
+        _refuse_unread("--chi", form=args.form, eps=args.eps, links=args.links)
         emit({"kind": "coloring", "chi": args.chi, "threshold": coloring_threshold(args.chi)}, args.format)
         return 0
+    form = args.form or "direct"
+    _refuse_unread(
+        f"the {form} form",
+        eps=args.eps if form != "direct" else None,
+        links=args.links if form != "poly" else None,
+    )
     eps = parse_fraction(args.eps) if args.eps else None
-    value = uss_threshold(args.delta, eps=eps, form=args.form, m=args.links)
+    value = uss_threshold(args.delta, eps=eps, form=form, m=args.links)
     emit(
         {
             "kind": "selector",
             "delta": args.delta,
-            "form": args.form,
+            "form": form,
             "threshold": value,
             "approx": float(value),
         },
@@ -617,9 +633,9 @@ def build_parser() -> _Parser:
     kind = th.add_mutually_exclusive_group(required=True)
     kind.add_argument("--chi", type=int, help="coloring threshold 1/chi")
     kind.add_argument("--delta", type=int, help="conflict in-degree for selector thresholds")
-    th.add_argument("--form", choices=THRESHOLD_FORMS, default="direct")
-    th.add_argument("--eps", help="selector strength p/q")
-    th.add_argument("--links", type=int, help="link count for the generic form")
+    th.add_argument("--form", choices=THRESHOLD_FORMS, help="selector threshold form (default: direct)")
+    th.add_argument("--eps", help="selector strength p/q for the direct form")
+    th.add_argument("--links", type=int, help="link count for the poly form")
     _add_format(th)
     th.set_defaults(func=cmd_bounds_threshold)
     lt = bsub.add_parser("latency")

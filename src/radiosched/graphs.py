@@ -130,7 +130,10 @@ class ConflictGraph:
     """Directed conflict relation between links.
 
     blocks[u] lists the links whose reception fails while link u transmits;
-    there is one row per link.
+    there is one row per link.  The constructor sorts and deduplicates each
+    row and refuses out-of-range and self-blocking links.
+    `build_conflict_graph` hands over rows already in that form and uses
+    `_from_canonical`, which skips that pass.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -148,6 +151,20 @@ class ConflictGraph:
                 raise ParameterError("a link does not block itself")
             if out and out[-1] >= m:
                 raise ParameterError("blocked link index out of range")
+        self._index()
+
+    @classmethod
+    def _from_canonical(cls, blocks) -> "ConflictGraph":
+        """Trusted construction: `blocks` must be a tuple with one sorted
+        tuple of distinct Python ints in [0, len(blocks)) per link, none
+        holding its own index."""
+        h = cls.__new__(cls)
+        object.__setattr__(h, "blocks", blocks)
+        h._index()
+        return h
+
+    def _index(self):
+        m = self.link_count
         blocked_by: list[list[int]] = [[] for _ in range(m)]
         for u, out in enumerate(self.blocks):
             for v in out:
@@ -192,8 +209,8 @@ def build_conflict_graph(g: NetworkGraph) -> ConflictGraph:
         for o in out:
             near.update(in_links[g.links[o][1]])
         near.discard(a)
-        blocks.append(tuple(near))
-    return ConflictGraph(tuple(blocks))
+        blocks.append(tuple(sorted(near)))
+    return ConflictGraph._from_canonical(tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -232,6 +249,9 @@ def successful_links(g: NetworkGraph, candidates) -> tuple[int, ...]:
     it is the tail of at least one candidate.  Candidate (u, v) succeeds iff
     u is the tail of exactly one candidate, v is silent, and u is the only
     transmitting in-neighbor of v.
+
+    This is the package's one radio rule.  `verify_frequent` and `run` call
+    it once per distinct candidate set and reuse the result within the call.
     """
     cand = sorted(set(candidates))
     if len(cand) < 2:

@@ -22,7 +22,13 @@ from .selectors import SelectorMatrix, format_fraction, parse_count, parse_fract
 
 @dataclass(frozen=True)
 class TransmissionSchedule:
-    """Round r activates active[r % period]; period is the number of rows."""
+    """Round r activates active[r % period]; period is the number of rows.
+
+    The constructor turns each row into a sorted tuple of distinct Python
+    ints and refuses out-of-range links.  Builders in this package hand over
+    rows already in that form and use `_from_canonical`, which skips that
+    pass but still checks the frequency claim.
+    """
 
     active: tuple[tuple[int, ...], ...]
     link_count: int
@@ -33,12 +39,27 @@ class TransmissionSchedule:
         rows = [tuple(map(int, row)) for row in self.active]
         active = tuple(r if len(r) < 2 else tuple(sorted(set(r))) for r in rows)
         object.__setattr__(self, "active", active)
-        object.__setattr__(self, "period", len(active))
         for row in active:
             # rows are sorted, so only their ends can leave the range
             if row and (row[0] < 0 or row[-1] >= self.link_count):
                 bad = next(i for i in row if not 0 <= i < self.link_count)
                 raise ParameterError(f"scheduled link {bad} out of range")
+        self._finish()
+
+    @classmethod
+    def _from_canonical(cls, active, link_count: int, claimed_frequency=None) -> "TransmissionSchedule":
+        """Trusted construction: `active` must be a tuple of sorted tuples of
+        distinct Python ints in [0, link_count)."""
+        sched = cls.__new__(cls)
+        object.__setattr__(sched, "active", active)
+        object.__setattr__(sched, "link_count", link_count)
+        object.__setattr__(sched, "claimed_frequency", claimed_frequency)
+        sched._finish()
+        return sched
+
+    def _finish(self):
+        # the period, and the check and normal form of the claim
+        object.__setattr__(self, "period", len(self.active))
         if self.claimed_frequency is not None:
             rho, T = self.claimed_frequency
             if T < 1 or not 0 < Fraction(rho) <= 1:
@@ -54,7 +75,7 @@ class TransmissionSchedule:
         if self.period == 0:
             return self
         shift = offset % self.period
-        return TransmissionSchedule(
+        return TransmissionSchedule._from_canonical(
             self.active[shift:] + self.active[:shift],
             self.link_count,
             self.claimed_frequency,
@@ -64,10 +85,10 @@ class TransmissionSchedule:
 def schedule_from_coloring(coloring: Coloring) -> TransmissionSchedule:
     """Round r activates color class r mod x; each link succeeds once per x."""
     x = coloring.color_count
-    return TransmissionSchedule(
-        active=tuple(coloring.classes()),
-        link_count=len(coloring.colors),
-        claimed_frequency=(Fraction(1, x), x) if x else None,
+    return TransmissionSchedule._from_canonical(
+        tuple(coloring.classes()),
+        len(coloring.colors),
+        (Fraction(1, x), x) if x else None,
     )
 
 
@@ -89,11 +110,7 @@ def schedule_from_selector(sel: SelectorMatrix, g: NetworkGraph) -> Transmission
     links = (np.flatnonzero(used) % m).tolist()  # row-major, so ascending within each row
     ends = np.cumsum(used.sum(axis=1, dtype=np.int64)).tolist()
     active = tuple(tuple(links[a:b]) for a, b in zip([0] + ends[:-1], ends))
-    return TransmissionSchedule(
-        active=active,
-        link_count=m,
-        claimed_frequency=(sel.claimed_eps / sel.claimed_k, sel.t),
-    )
+    return TransmissionSchedule._from_canonical(active, m, (sel.claimed_eps / sel.claimed_k, sel.t))
 
 
 def extend_to_maximal_independent(coloring: Coloring, h: ConflictGraph) -> TransmissionSchedule:
@@ -114,10 +131,8 @@ def extend_to_maximal_independent(coloring: Coloring, h: ConflictGraph) -> Trans
                 members.add(v)
         classes.append(tuple(sorted(members)))
     x = coloring.color_count
-    return TransmissionSchedule(
-        active=tuple(classes),
-        link_count=h.link_count,
-        claimed_frequency=(Fraction(1, x), x) if x else None,
+    return TransmissionSchedule._from_canonical(
+        tuple(classes), h.link_count, (Fraction(1, x), x) if x else None
     )
 
 
@@ -132,8 +147,8 @@ class FrequencyReport:
 
 
 def verify_frequent(schedule: TransmissionSchedule, g: NetworkGraph) -> FrequencyReport:
-    """Resolve each round of the period once under full backlog and count
-    per-link successes in every cyclic window of the claimed length.
+    """Resolve each distinct row of the period once under full backlog and
+    count per-link successes in every cyclic window of the claimed length.
 
     Successes repeat with the period P, so a window of T rounds holds
     T // P whole periods plus T % P rounds from its start, and its count
@@ -149,13 +164,17 @@ def verify_frequent(schedule: TransmissionSchedule, g: NetworkGraph) -> Frequenc
     rho, T = schedule.claimed_frequency
     m, P = g.link_count, schedule.period
     total = max(2 * T, P + T - 1)
-    won_rounds, won_links = [], []
-    for r, candidates in enumerate(schedule.active):
-        won = successful_links(g, candidates)
-        won_rounds += [r] * len(won)
+    # resolve each distinct row once, then gather the rounds from those
+    ids: dict[tuple[int, ...], int] = {}
+    idx = np.array([ids.setdefault(row, len(ids)) for row in schedule.active], dtype=np.intp)
+    won_rows, won_links = [], []
+    for j, row in enumerate(ids):
+        won = successful_links(g, row)
+        won_rows += [j] * len(won)
         won_links += won
-    succ = np.zeros((P, m), dtype=bool)
-    succ[won_rounds, won_links] = True
+    distinct = np.zeros((len(ids), m), dtype=bool)
+    distinct[won_rows, won_links] = True
+    succ = distinct[idx]
     whole, rest = divmod(T, P) if P else (0, 0)
     per_period = succ.sum(axis=0, dtype=np.int64).tolist()
     if rest:

@@ -174,8 +174,9 @@ def uss_sample_check(
     for _ in range(trials):
         combo = tuple(sorted(rng.sample(range(m.n), k)))
         a = rng.choice(combo)
-        hits = rows[:, combo].sum(axis=1)
-        count = int(((hits == 1) & (rows[:, a] == 1)).sum())
+        # only rows with a 1 in column a can isolate it
+        own = rows[np.flatnonzero(rows[:, a])]
+        count = int((own[:, combo].sum(axis=1) == 1).sum())
         if count < threshold:
             return SampleCheck(False, trials, threshold, (combo, a, count))
     return SampleCheck(True, trials, threshold, None)

@@ -178,6 +178,9 @@ def run(
     since: dict[int, int] = {}
     length_count: Counter[int] = Counter()
     longest = 0
+    # winners of each candidate set met so far; schedule rows are sorted, so
+    # equal sets give equal tuples
+    resolved: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def push(pkt: Packet, hops: int, start: int) -> None:
         nonlocal longest, arrivals
@@ -213,9 +216,11 @@ def run(
             push(pkt, 0, r)
             queued += 1
 
-        candidates = [e for e in schedule.active_at(r) if queues[e]]
+        candidates = tuple([e for e in schedule.active_at(r) if queues[e]])
         if candidates:
-            winners = successful_links(g, candidates)
+            winners = resolved.get(candidates)
+            if winners is None:
+                winners = resolved[candidates] = successful_links(g, candidates)
             # a winner's head is silent, so a packet forwarded this round
             # never joins the queue of a later winner
             for e in winners:

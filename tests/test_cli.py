@@ -360,6 +360,69 @@ class TestExitCodes:
             main(["bounds", "threshold", *kind])
         assert exc.value.code == 3
 
+    @pytest.mark.parametrize(
+        "flags, unread",
+        [
+            (["--form", "random"], "--form"),
+            (["--form", "direct", "--eps", "1/4", "--links", "9"], "--form, --eps, --links"),
+            (["--eps", "1/4"], "--eps"),
+            (["--links", "9"], "--links"),
+        ],
+    )
+    def test_chi_refuses_selector_flags(self, capsys, flags, unread):
+        # the coloring threshold reads only --chi; 1/3 used to be printed
+        assert main(["bounds", "threshold", "--chi", "3", *flags]) == 3
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == f"error: --chi reads no {unread}\n"
+
+    @pytest.mark.parametrize(
+        "flags, unread",
+        [
+            (["--form", "random", "--eps", "1/4"], "the random form reads no --eps"),
+            (["--form", "poly", "--links", "9", "--eps", "1/4"], "the poly form reads no --eps"),
+            (["--eps", "1/4", "--links", "9"], "the direct form reads no --links"),
+            (["--form", "random", "--links", "9"], "the random form reads no --links"),
+            (["--form", "random", "--eps", "1/4", "--links", "9"], "the random form reads no --eps, --links"),
+        ],
+    )
+    def test_selector_form_refuses_flags_it_does_not_read(self, capsys, flags, unread):
+        assert main(["bounds", "threshold", "--delta", "2", *flags]) == 3
+        assert capsys.readouterr().err == f"error: {unread}\n"
+
+    def test_selector_forms_read_their_flags(self, capsys):
+        cases = (("direct", ["--eps", "1/4"]), ("poly", ["--form", "poly", "--links", "9"]), ("random", ["--form", "random"]))
+        for form, flags in cases:
+            assert main(["bounds", "threshold", "--delta", "2", *flags]) == 0
+            assert parse_text(capsys.readouterr().out)["form"] == form
+
+    def test_selector_file_needs_selector_method(self, path3_file, tmp_path, capsys):
+        # a selector file used to be dropped and a coloring schedule built
+        sel = str(tmp_path / "sel.txt")
+        assert main(["build-selector", "--n", "4", "--k", "4", "--out", sel]) == 0
+        capsys.readouterr()
+        out = tmp_path / "sched.txt"
+        for method in ([], ["--method", "coloring"]):
+            argv = ["schedule", "build", path3_file, *method, "--selector", sel, "--out", str(out)]
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert not captured.out and not out.exists()
+            assert captured.err == "error: the coloring method reads no --selector\n"
+
+    @pytest.mark.parametrize(
+        "flags, unread",
+        [(["--exact"], "--exact"), (["--maximal"], "--maximal"), (["--exact", "--maximal"], "--exact, --maximal")],
+    )
+    def test_selector_method_refuses_coloring_flags(self, path3_file, tmp_path, capsys, flags, unread):
+        sel = str(tmp_path / "sel.txt")
+        assert main(["build-selector", "--n", "4", "--k", "4", "--out", sel]) == 0
+        capsys.readouterr()
+        argv = ["schedule", "build", path3_file, "--method", "selector", "--selector", sel, *flags]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == f"error: the selector method reads no {unread}\n"
+
     def test_empty_sweep_is_parameter_error(self, tmp_path, capsys):
         assert main(["experiment", "--sweep", "0", "--out-dir", str(tmp_path / "out")]) == 3
         assert not (tmp_path / "out").exists()

@@ -3,24 +3,30 @@ admissibility check, the neighbourhood-built
 conflict graph and its validation, round resolution, the heap-ordered
 simulation kernel and its sparse record, the event-based failure
 accounting, the cyclic-window frequency check, the selector to schedule
-extraction and the packing of selector column sets against the direct
-implementations they replaced, kept here as reference oracles.
+extraction, the packing of selector column sets and the selector sample
+check against the direct implementations they replaced, kept here as
+reference oracles; and the package's trusted schedule and conflict-graph
+builders against the public constructors.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from radiosched import sim
 from radiosched.errors import ParameterError
 from radiosched.graphs import (
+    Coloring,
     ConflictGraph,
     NetworkGraph,
     build_conflict_graph,
@@ -33,11 +39,12 @@ from radiosched.graphs import (
 from radiosched.schedules import (
     FrequencyReport,
     TransmissionSchedule,
+    extend_to_maximal_independent,
     schedule_from_coloring,
     schedule_from_selector,
     verify_frequent,
 )
-from radiosched.selectors import SelectorMatrix, _pack_combos
+from radiosched.selectors import SampleCheck, SelectorMatrix, _pack_combos, poly_uss, uss_sample_check
 from radiosched.sim import (
     POLICIES,
     DeliveryRecord,
@@ -306,6 +313,21 @@ def ref_schedule_active(active, link_count):
 def ref_selector_active(sel, m):
     """Per-row flatnonzero extraction of a selector's active sets."""
     return tuple(tuple(int(z) for z in np.flatnonzero(sel.rows[r, :m])) for r in range(sel.t))
+
+
+def ref_uss_sample_check(m, k, eps, trials, seed):
+    """Sample check that counts isolating rows over the whole matrix."""
+    threshold = math.ceil(Fraction(eps) * m.t / k)
+    rng = random.Random(seed)
+    rows = m.rows
+    for _ in range(trials):
+        combo = tuple(sorted(rng.sample(range(m.n), k)))
+        a = rng.choice(combo)
+        hits = rows[:, combo].sum(axis=1)
+        count = int(((hits == 1) & (rows[:, a] == 1)).sum())
+        if count < threshold:
+            return SampleCheck(False, trials, threshold, (combo, a, count))
+    return SampleCheck(True, trials, threshold, None)
 
 
 def ref_pack_combos(combos, n):
@@ -626,6 +648,101 @@ class TestScheduleRowsMatchPerElement:
         assert outcome(lambda: schedule_from_selector(sel, g)) == want
 
 
+def assert_canonical_schedule(got: TransmissionSchedule):
+    """`got` equals the public constructor applied to its own rows, and
+    those rows are tuples of Python ints."""
+    want = TransmissionSchedule(got.active, got.link_count, got.claimed_frequency)
+    assert got == want
+    assert type(got.active) is tuple
+    assert all(type(row) is tuple and all(type(i) is int for i in row) for row in got.active)
+
+
+@st.composite
+def colorings(draw, m: int):
+    return Coloring(draw(st.lists(st.integers(0, m), min_size=m, max_size=m)))
+
+
+class TestTrustedConstructionMatchesPublic:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 8).flatmap(colorings))
+    def test_schedule_from_coloring(self, coloring):
+        got = schedule_from_coloring(coloring)
+        x = coloring.color_count
+        rows = [[link for link, c in enumerate(coloring.colors) if c == color] for color in range(x)]
+        claim = (Fraction(1, x), x) if x else None
+        assert got == TransmissionSchedule(rows, len(coloring.colors), claim)
+        assert_canonical_schedule(got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rotated(self, data):
+        g = data.draw(networks(max_nodes=8))
+        sched = data.draw(claimed_schedules(g))
+        offset = data.draw(st.integers(-20, 20))
+        got = sched.rotated(offset)
+        shift = offset % sched.period if sched.period else 0
+        rows = sched.active[shift:] + sched.active[:shift]
+        assert got == TransmissionSchedule(rows, sched.link_count, sched.claimed_frequency)
+        assert_canonical_schedule(got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_extend_to_maximal_independent(self, data):
+        g = data.draw(networks(max_nodes=8))
+        h = build_conflict_graph(g)
+        coloring = data.draw(colorings(g.link_count))
+        got = extend_to_maximal_independent(coloring, h)
+        assert_canonical_schedule(got)
+        for base, row in zip(coloring.classes(), got.active):
+            assert set(base) <= set(row)
+
+    @settings(max_examples=150, deadline=None)
+    @given(networks(max_nodes=14))
+    def test_build_conflict_graph(self, g):
+        got = build_conflict_graph(g)
+        want = ConflictGraph(got.blocks)
+        assert got == want
+        assert got.max_in_degree == want.max_in_degree
+        assert all(got.conflict_neighbors(v) == want.conflict_neighbors(v) for v in range(g.link_count))
+        assert type(got.blocks) is tuple
+        assert all(type(row) is tuple and all(type(i) is int for i in row) for row in got.blocks)
+
+    def test_refuses_bad_claims(self):
+        for claim in ((Fraction(1, 2), 0), (Fraction(0), 3), (Fraction(3, 2), 3)):
+            with pytest.raises(ParameterError) as err:
+                TransmissionSchedule._from_canonical(((0,),), 1, claim)
+            assert str(err.value) == "claimed frequency needs 0 < rho <= 1 and T >= 1"
+
+
+@st.composite
+def sample_cases(draw):
+    """A 0/1 matrix with some all-zero columns, a k anywhere in [1, n] and
+    an eps whose threshold may be out of reach."""
+    n = draw(st.integers(1, 10))
+    t = draw(st.integers(0, 16))
+    zero_cols = draw(st.sets(st.integers(0, n - 1)))
+    rows = np.array(
+        [[0 if j in zero_cols else draw(st.integers(0, 1)) for j in range(n)] for _ in range(t)],
+        dtype=np.uint8,
+    ).reshape(t, n)
+    k = draw(st.sampled_from([1, n]) | st.integers(1, n))
+    eps = draw(st.fractions(min_value=0, max_value=2, max_denominator=12))
+    return SelectorMatrix(rows), k, eps, draw(st.integers(1, 30)), draw(st.integers(0, 10**6))
+
+
+class TestSampleCheckMatchesFullMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(sample_cases())
+    def test_same_check(self, case):
+        assert uss_sample_check(*case) == ref_uss_sample_check(*case)
+
+    def test_selector_of_the_benchmark_size(self):
+        sel = poly_uss(100, 20)
+        for eps in (sel.claimed_eps, Fraction(1)):
+            case = (sel, 20, eps, 20, 5)
+            assert uss_sample_check(*case) == ref_uss_sample_check(*case)
+
+
 class TestPackCombosMatchesPerElement:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -694,6 +811,30 @@ class TestRunMatchesRescan:
         rows = tuple((e,) for e in range(m)) + ((),) * offset
         sched = TransmissionSchedule(rows, m)
         assert_metrics_equal(run(sc.g, sched, policy, sc.trace, 200), ref_run(sc.g, sched, policy, sc.trace, 200))
+
+
+class TestRunMemoMatchesRescan:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_repeated_rows(self, data):
+        # rows drawn from a pool of two, so candidate sets recur while the
+        # backlogs change under them; the radio rule runs once per distinct
+        # nonempty candidate set
+        g = data.draw(networks(max_nodes=8))
+        pool = [tuple(data.draw(st.sets(st.integers(0, g.link_count - 1)))) for _ in range(2)]
+        rows = tuple(data.draw(st.sampled_from(pool)) for _ in range(data.draw(st.integers(1, 8))))
+        sched = TransmissionSchedule(rows, g.link_count)
+        routes = data.draw(route_sets(g))
+        adv = AdversaryConfig(data.draw(rates), data.draw(st.integers(1, 5)))
+        trace = gen_leaky_bucket(g, routes, adv, data.draw(st.integers(0, 40)), data.draw(st.integers(0, 10**6)))
+        policy = data.draw(st.sampled_from(sorted(POLICIES)))
+        rounds = data.draw(st.integers(1, 60))
+        with mock.patch.object(sim, "successful_links", wraps=successful_links) as rule:
+            got = run(g, sched, policy, trace, rounds)
+        want = ref_run(g, sched, policy, trace, rounds)
+        assert_metrics_equal(got, want)
+        sets = {tuple(np.flatnonzero(col)) for col in want.attempted.T if col.any()}
+        assert rule.call_count == len(sets)
 
 
 # every window length, against a bound loose enough to hold and one no
