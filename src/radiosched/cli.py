@@ -321,22 +321,18 @@ def cmd_validate_trace(args) -> int:
     return 0 if rep.admissible else 2
 
 
-def _delivered_cum(metrics) -> np.ndarray:
-    counts = np.zeros(metrics.rounds, dtype=np.int64)
-    for d in metrics.delivered:
-        counts[d.delivered_round] += 1
-    return counts.cumsum()
-
-
 def _write_metrics_csv(metrics, path) -> None:
-    cum = _delivered_cum(metrics)
+    n = metrics.rounds
+    delivered = metrics.delivered
+    rounds_of = np.fromiter((d.delivered_round for d in delivered), np.int64, len(delivered))
+    cum = np.bincount(rounds_of, minlength=n).cumsum(dtype=np.int64)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["round", "total_backlog", "delivered_cum", "max_queue"])
-        for r in range(metrics.rounds):
-            writer.writerow(
-                [r, int(metrics.per_round_backlog[r]), int(cum[r]), int(metrics.per_round_max_queue[r])]
-            )
+        # written by column: a memoryview of an int64 array yields Python
+        # ints, with no per-row numpy read and no list per column
+        columns = (metrics.per_round_backlog, cum, metrics.per_round_max_queue)
+        writer.writerows(zip(range(n), *map(memoryview, columns)))
 
 
 def _write_round_log(metrics, path) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import FormatError, ParameterError, SizeError
@@ -133,7 +134,9 @@ class ConflictGraph:
     there is one row per link.  The constructor sorts and deduplicates each
     row and refuses out-of-range and self-blocking links.
     `build_conflict_graph` hands over rows already in that form and uses
-    `_from_canonical`, which skips that pass.
+    `_from_canonical`, which skips that pass.  `max_in_degree` is counted
+    on construction; the undirected closure that `conflict_neighbors`
+    reads is built on its first call.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -164,19 +167,21 @@ class ConflictGraph:
         return h
 
     def _index(self):
-        m = self.link_count
-        blocked_by: list[list[int]] = [[] for _ in range(m)]
+        in_degree = [0] * self.link_count
+        for out in self.blocks:
+            for v in out:
+                in_degree[v] += 1
+        object.__setattr__(self, "max_in_degree", max(in_degree, default=0))
+
+    @cached_property
+    def _undirected(self) -> tuple[frozenset[int], ...]:
+        blocked_by: list[list[int]] = [[] for _ in range(self.link_count)]
         for u, out in enumerate(self.blocks):
             for v in out:
                 blocked_by[v].append(u)
-        object.__setattr__(self, "max_in_degree", max(map(len, blocked_by), default=0))
         # a frozenset copied from a set gets a table sized to fit; one built
-        # straight from the tuple keeps the sparser table of its growth
-        object.__setattr__(
-            self,
-            "_undirected",
-            tuple(frozenset(set(out + tuple(inn))) for out, inn in zip(self.blocks, blocked_by)),
-        )
+        # straight from the rows keeps the sparser table of its growth
+        return tuple(frozenset({*out, *inn}) for out, inn in zip(self.blocks, blocked_by))
 
     @property
     def link_count(self) -> int:

@@ -11,7 +11,6 @@ packets only become selectable in the next round.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -138,6 +137,15 @@ def run(
     trace: InjectionTrace,
     rounds: int,
 ) -> RunMetrics:
+    """Simulate `rounds` rounds of `trace` on `g` under `schedule`, with
+    `policy` choosing the packet each successful link forwards.
+
+    This is the package's one simulation kernel; every command and check
+    that simulates calls it.  A round costs one pass over its schedule row,
+    and each event (an injection, a forward or a delivery) O(log queue).
+    The radio rule `successful_links` runs once per distinct candidate set
+    met in the call and is memoised for the rest of it.
+    """
     key = POLICIES.get(policy.lower())
     if key is None:
         raise ParameterError(f"unknown policy {policy!r}; choose from {sorted(POLICIES)}")
@@ -162,61 +170,54 @@ def run(
     pattern = np.zeros((m, span), dtype=bool)
     for r in range(span):
         pattern[list(schedule.active[r]), r] = True
+    # an empty schedule activates no link in any round
+    rows = schedule.active or ((),)
+    period = len(rows)
     # (link, start, end) of every closed backlogged stretch, and
     # link * rounds + round of every success
     stretches = array("q")
     events = array("q")
-    per_round_backlog = np.zeros(rounds, dtype=np.int64)
-    per_round_max_queue = np.zeros(rounds, dtype=np.int64)
+    backlog_series = array("q", [0]) * rounds
+    max_queue_series = array("q", [0]) * rounds
     delivered: list[DeliveryRecord] = []
     queued = 0
     arrivals = 0
     # Incremental view of the queues, so a round costs O(activity), not
     # O(links): since[e] is the first round of link e's current backlogged
     # stretch (present iff its queue is nonempty), length_count[n] is the
-    # number of queues of length n >= 1, and longest is the largest n.
+    # number of queues of length n >= 1 (the list grows by one slot when a
+    # queue first reaches a new length), and longest is the largest n with
+    # length_count[n] > 0, or 0.  Pushes and pops update all three inline.
     since: dict[int, int] = {}
-    length_count: Counter[int] = Counter()
+    length_count = [0]
     longest = 0
     # winners of each candidate set met so far; schedule rows are sorted, so
     # equal sets give equal tuples
     resolved: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def push(pkt: Packet, hops: int, start: int) -> None:
-        nonlocal longest, arrivals
-        e = pkt.route[hops]
-        q = queues[e]
-        n = len(q)
-        heappush(q, (key(pkt, hops), pkt.id, arrivals, hops, pkt))
-        arrivals += 1
-        if n:
-            length_count[n] -= 1
-        else:
-            since[e] = start
-        length_count[n + 1] += 1
-        if n + 1 > longest:
-            longest = n + 1
-
-    def pop(e: int, r: int) -> tuple:
-        nonlocal longest
-        q = queues[e]
-        n = len(q)
-        entry = heappop(q)
-        length_count[n] -= 1
-        if n > 1:
-            length_count[n - 1] += 1
-        else:
-            stretches.extend((e, since.pop(e), r + 1))
-        if n == longest and not length_count[n]:
-            longest -= 1  # the queue just popped now has length n - 1
-        return entry
-
     for r in range(rounds):
-        for pkt in by_round.get(r, ()):
-            push(pkt, 0, r)
-            queued += 1
+        injected = by_round.get(r)
+        if injected:
+            for pkt in injected:
+                e = pkt.route[0]
+                q = queues[e]
+                n = len(q)
+                heappush(q, (key(pkt, 0), pkt.id, arrivals, 0, pkt))
+                arrivals += 1
+                if n:
+                    length_count[n] -= 1
+                else:
+                    since[e] = r
+                n += 1
+                if n == len(length_count):
+                    length_count.append(1)
+                else:
+                    length_count[n] += 1
+                if n > longest:
+                    longest = n
+            queued += len(injected)
 
-        candidates = tuple([e for e in schedule.active_at(r) if queues[e]])
+        candidates = tuple([e for e in rows[r % period] if queues[e]])
         if candidates:
             winners = resolved.get(candidates)
             if winners is None:
@@ -225,16 +226,41 @@ def run(
             # never joins the queue of a later winner
             for e in winners:
                 events.append(e * rounds + r)
-                _, pid, _, hops, pkt = pop(e, r)
+                q = queues[e]
+                n = len(q)
+                _, pid, _, hops, pkt = heappop(q)
+                length_count[n] -= 1
+                if n > 1:
+                    length_count[n - 1] += 1
+                else:
+                    stretches.extend((e, since.pop(e), r + 1))
+                if n == longest and not length_count[n]:
+                    longest -= 1  # the queue just popped now has length n - 1
                 hops += 1
-                if hops == len(pkt.route):
+                route = pkt.route
+                if hops == len(route):
                     delivered.append(DeliveryRecord(pid, pkt.injection_round, r))
                     queued -= 1
+                    continue
+                # a forwarded packet waits at its next link from round r + 1
+                nxt = route[hops]
+                q = queues[nxt]
+                n = len(q)
+                heappush(q, (key(pkt, hops), pid, arrivals, hops, pkt))
+                arrivals += 1
+                if n:
+                    length_count[n] -= 1
                 else:
-                    # a forwarded packet waits from the next round on
-                    push(pkt, hops, r + 1)
-        per_round_backlog[r] = queued
-        per_round_max_queue[r] = longest
+                    since[nxt] = r + 1
+                n += 1
+                if n == len(length_count):
+                    length_count.append(1)
+                else:
+                    length_count[n] += 1
+                if n > longest:
+                    longest = n
+        backlog_series[r] = queued
+        max_queue_series[r] = longest
     for e, start in since.items():
         if start < rounds:  # a packet forwarded in the last round waits past the run
             stretches.extend((e, start, rounds))
@@ -245,8 +271,9 @@ def run(
         pattern=pattern,
         stretches=spans[np.argsort(spans[:, 0] * rounds + spans[:, 1])],
         success_events=np.sort(np.frombuffer(events, dtype=np.int64)),
-        per_round_backlog=per_round_backlog,
-        per_round_max_queue=per_round_max_queue,
+        # views of the two buffers: no copy
+        per_round_backlog=np.frombuffer(backlog_series, dtype=np.int64),
+        per_round_max_queue=np.frombuffer(max_queue_series, dtype=np.int64),
         delivered=tuple(delivered),
         undelivered_count=len(trace) - len(delivered),
         final_queues=tuple(tuple(entry[1] for entry in sorted(q, key=itemgetter(2))) for q in queues),

@@ -21,16 +21,17 @@ from .graphs import NetworkGraph, clique_graph, from_undirected_edges
 from .selectors import parse_count
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
-    """One packet with a fixed route of link indices."""
+    """One packet with a fixed route of link indices.  Slotted: the
+    generators build one per injection, and a packet holds no `__dict__`."""
 
     id: int
     injection_round: int
     route: tuple[int, ...]
 
     def __post_init__(self):
-        self.route = tuple(int(i) for i in self.route)
+        self.route = tuple(map(int, self.route))
         if not self.route:
             raise ParameterError(f"packet {self.id}: empty route")
         if min(self.route) < 0:

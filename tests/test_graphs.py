@@ -68,6 +68,9 @@ class TestConflictGraph:
         assert g.link_count == 4
         in_degrees = sorted(sum(v in out for out in h.blocks) for v in range(4))
         assert in_degrees == [2, 2, 3, 3]
+        assert h.max_in_degree == 3
+        # the undirected closure is built on the first neighbour query
+        assert "_undirected" not in vars(h)
         # every pair conflicts in at least one direction
         for u, v in itertools.combinations(range(4), 2):
             assert v in h.conflict_neighbors(u)

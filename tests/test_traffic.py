@@ -5,6 +5,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,10 +167,21 @@ class TestTraceInvariants:
             InjectionTrace(((2, Packet(0, 3, (0,))),), 5)
 
     def test_packet_validation(self):
-        with pytest.raises(ParameterError, match="empty route"):
-            Packet(0, 0, ())
-        with pytest.raises(ParameterError, match="negative link -1"):
-            Packet(0, 0, (0, -1))
+        refusals = [
+            ((4, 0, ()), "packet 4: empty route"),
+            ((4, 0, (1, -2, -3)), "packet 4: negative link -3"),
+            ((4, -1, (0,)), "packet 4: negative injection round"),
+        ]
+        for args, message in refusals:
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                Packet(*args)
+
+    def test_packet_route_is_int_tuple_and_slotted(self):
+        pkt = Packet(3, 5, [np.int64(2), np.int64(0)])
+        assert type(pkt.route) is tuple and pkt.route == (2, 0)
+        assert all(type(i) is int for i in pkt.route)
+        with pytest.raises(AttributeError):
+            pkt.hops = 1
 
     def test_check_routes(self):
         g = path_graph(3)  # links: 0->1, 1->0, 1->2, 2->1
