@@ -13,43 +13,39 @@ from typing import NamedTuple
 
 from .errors import ParameterError
 
-THRESHOLD_FORMS = ("direct", "poly", "random")
+
+def uss_threshold(delta: int, eps: Fraction) -> Fraction:
+    """Injection-rate threshold eps / (delta + 1) guaranteed by a selector
+    schedule of strength eps, for a conflict graph with max in-degree
+    `delta`."""
+    d1 = _delta_plus_one(delta)
+    eps = Fraction(eps)
+    if not 0 < eps <= 1:
+        raise ParameterError("eps must lie in (0, 1]")
+    return eps / d1
 
 
-def uss_threshold(
-    delta: int,
-    eps: Fraction | None = None,
-    form: str = "direct",
-    m: int | None = None,
-) -> Fraction:
-    """Injection-rate threshold guaranteed by a selector schedule, for a
-    conflict graph with max in-degree `delta`.
+def poly_uss_threshold(delta: int, m: int) -> Fraction:
+    """`uss_threshold` at the polynomial construction's generic strength
+    1 / (4 log_{delta+1} m), for m links."""
+    d1 = _delta_plus_one(delta)
+    if m < 2:
+        raise ParameterError("poly threshold needs a link count m >= 2")
+    if d1 < 2:
+        raise ParameterError("poly threshold needs delta >= 1")
+    log_ratio = Fraction(math.log(m) / math.log(d1))
+    return 1 / (4 * d1 * log_ratio)
 
-    direct needs the selector's strength eps; poly needs the link count m
-    and uses the polynomial construction's generic strength
-    1 / (4 log_{delta+1} m); random uses the sampled construction's
-    strength floor 1/e.
-    """
+
+def random_uss_threshold(delta: int) -> Fraction:
+    """`uss_threshold` at the sampled construction's strength floor 1/e."""
+    return 1 / (Fraction(math.e) * _delta_plus_one(delta))
+
+
+def _delta_plus_one(delta: int) -> int:
     if delta < 0:
         raise ParameterError("conflict degree must be non-negative")
-    d1 = delta + 1
-    if form == "direct":
-        if eps is None:
-            raise ParameterError("direct form needs eps")
-        eps = Fraction(eps)
-        if not 0 < eps <= 1:
-            raise ParameterError("eps must lie in (0, 1]")
-        return eps / d1
-    if form == "poly":
-        if m is None or m < 2:
-            raise ParameterError("poly form needs a link count m >= 2")
-        if d1 < 2:
-            raise ParameterError("poly form needs delta >= 1")
-        log_ratio = Fraction(math.log(m) / math.log(d1))
-        return 1 / (4 * d1 * log_ratio)
-    if form == "random":
-        return 1 / (Fraction(math.e) * d1)
-    raise ParameterError(f"unknown form {form!r}; choose from {THRESHOLD_FORMS}")
+    return delta + 1
 
 
 def coloring_threshold(chi: int) -> Fraction:

@@ -18,9 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (
-    THRESHOLD_FORMS,
     coloring_threshold,
     latency_bound,
+    poly_uss_threshold,
+    random_uss_threshold,
     uss_threshold,
 )
 from .errors import ConstructionError, FormatError, ParameterError
@@ -105,13 +106,6 @@ def emit(record: dict, fmt: str, stream=None) -> None:
             print(f"{k}: {v}", file=stream)
 
 
-def _refuse_unread(reader: str, **flags) -> None:
-    """Refuse the given flags (value not None or False) that `reader` does not read."""
-    given = [f"--{name}" for name, value in flags.items() if value is not None and value is not False]
-    if given:
-        raise ParameterError(f"{reader} reads no {', '.join(given)}")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -136,14 +130,16 @@ def cmd_conflict_graph(args) -> int:
     return 0
 
 
-def cmd_build_selector(args) -> int:
-    if args.method == "poly":
-        sel = poly_uss(args.n, args.k)
-    else:
-        if args.eps is None:
-            raise ParameterError("random construction needs --eps")
-        sel = random_uss(args.n, args.k, parse_fraction(args.eps), seed=args.seed)
-    if args.out:
+def cmd_build_poly_selector(args) -> int:
+    return _report_selector(poly_uss(args.n, args.k), args)
+
+
+def cmd_build_random_selector(args) -> int:
+    return _report_selector(random_uss(args.n, args.k, parse_fraction(args.eps), seed=args.seed), args)
+
+
+def _report_selector(sel, args) -> int:
+    if args.out is not None:
         write_selector(sel, args.out)
     emit(
         {
@@ -163,7 +159,7 @@ def cmd_verify_selector(args) -> int:
     k = args.k if args.k is not None else sel.claimed_k
     if k is None:
         raise ParameterError("no stored k; pass --k")
-    target = parse_fraction(args.eps) if args.eps else sel.claimed_eps
+    target = parse_fraction(args.eps) if args.eps is not None else sel.claimed_eps
     if target is None:
         raise ParameterError("no stored eps; pass --eps")
     if not 0 <= target <= 1:
@@ -188,23 +184,23 @@ def cmd_verify_selector(args) -> int:
     return 0 if ok else 2
 
 
-def cmd_schedule_build(args) -> int:
-    g = read_graph(args.graph)
-    if args.method == "coloring":
-        _refuse_unread("the coloring method", selector=args.selector)
-        h = build_conflict_graph(g)
-        coloring = exact_chromatic(h) if args.exact else greedy_coloring(h)
-        if args.maximal:
-            sched = extend_to_maximal_independent(coloring, h)
-        else:
-            sched = schedule_from_coloring(coloring)
+def cmd_schedule_coloring(args) -> int:
+    h = build_conflict_graph(read_graph(args.graph))
+    coloring = exact_chromatic(h) if args.exact else greedy_coloring(h)
+    if args.maximal:
+        sched = extend_to_maximal_independent(coloring, h)
     else:
-        _refuse_unread("the selector method", exact=args.exact, maximal=args.maximal)
-        if not args.selector:
-            raise ParameterError("selector method needs --selector FILE")
-        sel = read_selector(args.selector)
-        sched = schedule_from_selector(sel, g)
-    if args.out:
+        sched = schedule_from_coloring(coloring)
+    return _report_schedule(sched, "coloring", args)
+
+
+def cmd_schedule_selector(args) -> int:
+    sched = schedule_from_selector(read_selector(args.selector), read_graph(args.graph))
+    return _report_schedule(sched, "selector", args)
+
+
+def _report_schedule(sched, provenance: str, args) -> int:
+    if args.out is not None:
         write_schedule(sched, args.out)
     rho, period = sched.claimed_frequency or (Fraction(0), 0)
     emit(
@@ -213,7 +209,7 @@ def cmd_schedule_build(args) -> int:
             "links": sched.link_count,
             "rho": rho,
             "window": period,
-            "provenance": args.method,
+            "provenance": provenance,
         },
         args.format,
     )
@@ -243,9 +239,6 @@ def cmd_schedule_verify(args) -> int:
 def cmd_scenario_clique(args) -> int:
     sc = gen_clique_scenario(args.nodes, parse_fraction(args.epsilon), args.horizon)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_graph(sc.g, out / "graph.txt")
-    write_trace(sc.trace, out / "trace.txt")
     record = {
         "nodes": args.nodes,
         "links": sc.g.link_count,
@@ -254,8 +247,11 @@ def cmd_scenario_clique(args) -> int:
         "injections": len(sc.trace),
         "out_dir": str(out),
     }
-    if args.predict_rounds:
+    if args.predict_rounds is not None:
         record["predicted_backlog"] = sc.predicted_backlog(args.predict_rounds)
+    out.mkdir(parents=True, exist_ok=True)
+    write_graph(sc.g, out / "graph.txt")
+    write_trace(sc.trace, out / "trace.txt")
     emit(record, args.format)
     return 0
 
@@ -351,12 +347,19 @@ def _write_round_log(metrics, path) -> None:
 
 
 def cmd_simulate(args) -> int:
+    # --rho asks for the trace check and --rho-prime for failure accounting
+    # against its adversary; --burst and --fail-window tune those checks
+    if args.burst is not None and args.rho is None:
+        raise ParameterError("--burst needs --rho")
+    if args.rho_prime is not None and args.rho is None:
+        raise ParameterError("--rho-prime needs --rho")
+    if args.fail_window is not None and args.rho_prime is None:
+        raise ParameterError("--fail-window needs --rho-prime")
     g = read_graph(args.graph)
     sched = read_schedule(args.schedule)
     tr = read_trace(args.trace)
-    adv = None
     if args.rho is not None:
-        adv = AdversaryConfig(parse_fraction(args.rho), args.burst)
+        adv = AdversaryConfig(parse_fraction(args.rho), 1 if args.burst is None else args.burst)
         rep = validate_trace(tr, adv, link_count=g.link_count)
         if not rep.admissible:
             emit(_admissibility_record(rep, adv), args.format, stream=sys.stderr)
@@ -377,9 +380,7 @@ def cmd_simulate(args) -> int:
         record["stable"] = verdict.stable
     code = 0
     if args.rho_prime is not None:
-        if adv is None:
-            raise ParameterError("failure accounting needs --rho and --burst")
-        window = args.fail_window if args.fail_window else sched.period
+        window = sched.period if args.fail_window is None else args.fail_window
         frep = failure_accounting(metrics, adv, parse_fraction(args.rho_prime), window)
         record.update(
             {
@@ -400,31 +401,36 @@ def cmd_simulate(args) -> int:
             )
             code = 2
     emit(record, args.format)
-    if args.metrics:
+    if args.metrics is not None:
         _write_metrics_csv(metrics, args.metrics)
-    if args.log:
+    if args.log is not None:
         _write_round_log(metrics, args.log)
     return code
 
 
-def cmd_bounds_threshold(args) -> int:
-    if args.chi is not None:
-        _refuse_unread("--chi", form=args.form, eps=args.eps, links=args.links)
-        emit({"kind": "coloring", "chi": args.chi, "threshold": coloring_threshold(args.chi)}, args.format)
-        return 0
-    form = args.form or "direct"
-    _refuse_unread(
-        f"the {form} form",
-        eps=args.eps if form != "direct" else None,
-        links=args.links if form != "poly" else None,
-    )
-    eps = parse_fraction(args.eps) if args.eps else None
-    value = uss_threshold(args.delta, eps=eps, form=form, m=args.links)
+def cmd_threshold_coloring(args) -> int:
+    emit({"kind": "coloring", "chi": args.chi, "threshold": coloring_threshold(args.chi)}, args.format)
+    return 0
+
+
+def cmd_threshold_direct(args) -> int:
+    return _report_uss_threshold(uss_threshold(args.delta, parse_fraction(args.eps)), args)
+
+
+def cmd_threshold_poly(args) -> int:
+    return _report_uss_threshold(poly_uss_threshold(args.delta, args.links), args)
+
+
+def cmd_threshold_random(args) -> int:
+    return _report_uss_threshold(random_uss_threshold(args.delta), args)
+
+
+def _report_uss_threshold(value, args) -> int:
     emit(
         {
             "kind": "selector",
             "delta": args.delta,
-            "form": form,
+            "form": args.form,
             "threshold": value,
             "approx": float(value),
         },
@@ -523,71 +529,66 @@ def cmd_experiment(args) -> int:
 # parser wiring
 
 
-def _add_format(p) -> None:
+def _leaf(sub, name: str, func, help=None) -> _Parser:
+    """A runnable subcommand: its handler and the --format every report takes."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--format", choices=FORMATS, default="text")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="radiosched", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("conflict-graph", help="conflict structure and degree bound of a network")
+    p = _leaf(sub, "conflict-graph", cmd_conflict_graph, "conflict structure and degree bound of a network")
     p.add_argument("graph")
-    _add_format(p)
-    p.set_defaults(func=cmd_conflict_graph)
 
     p = sub.add_parser("build-selector", help="construct a strong selector family")
-    p.add_argument("--method", choices=("poly", "random"), default="poly")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", help="target strength p/q for the random method")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write the selector to this file")
-    _add_format(p)
-    p.set_defaults(func=cmd_build_selector)
+    msub = p.add_subparsers(dest="method", required=True)
+    poly = _leaf(msub, "poly", cmd_build_poly_selector, "Kautz-Singleton polynomial construction")
+    rnd = _leaf(msub, "random", cmd_build_random_selector, "sampled construction, redrawn until it verifies")
+    for m in (poly, rnd):
+        m.add_argument("--n", type=int, required=True)
+        m.add_argument("--k", type=int, required=True)
+        m.add_argument("--out", help="write the selector to this file")
+    rnd.add_argument("--eps", required=True, help="target strength p/q")
+    rnd.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("verify-selector", help="check a selector file against its claims")
+    p = _leaf(sub, "verify-selector", cmd_verify_selector, "check a selector file against its claims")
     p.add_argument("selector")
     p.add_argument("--k", type=int)
     p.add_argument("--eps", help="target strength p/q; default: stored claim")
-    _add_format(p)
-    p.set_defaults(func=cmd_verify_selector)
 
     p = sub.add_parser("schedule", help="build or verify transmission schedules")
     ssub = p.add_subparsers(dest="schedule_command", required=True)
-    b = ssub.add_parser("build")
-    b.add_argument("graph")
-    b.add_argument("--method", choices=("coloring", "selector"), default="coloring")
-    b.add_argument("--exact", action="store_true", help="exact chromatic number (small graphs)")
-    b.add_argument("--maximal", action="store_true", help="extend color classes to maximal independent sets")
-    b.add_argument("--selector", help="selector file for the selector method")
-    b.add_argument("--out", help="write the schedule to this file")
-    _add_format(b)
-    b.set_defaults(func=cmd_schedule_build)
-    v = ssub.add_parser("verify")
+    c = _leaf(ssub, "coloring", cmd_schedule_coloring, "one round per color of a conflict-graph coloring")
+    c.add_argument("graph")
+    c.add_argument("--exact", action="store_true", help="exact chromatic number (small graphs)")
+    c.add_argument("--maximal", action="store_true", help="extend color classes to maximal independent sets")
+    s = _leaf(ssub, "selector", cmd_schedule_selector, "selector rows; k must exceed the conflict in-degree")
+    s.add_argument("graph")
+    s.add_argument("selector")
+    for b in (c, s):
+        b.add_argument("--out", help="write the schedule to this file")
+    v = _leaf(ssub, "verify", cmd_schedule_verify)
     v.add_argument("graph")
     v.add_argument("schedule")
-    _add_format(v)
-    v.set_defaults(func=cmd_schedule_verify)
 
     p = sub.add_parser("scenario", help="generate benchmark scenarios")
     scsub = p.add_subparsers(dest="scenario_command", required=True)
-    c = scsub.add_parser("clique")
+    c = _leaf(scsub, "clique", cmd_scenario_clique)
     c.add_argument("--nodes", type=int, required=True)
     c.add_argument("--epsilon", required=True, help="rate excess p/q above 1/chi")
     c.add_argument("--horizon", type=int, required=True)
     c.add_argument("--out-dir", required=True)
     c.add_argument("--predict-rounds", type=int, help="report the backlog floor after this many rounds")
-    _add_format(c)
-    c.set_defaults(func=cmd_scenario_clique)
-    t = scsub.add_parser("tree-family")
+    t = _leaf(scsub, "tree-family", cmd_scenario_tree_family)
     t.add_argument("--delta", type=int, required=True)
     t.add_argument("--rho", required=True, help="injection rate p/q on shared links")
     t.add_argument("--horizon", type=int, required=True)
     t.add_argument("--out-dir", required=True)
-    _add_format(t)
-    t.set_defaults(func=cmd_scenario_tree_family)
-    lb = scsub.add_parser("leaky-bucket")
+    lb = _leaf(scsub, "leaky-bucket", cmd_scenario_leaky_bucket)
     lb.add_argument("graph")
     lb.add_argument("--rho", required=True)
     lb.add_argument("--burst", type=int, default=1)
@@ -597,53 +598,47 @@ def build_parser() -> _Parser:
     lb.add_argument("--seed", type=int, default=0)
     lb.add_argument("--intensity", type=float, default=0.9)
     lb.add_argument("--out", required=True)
-    _add_format(lb)
-    lb.set_defaults(func=cmd_scenario_leaky_bucket)
 
-    p = sub.add_parser("validate-trace", help="check a trace against a rate and burst budget")
+    p = _leaf(sub, "validate-trace", cmd_validate_trace, "check a trace against a rate and burst budget")
     p.add_argument("trace")
     p.add_argument("--rho", required=True)
     p.add_argument("--burst", type=int, required=True)
     p.add_argument("--links", type=int, help="link count; default: inferred from routes")
-    _add_format(p)
-    p.set_defaults(func=cmd_validate_trace)
 
-    p = sub.add_parser("simulate", help="run a schedule and policy against a trace")
+    p = _leaf(sub, "simulate", cmd_simulate, "run a schedule and policy against a trace")
     p.add_argument("graph")
     p.add_argument("schedule")
     p.add_argument("trace")
     p.add_argument("--policy", choices=sorted(POLICIES), default="lis")
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--rho", help="declared adversary rate; trace is validated first")
-    p.add_argument("--burst", type=int, default=1)
+    p.add_argument("--burst", type=int, help="burst allowance beside --rho; default: 1")
     p.add_argument("--rho-prime", help="service rate for failure accounting")
     p.add_argument("--fail-window", type=int, help="window for failure accounting; default: period")
     p.add_argument("--metrics", help="write per-round CSV here")
     p.add_argument("--log", help="write per-round link activity here")
-    _add_format(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bounds", help="closed-form thresholds and latency bounds")
     bsub = p.add_subparsers(dest="bounds_command", required=True)
-    th = bsub.add_parser("threshold")
-    kind = th.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--chi", type=int, help="coloring threshold 1/chi")
-    kind.add_argument("--delta", type=int, help="conflict in-degree for selector thresholds")
-    th.add_argument("--form", choices=THRESHOLD_FORMS, help="selector threshold form (default: direct)")
-    th.add_argument("--eps", help="selector strength p/q for the direct form")
-    th.add_argument("--links", type=int, help="link count for the poly form")
-    _add_format(th)
-    th.set_defaults(func=cmd_bounds_threshold)
-    lt = bsub.add_parser("latency")
+    th = bsub.add_parser("threshold", help="injection-rate threshold of a schedule")
+    tsub = th.add_subparsers(dest="form", required=True)
+    c = _leaf(tsub, "coloring", cmd_threshold_coloring, "1/chi for a schedule of chi colors")
+    c.add_argument("--chi", type=int, required=True)
+    direct = _leaf(tsub, "direct", cmd_threshold_direct, "eps/(delta+1) for a selector of strength eps")
+    direct.add_argument("--eps", required=True, help="selector strength p/q")
+    poly = _leaf(tsub, "poly", cmd_threshold_poly, "direct, at the poly construction's strength for m links")
+    poly.add_argument("--links", type=int, required=True, help="link count m")
+    rnd = _leaf(tsub, "random", cmd_threshold_random, "direct, at the random construction's strength 1/e")
+    for f in (direct, poly, rnd):
+        f.add_argument("--delta", type=int, required=True, help="conflict in-degree")
+    lt = _leaf(bsub, "latency", cmd_bounds_latency)
     lt.add_argument("--rho", required=True)
     lt.add_argument("--rho-prime", required=True)
     lt.add_argument("--window", type=int, required=True)
     lt.add_argument("--burst", type=int, required=True)
     lt.add_argument("--nesting", type=int, required=True)
-    _add_format(lt)
-    lt.set_defaults(func=cmd_bounds_latency)
 
-    p = sub.add_parser("experiment", help="seeded sweep: network, trace, schedule, all policies")
+    p = _leaf(sub, "experiment", cmd_experiment, "seeded sweep: network, trace, schedule, all policies")
     p.add_argument("--out-dir", default="experiments")
     p.add_argument("--sweep", type=int, default=1, help="number of seeds")
     p.add_argument("--nodes", type=int, default=8)
@@ -655,8 +650,6 @@ def build_parser() -> _Parser:
     p.add_argument("--horizon", type=int, default=2000)
     p.add_argument("--rounds", type=int, default=2000)
     p.add_argument("--intensity", type=float, default=0.9)
-    _add_format(p)
-    p.set_defaults(func=cmd_experiment)
 
     return parser
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from radiosched.bounds import coloring_threshold, latency_bound, uss_threshold
+from radiosched.bounds import coloring_threshold, latency_bound, random_uss_threshold
 from radiosched.graphs import (
     build_conflict_graph,
     clique_graph,
@@ -238,7 +238,7 @@ def test_criterion_8_threshold_ratio():
         chi = exact_chromatic(h).color_count
         delta = h.max_in_degree
         assert chi == delta + 1
-        ratio = coloring_threshold(chi) / uss_threshold(delta, form="random")
+        ratio = coloring_threshold(chi) / random_uss_threshold(delta)
         ok = ok and ratio == Fraction(math.e) * (delta + 1) / chi
         ok = ok and abs(float(ratio) - math.e) < 1e-9
         details.append(f"chi={chi}:{float(ratio):.9f}")

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from radiosched import selectors
+from radiosched import cli, selectors
 from radiosched.cli import build_parser, main
 from radiosched.graphs import path_graph, random_network, write_graph
 from radiosched.schedules import read_schedule
+from test_formats import leaf_commands
 
 
 @pytest.fixture
@@ -43,7 +44,7 @@ class TestReports:
         assert rec["degree"] == 2 and rec["bound"] == 5
 
     def test_bounds_threshold(self, capsys):
-        assert main(["bounds", "threshold", "--chi", "4"]) == 0
+        assert main(["bounds", "threshold", "coloring", "--chi", "4"]) == 0
         assert parse_text(capsys.readouterr().out)["threshold"] == "1/4"
 
     def test_bounds_latency(self, capsys):
@@ -60,7 +61,7 @@ class TestReports:
 class TestScheduleFlow:
     def test_color_then_verify(self, path3_file, tmp_path, capsys):
         sched = str(tmp_path / "sched.txt")
-        assert main(["schedule", "build", path3_file, "--exact", "--out", sched]) == 0
+        assert main(["schedule", "coloring", path3_file, "--exact", "--out", sched]) == 0
         fields = parse_text(capsys.readouterr().out)
         assert fields["period"] == "4" and fields["rho"] == "1/4"
         assert main(["schedule", "verify", path3_file, sched]) == 0
@@ -68,10 +69,10 @@ class TestScheduleFlow:
 
     def test_selector_build_and_schedule(self, path3_file, tmp_path, capsys):
         sel = str(tmp_path / "sel.txt")
-        assert main(["build-selector", "--n", "4", "--k", "4", "--out", sel]) == 0
+        assert main(["build-selector", "poly", "--n", "4", "--k", "4", "--out", sel]) == 0
         capsys.readouterr()
         sched = str(tmp_path / "sched.txt")
-        argv = ["schedule", "build", path3_file, "--method", "selector", "--selector", sel, "--out", sched]
+        argv = ["schedule", "selector", path3_file, sel, "--out", sched]
         assert main(argv) == 0
         assert parse_text(capsys.readouterr().out)["provenance"] == "selector"
         assert main(["schedule", "verify", path3_file, sched]) == 0
@@ -80,15 +81,15 @@ class TestScheduleFlow:
         g_file = tmp_path / "net.txt"
         write_graph(random_network(6, 7, seed=2), g_file)
         plain, padded = tmp_path / "plain.sched", tmp_path / "padded.sched"
-        assert main(["schedule", "build", str(g_file), "--exact", "--out", str(plain)]) == 0
-        assert main(["schedule", "build", str(g_file), "--exact", "--maximal", "--out", str(padded)]) == 0
+        assert main(["schedule", "coloring", str(g_file), "--exact", "--out", str(plain)]) == 0
+        assert main(["schedule", "coloring", str(g_file), "--exact", "--maximal", "--out", str(padded)]) == 0
         a, b = read_schedule(plain), read_schedule(padded)
         assert a.period == b.period == 12 and a.claimed_frequency == b.claimed_frequency
         assert all(set(x) <= set(y) for x, y in zip(a.active, b.active))
         assert sum(map(len, a.active)) < sum(map(len, b.active))
         capsys.readouterr()
         # without --out the record is printed and no file is written
-        argv = ["schedule", "build", str(g_file), "--exact", "--maximal", "--format", "json-lines"]
+        argv = ["schedule", "coloring", str(g_file), "--exact", "--maximal", "--format", "json-lines"]
         assert main(argv) == 0
         rec = json.loads(capsys.readouterr().out)
         assert (rec["period"], rec["rho"], rec["window"]) == (12, "1/12", 12)
@@ -104,7 +105,7 @@ SAMPLED = ("40", "8")
 class TestSelectorVerification:
     def test_verify_roundtrip(self, tmp_path, capsys):
         sel = str(tmp_path / "sel.txt")
-        assert main(["build-selector", "--n", "16", "--k", "4", "--out", sel]) == 0
+        assert main(["build-selector", "poly", "--n", "16", "--k", "4", "--out", sel]) == 0
         capsys.readouterr()
         assert main(["verify-selector", sel]) == 0
         fields = parse_text(capsys.readouterr().out)
@@ -112,7 +113,7 @@ class TestSelectorVerification:
 
     def test_overstated_claim_fails(self, tmp_path, capsys):
         sel_path = tmp_path / "sel.txt"
-        assert main(["build-selector", "--n", "8", "--k", "2", "--out", str(sel_path)]) == 0
+        assert main(["build-selector", "poly", "--n", "8", "--k", "2", "--out", str(sel_path)]) == 0
         lines = sel_path.read_text().splitlines()
         head = lines[0].rsplit(" ", 1)[0]
         lines[0] = head + " eps=99/100"
@@ -121,7 +122,7 @@ class TestSelectorVerification:
 
     def test_sample_mode(self, tmp_path, capsys):
         sel = str(tmp_path / "sel.txt")
-        assert main(["build-selector", "--n", "40", "--k", "8", "--out", sel]) == 0
+        assert main(["build-selector", "poly", "--n", "40", "--k", "8", "--out", sel]) == 0
         capsys.readouterr()
         assert main(["verify-selector", sel]) == 0
         fields = parse_text(capsys.readouterr().out)
@@ -134,14 +135,14 @@ class TestSelectorVerification:
     def test_target_outside_unit_interval_is_parameter_error(self, tmp_path, capsys, eps, mode):
         n, k = mode
         sel = str(tmp_path / "sel.txt")
-        assert main(["build-selector", "--n", n, "--k", k, "--out", sel]) == 0
+        assert main(["build-selector", "poly", "--n", n, "--k", k, "--out", sel]) == 0
         assert main(["verify-selector", sel, f"--eps={eps}"]) == 3
 
     @pytest.mark.parametrize("mode", [EXHAUSTIVE, SAMPLED])
     def test_k_outside_columns_is_parameter_error(self, tmp_path, capsys, mode):
         n, k = mode
         sel = str(tmp_path / "sel.txt")
-        assert main(["build-selector", "--n", n, "--k", k, "--out", sel]) == 0
+        assert main(["build-selector", "poly", "--n", n, "--k", k, "--out", sel]) == 0
         capsys.readouterr()
         for bad in ("-1", str(int(n) + 1)):
             assert main(["verify-selector", sel, f"--k={bad}"]) == 3
@@ -150,7 +151,7 @@ class TestSelectorVerification:
     def test_failed_construction_is_parameter_error(self, monkeypatch, capsys):
         never = selectors.MinCountResult(0, Fraction(0), ((0, 1), 0))
         monkeypatch.setattr(selectors, "uss_min_count", lambda *a, **k: never)
-        argv = ["build-selector", "--method", "random", "--n", "8", "--k", "2", "--eps", "1/4"]
+        argv = ["build-selector", "random", "--n", "8", "--k", "2", "--eps", "1/4"]
         assert main(argv) == 3
         assert "error: no verified matrix within 64 draws" in capsys.readouterr().err
 
@@ -177,6 +178,17 @@ class TestScenariosAndTraces:
         assert fields["admissible"] == "False"
         assert "witness_link" in fields
 
+    def test_zero_predict_rounds_is_parameter_error(self, tmp_path, capsys):
+        # 0 used to be taken for "no prediction" and the command exited 0
+        argv = [
+            "scenario", "clique", "--nodes", "3", "--epsilon", "1/32",
+            "--horizon", "120", "--out-dir", str(tmp_path / "out"), "--predict-rounds", "0",
+        ]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert not captured.out and not (tmp_path / "out").exists()
+        assert captured.err == "error: rounds must be a positive multiple of chi\n"
+
     def test_tree_family_files(self, tmp_path, capsys):
         out = tmp_path / "trees"
         argv = [
@@ -201,7 +213,7 @@ class TestSimulate:
     def prepared(self, tmp_path, path3_file):
         sched = str(tmp_path / "sched.txt")
         trace = str(tmp_path / "trace.txt")
-        assert main(["schedule", "build", path3_file, "--out", sched]) == 0
+        assert main(["schedule", "coloring", path3_file, "--out", sched]) == 0
         argv = [
             "scenario", "leaky-bucket", path3_file, "--rho", "3/16", "--burst", "2",
             "--routes", "2", "--max-hops", "2", "--horizon", "200", "--out", trace,
@@ -231,6 +243,47 @@ class TestSimulate:
         assert first.startswith("round 0 scheduled ")
         assert " successful " in first and " collided " in first
 
+    def test_zero_fail_window_is_parameter_error(self, path3_file, tmp_path, capsys):
+        # 0 used to be replaced by the schedule period
+        sched, trace = self.prepared(tmp_path, path3_file)
+        capsys.readouterr()
+        argv = [
+            "simulate", path3_file, sched, trace, "--rounds", "40",
+            "--rho", "3/16", "--burst", "2", "--rho-prime", "1/4", "--fail-window", "0",
+        ]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == "error: window must be positive\n"
+
+    @pytest.mark.parametrize(
+        "flags, needs",
+        [
+            (["--burst", "2"], "--burst needs --rho"),
+            (["--rho-prime", "1/4"], "--rho-prime needs --rho"),
+            (["--fail-window", "4"], "--fail-window needs --rho-prime"),
+            (["--rho", "3/16", "--burst", "2", "--fail-window", "4"], "--fail-window needs --rho-prime"),
+        ],
+    )
+    def test_refuses_flags_it_would_drop(self, path3_file, tmp_path, capsys, flags, needs):
+        sched, trace = self.prepared(tmp_path, path3_file)
+        capsys.readouterr()
+        metrics = tmp_path / "metrics.csv"
+        argv = ["simulate", path3_file, sched, trace, "--rounds", "40", "--metrics", str(metrics), *flags]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert not captured.out and not metrics.exists()
+        assert captured.err == f"error: {needs}\n"
+
+    def test_burst_defaults_to_one_beside_rho(self, path3_file, tmp_path, capsys):
+        sched, trace = self.prepared(tmp_path, path3_file)
+        capsys.readouterr()
+        # the trace was made with burst 2, so burst 1 refuses it with a witness
+        argv = ["simulate", path3_file, sched, trace, "--rounds", "40", "--rho", "3/16", "--format", "json-lines"]
+        assert main(argv) == main([*argv, "--burst", "1"]) == 2
+        alone, explicit = capsys.readouterr().err.splitlines()
+        assert alone == explicit and json.loads(alone)["burst"] == 1
+
     def test_inadmissible_trace_refused(self, tmp_path, capsys):
         out = tmp_path / "clique"
         argv = [
@@ -239,7 +292,7 @@ class TestSimulate:
         ]
         assert main(argv) == 0
         sched = str(tmp_path / "sched.txt")
-        assert main(["schedule", "build", str(out / "graph.txt"), "--out", sched]) == 0
+        assert main(["schedule", "coloring", str(out / "graph.txt"), "--out", sched]) == 0
         capsys.readouterr()
         trace = str(out / "trace.txt")
         budget = ["--rho", "1/6", "--burst", "2", "--format", "json-lines"]
@@ -277,7 +330,7 @@ class TestSimulate:
         ]
         assert main(argv) == 0
         sched = str(tmp_path / "sched.txt")
-        assert main(["schedule", "build", str(out / "graph.txt"), "--out", sched]) == 0
+        assert main(["schedule", "coloring", str(out / "graph.txt"), "--out", sched]) == 0
         capsys.readouterr()
         # a backlogged clique link succeeds once per 6-round period, far
         # short of the claimed service rate 1
@@ -321,6 +374,33 @@ class TestExperiment:
         assert (tmp_path / "experiments" / "summary.json").exists()
 
 
+# Command lines the parser refuses: a flag that only another method reads, or
+# a method without its input. {g}, {sel} and {out} stand for a network, a
+# selector file and a file that must not be written.
+REFUSED = {
+    "threshold-chi-and-delta": "bounds threshold coloring --chi 3 --delta 2",
+    "threshold-no-kind": "bounds threshold",
+    "chi-direct-form-eps-links": "bounds threshold direct --chi 3 --eps 1/4 --links 9",
+    "chi-random-form": "bounds threshold random --chi 3",
+    "chi-eps": "bounds threshold coloring --chi 3 --eps 1/4",
+    "chi-links": "bounds threshold coloring --chi 3 --links 9",
+    "random-form-eps": "bounds threshold random --delta 2 --eps 1/4",
+    "poly-form-eps": "bounds threshold poly --delta 2 --links 9 --eps 1/4",
+    "direct-form-links": "bounds threshold direct --delta 2 --eps 1/4 --links 9",
+    "random-form-links": "bounds threshold random --delta 2 --links 9",
+    "random-form-eps-links": "bounds threshold random --delta 2 --eps 1/4 --links 9",
+    "direct-form-no-eps": "bounds threshold direct --delta 2",
+    "poly-form-no-links": "bounds threshold poly --delta 2",
+    "coloring-selector-file": "schedule coloring {g} --selector {sel} --out {out}",
+    "selector-exact": "schedule selector {g} {sel} --exact --out {out}",
+    "selector-maximal": "schedule selector {g} {sel} --maximal --out {out}",
+    "selector-exact-maximal": "schedule selector {g} {sel} --exact --maximal --out {out}",
+    "selector-no-file": "schedule selector {g} --out {out}",
+    "poly-selector-eps-seed": "build-selector poly --n 16 --k 4 --eps 1/2 --seed 9 --out {out}",
+    "random-selector-no-eps": "build-selector random --n 8 --k 2 --out {out}",
+}
+
+
 class TestExitCodes:
     def test_bad_fraction_is_parameter_error(self, tmp_path, capsys):
         trace = tmp_path / "t.txt"
@@ -354,74 +434,40 @@ class TestExitCodes:
             assert main(argv) == 3
             assert "schedule and network disagree on link count" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", [["--chi", "3", "--delta", "2"], []])
-    def test_threshold_needs_exactly_one_kind(self, capsys, kind):
+    @pytest.mark.parametrize("case", list(REFUSED))
+    def test_refused_combination(self, path3_file, tmp_path, capsys, case):
+        sel, out = tmp_path / "sel.txt", tmp_path / "out.txt"
+        selectors.write_selector(selectors.poly_uss(4, 4), sel)
+        argv = [arg.format(g=path3_file, sel=sel, out=out) for arg in REFUSED[case].split()]
         with pytest.raises(SystemExit) as exc:
-            main(["bounds", "threshold", *kind])
+            main(argv)
         assert exc.value.code == 3
-
-    @pytest.mark.parametrize(
-        "flags, unread",
-        [
-            (["--form", "random"], "--form"),
-            (["--form", "direct", "--eps", "1/4", "--links", "9"], "--form, --eps, --links"),
-            (["--eps", "1/4"], "--eps"),
-            (["--links", "9"], "--links"),
-        ],
-    )
-    def test_chi_refuses_selector_flags(self, capsys, flags, unread):
-        # the coloring threshold reads only --chi; 1/3 used to be printed
-        assert main(["bounds", "threshold", "--chi", "3", *flags]) == 3
-        captured = capsys.readouterr()
-        assert not captured.out
-        assert captured.err == f"error: --chi reads no {unread}\n"
-
-    @pytest.mark.parametrize(
-        "flags, unread",
-        [
-            (["--form", "random", "--eps", "1/4"], "the random form reads no --eps"),
-            (["--form", "poly", "--links", "9", "--eps", "1/4"], "the poly form reads no --eps"),
-            (["--eps", "1/4", "--links", "9"], "the direct form reads no --links"),
-            (["--form", "random", "--links", "9"], "the random form reads no --links"),
-            (["--form", "random", "--eps", "1/4", "--links", "9"], "the random form reads no --eps, --links"),
-        ],
-    )
-    def test_selector_form_refuses_flags_it_does_not_read(self, capsys, flags, unread):
-        assert main(["bounds", "threshold", "--delta", "2", *flags]) == 3
-        assert capsys.readouterr().err == f"error: {unread}\n"
+        assert not capsys.readouterr().out
+        assert not out.exists()
 
     def test_selector_forms_read_their_flags(self, capsys):
-        cases = (("direct", ["--eps", "1/4"]), ("poly", ["--form", "poly", "--links", "9"]), ("random", ["--form", "random"]))
+        cases = (("direct", ["--eps", "1/4"]), ("poly", ["--links", "9"]), ("random", []))
         for form, flags in cases:
-            assert main(["bounds", "threshold", "--delta", "2", *flags]) == 0
+            assert main(["bounds", "threshold", form, "--delta", "2", *flags]) == 0
             assert parse_text(capsys.readouterr().out)["form"] == form
 
-    def test_selector_file_needs_selector_method(self, path3_file, tmp_path, capsys):
-        # a selector file used to be dropped and a coloring schedule built
-        sel = str(tmp_path / "sel.txt")
-        assert main(["build-selector", "--n", "4", "--k", "4", "--out", sel]) == 0
-        capsys.readouterr()
-        out = tmp_path / "sched.txt"
-        for method in ([], ["--method", "coloring"]):
-            argv = ["schedule", "build", path3_file, *method, "--selector", sel, "--out", str(out)]
-            assert main(argv) == 3
-            captured = capsys.readouterr()
-            assert not captured.out and not out.exists()
-            assert captured.err == "error: the coloring method reads no --selector\n"
-
     @pytest.mark.parametrize(
-        "flags, unread",
-        [(["--exact"], "--exact"), (["--maximal"], "--maximal"), (["--exact", "--maximal"], "--exact, --maximal")],
+        "argv",
+        [
+            ["build-selector", "poly", "--n", "4", "--k", "4", "--out"],
+            ["schedule", "coloring", "{g}", "--out"],
+            ["simulate", "{g}", "{sched}", "{trace}", "--rounds", "4", "--metrics"],
+            ["simulate", "{g}", "{sched}", "{trace}", "--rounds", "4", "--log"],
+        ],
     )
-    def test_selector_method_refuses_coloring_flags(self, path3_file, tmp_path, capsys, flags, unread):
-        sel = str(tmp_path / "sel.txt")
-        assert main(["build-selector", "--n", "4", "--k", "4", "--out", sel]) == 0
-        capsys.readouterr()
-        argv = ["schedule", "build", path3_file, "--method", "selector", "--selector", sel, *flags]
-        assert main(argv) == 3
-        captured = capsys.readouterr()
-        assert not captured.out
-        assert captured.err == f"error: the selector method reads no {unread}\n"
+    def test_empty_output_path_is_parameter_error(self, path3_file, tmp_path, capsys, argv):
+        # an empty path used to be taken for "no file" and the command exited 0
+        sched, trace = tmp_path / "sched.txt", tmp_path / "trace.txt"
+        sched.write_text("schedule period=4 links=4\n0\n1\n2\n3\n")
+        trace.write_text("# horizon 0\ninject 0 0 0\n")
+        argv = [arg.format(g=path3_file, sched=sched, trace=trace) for arg in argv]
+        assert main([*argv, ""]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_empty_sweep_is_parameter_error(self, tmp_path, capsys):
         assert main(["experiment", "--sweep", "0", "--out-dir", str(tmp_path / "out")]) == 3
@@ -485,3 +531,103 @@ def test_every_flag_is_used_somewhere():
         if not any(re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text) for text in texts)
     )
     assert not unused
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the attributes read from it once `read` is a set."""
+
+    read = None
+
+    def __getattribute__(self, name):
+        read = object.__getattribute__(self, "read")
+        if read is not None:
+            read.add(name)
+        return object.__getattribute__(self, name)
+
+
+# a valid command line for each leaf command; {g}, {sel}, {sched}, {trace},
+# {file} and {dir} stand for a network, a selector, a schedule, a trace, an
+# output file and an output directory
+BASE = {
+    "conflict-graph": "{g}",
+    "build-selector poly": "--n 4 --k 2",
+    "build-selector random": "--n 4 --k 2 --eps 1/4",
+    "verify-selector": "{sel}",
+    "schedule coloring": "{g}",
+    "schedule selector": "{g} {sel}",
+    "schedule verify": "{g} {sched}",
+    "scenario clique": "--nodes 3 --epsilon 1/32 --horizon 60 --out-dir {dir}",
+    "scenario tree-family": "--delta 2 --rho 1/4 --horizon 20 --out-dir {dir}",
+    "scenario leaky-bucket": "{g} --rho 1/4 --horizon 20 --out {file}",
+    "validate-trace": "{trace} --rho 1/4 --burst 2",
+    "simulate": "{g} {sched} {trace} --rounds 20",
+    "bounds threshold coloring": "--chi 3",
+    "bounds threshold direct": "--delta 2 --eps 1/4",
+    "bounds threshold poly": "--delta 2 --links 9",
+    "bounds threshold random": "--delta 2",
+    "bounds latency": "--rho 3/16 --rho-prime 1/4 --window 4 --burst 2 --nesting 2",
+    "experiment": "--nodes 5 --edges 5 --horizon 40 --rounds 40 --out-dir {dir}",
+}
+
+# the value given with each flag a base command line leaves out
+VALUES = {
+    "--format": "csv", "--out": "{file}", "--seed": "3", "--k": "2", "--eps": "1/4",
+    "--predict-rounds": "60", "--burst": "2", "--routes": "2", "--max-hops": "2",
+    "--intensity": "0.5", "--links": "4", "--policy": "sis", "--rho": "1/4",
+    "--rho-prime": "1/4", "--fail-window": "4", "--metrics": "{file}", "--log": "{file}",
+    "--sweep": "1", "--rho-scale": "1/2",
+}
+
+
+def leaf_parser(parser, leaf: str):
+    for name in leaf.split():
+        (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = subs.choices[name]
+    return parser
+
+
+def test_every_flag_is_read_or_refused(tmp_path, monkeypatch):
+    """Each flag a command accepts is either read by its handler or refused
+    with exit 3: no command takes a flag and drops it."""
+    files = {name: tmp_path / name for name in ("g", "sel", "sched", "trace", "file", "dir")}
+    write_graph(path_graph(3), files["g"])
+    selectors.write_selector(selectors.poly_uss(4, 4), files["sel"])
+    files["sched"].write_text("schedule period=4 links=4 rho=1/4 T=4\n0\n1\n2\n3\n")
+    files["trace"].write_text("# horizon 0\ninject 0 0 0\ninject 0 1 1\n")
+
+    parsed = []
+    parse_args = cli._Parser.parse_args
+
+    def recording_parse_args(parser, argv):
+        # record only what the handler reads, not what the parser reads
+        args = parse_args(parser, argv, ReadRecorder())
+        args.read = set()
+        parsed.append(args)
+        return args
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording_parse_args)
+
+    def run(argv: list[str]) -> tuple[int, set[str]]:
+        parsed.clear()
+        try:
+            code = main([arg.format(**files) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+        return code, parsed[0].read if parsed else set()
+
+    dropped = []
+    for leaf in leaf_commands(build_parser()):
+        base = [*leaf.split(), *BASE[leaf].split()]
+        code, base_read = run(base)
+        assert code == 0, f"{leaf}: base command line exited {code}"
+        for action in leaf_parser(build_parser(), leaf)._actions:
+            if not action.option_strings or isinstance(action, argparse._HelpAction):
+                continue
+            flag = action.option_strings[0]
+            if flag in base:
+                code, read = 0, base_read
+            else:
+                code, read = run([*base, flag, *([] if action.nargs == 0 else [VALUES[flag]])])
+            if code != 3 and action.dest not in read:
+                dropped.append(f"{leaf} {flag}")
+    assert not dropped

@@ -46,7 +46,7 @@ def test_clique_overload(tmp_path, capsys):
     ])
     assert (scenario["injections"], scenario["predicted_backlog"]) == (150, 30)
     sched = str(out / "schedule.txt")
-    run_json(capsys, ["schedule", "build", str(out / "graph.txt"), "--exact", "--out", sched])
+    run_json(capsys, ["schedule", "coloring", str(out / "graph.txt"), "--exact", "--out", sched])
     metrics, log = out / "backlog.csv", out / "rounds.log"
     sim = run_json(capsys, [
         "simulate", str(out / "graph.txt"), sched, str(out / "trace.txt"), "--rounds", "120",
@@ -72,12 +72,12 @@ def test_schedule_compare(tmp_path, capsys):
     conflicts = run_json(capsys, ["conflict-graph", graph])
     assert (conflicts["links"], conflicts["max_in_degree"]) == (10, 9)
     sel, col_sched, sel_sched = (str(tmp_path / f) for f in ("sel.txt", "col.sched", "sel.sched"))
-    run_json(capsys, ["build-selector", "--method", "poly", "--n", "10", "--k", "10", "--out", sel])
+    run_json(capsys, ["build-selector", "poly", "--n", "10", "--k", "10", "--out", sel])
     built = run_json(capsys, [
-        "schedule", "build", graph, "--method", "selector", "--selector", sel, "--out", sel_sched,
+        "schedule", "selector", graph, sel, "--out", sel_sched,
     ])
     assert (built["rho"], built["window"]) == ("13/529", 529)
-    colored = run_json(capsys, ["schedule", "build", graph, "--out", col_sched])
+    colored = run_json(capsys, ["schedule", "coloring", graph, "--out", col_sched])
     assert (colored["rho"], colored["window"]) == ("1/10", 10)
     trace = str(tmp_path / "load.trace")
     load = run_json(capsys, [
