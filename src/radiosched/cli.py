@@ -400,11 +400,12 @@ def cmd_simulate(args) -> int:
                 }
             )
             code = 2
-    emit(record, args.format)
+    # files first: an unwritable path exits 3 with nothing printed
     if args.metrics is not None:
         _write_metrics_csv(metrics, args.metrics)
     if args.log is not None:
         _write_round_log(metrics, args.log)
+    emit(record, args.format)
     return code
 
 

@@ -11,6 +11,7 @@ u makes reception on link v impossible.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -132,11 +133,13 @@ class ConflictGraph:
 
     blocks[u] lists the links whose reception fails while link u transmits;
     there is one row per link.  The constructor sorts and deduplicates each
-    row and refuses out-of-range and self-blocking links.
-    `build_conflict_graph` hands over rows already in that form and uses
-    `_from_canonical`, which skips that pass.  `max_in_degree` is counted
-    on construction; the undirected closure that `conflict_neighbors`
-    reads is built on its first call.
+    row, refuses out-of-range and self-blocking links and counts
+    `max_in_degree`.  `build_conflict_graph` hands over rows already in
+    that form with their in-degree counted and uses `_from_canonical`,
+    which skips both passes.  The undirected closure is built on the first
+    call of `conflict_neighbors`; of the package's algorithms only
+    `exact_chromatic` and `extend_to_maximal_independent` make that call,
+    while `greedy_coloring` and `is_proper` read the directed rows.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -157,13 +160,13 @@ class ConflictGraph:
         self._index()
 
     @classmethod
-    def _from_canonical(cls, blocks) -> "ConflictGraph":
+    def _from_canonical(cls, blocks, max_in_degree: int) -> "ConflictGraph":
         """Trusted construction: `blocks` must be a tuple with one sorted
         tuple of distinct Python ints in [0, len(blocks)) per link, none
-        holding its own index."""
+        holding its own index, and `max_in_degree` their largest in-degree."""
         h = cls.__new__(cls)
         object.__setattr__(h, "blocks", blocks)
-        h._index()
+        object.__setattr__(h, "max_in_degree", max_in_degree)
         return h
 
     def _index(self):
@@ -201,21 +204,38 @@ def build_conflict_graph(g: NetworkGraph) -> ConflictGraph:
       3. u' != u and u' is an in-neighbor of v  (second transmitter in range).
 
     So link a = (ta, ha) blocks the out-links of ta, the in-links of ta and
-    the in-links of every out-neighbor of ta, which takes O(m * delta^2).
+    the in-links of every out-neighbor of ta.  That set depends only on ta,
+    so it is built and sorted once per node, and each out-link of the node
+    takes it with its own index removed: set work grows with
+    nodes * delta^2, plus one row copy per link.
+
+    Link (x, y) lies in the set of y and of each in-neighbor n of y, and is
+    blocked by every out-link of those nodes but itself, so its in-degree
+    is deg(y) + sum of deg(n) - 1 and depends only on y.
     """
+    links = g.links
     in_links: dict[int, list[int]] = {n: [] for n in g.nodes}
-    for i, (_, head) in enumerate(g.links):
+    for i, (_, head) in enumerate(links):
         in_links[head].append(i)
-    blocks = []
-    for a, (ta, _) in enumerate(g.links):
-        out = g.out_links(ta)
+    blocks: list = [()] * len(links)
+    for n in g.nodes:
+        out = g.out_links(n)
+        if not out:
+            continue
         near = set(out)
-        near.update(in_links[ta])
+        near.update(in_links[n])
         for o in out:
-            near.update(in_links[g.links[o][1]])
-        near.discard(a)
-        blocks.append(tuple(sorted(near)))
-    return ConflictGraph._from_canonical(tuple(blocks))
+            near.update(in_links[links[o][1]])
+        row = tuple(sorted(near))
+        for a in out:
+            i = bisect_left(row, a)
+            blocks[a] = row[:i] + row[i + 1 :]
+    deg = {n: len(g.in_neighbors(n)) for n in g.nodes}
+    max_in_degree = max(
+        (deg[y] - 1 + sum(map(deg.__getitem__, g.in_neighbors(y))) for y in g.nodes if deg[y]),
+        default=0,
+    )
+    return ConflictGraph._from_canonical(tuple(blocks), max_in_degree)
 
 
 @dataclass(frozen=True)
@@ -304,23 +324,34 @@ class Coloring:
 
 
 def is_proper(h: ConflictGraph, coloring: Coloring) -> bool:
-    return all(
-        coloring.colors[u] != coloring.colors[v]
-        for u in range(h.link_count)
-        for v in h.conflict_neighbors(u)
-    )
+    # each pair of the closure lies in at least one of the two directed rows
+    colors = coloring.colors
+    return all(colors[u] != colors[v] for u, row in enumerate(h.blocks) for v in row)
 
 
 def greedy_coloring(h: ConflictGraph) -> Coloring:
-    """First-fit in link index order on the undirected conflict closure."""
-    colors = [-1] * h.link_count
-    for v in range(h.link_count):
-        taken = {colors[u] for u in h.conflict_neighbors(v) if colors[u] >= 0}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-    return Coloring(tuple(colors))
+    """First-fit in link index order on the undirected conflict closure.
+
+    Read straight from the directed rows, with one bitmask of forbidden
+    colors per link: link v adds the colors of the lower-indexed links in
+    its own row, takes the lowest clear bit, and sets that bit in the
+    higher-indexed links of its row.  Every lower-indexed closure neighbor
+    of v reaches its mask one way or the other, so the closure is never
+    built: the work is one pass over the rows, on masks as wide as the
+    color count.
+    """
+    forbidden = [0] * h.link_count
+    bits: list[int] = []
+    for v, row in enumerate(h.blocks):
+        i = bisect_left(row, v)
+        f = forbidden[v]
+        for u in row[:i]:
+            f |= bits[u]
+        bit = ~f & (f + 1)
+        bits.append(bit)
+        for u in row[i:]:
+            forbidden[u] |= bit
+    return Coloring(tuple(b.bit_length() - 1 for b in bits))
 
 
 def exact_chromatic(h: ConflictGraph, vertex_limit: int = 24) -> Coloring:

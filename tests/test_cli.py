@@ -467,7 +467,9 @@ class TestExitCodes:
         trace.write_text("# horizon 0\ninject 0 0 0\n")
         argv = [arg.format(g=path3_file, sched=sched, trace=trace) for arg in argv]
         assert main([*argv, ""]) == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ")
+        assert not out
 
     def test_empty_sweep_is_parameter_error(self, tmp_path, capsys):
         assert main(["experiment", "--sweep", "0", "--out-dir", str(tmp_path / "out")]) == 3

@@ -1,6 +1,7 @@
 """Differential tests: the integer token buckets, the per-link trace
 admissibility check, the neighbourhood-built
-conflict graph and its validation, round resolution, the heap-ordered
+conflict graph and its validation, first-fit coloring from the directed
+rows, round resolution, the heap-ordered
 simulation kernel and its sparse record, the event-based failure
 accounting, the cyclic-window frequency check, the selector to schedule
 extraction, the packing of selector column sets and the selector sample
@@ -175,6 +176,18 @@ def ref_conflict_closure(blocks):
             und[u].add(v)
             und[v].add(u)
     return tuple(map(tuple, blocked_by)), tuple(map(frozenset, und))
+
+
+def ref_greedy_coloring(h: ConflictGraph) -> Coloring:
+    """First-fit in link index order on the undirected conflict closure."""
+    colors = [-1] * h.link_count
+    for v in range(h.link_count):
+        taken = {colors[u] for u in h.conflict_neighbors(v) if colors[u] >= 0}
+        c = 0
+        while c in taken:
+            c += 1
+        colors[v] = c
+    return Coloring(tuple(colors))
 
 
 def ref_successful_links(g, candidates):
@@ -549,6 +562,36 @@ class TestConflictGraphMatchesPairwise:
             assert h.link_count == len(rows)
             assert h.max_in_degree == max(map(len, want[0]), default=0)
             assert tuple(map(h.conflict_neighbors, range(len(rows)))) == want[1]
+
+
+@st.composite
+def conflict_rows(draw, max_links=10):
+    """Rows for the public constructor: any other links, repeats allowed,
+    with no symmetry and possibly empty."""
+    m = draw(st.integers(0, max_links))
+    others = [[v for v in range(m) if v != u] for u in range(m)]
+    return [draw(st.lists(st.sampled_from(o), max_size=2 * m)) if o else [] for o in others]
+
+
+class TestGreedyColoringMatchesClosure:
+    # clique_graph(9) has 72 mutually conflicting links, so 72 colors and a
+    # forbidden-color mask wider than one machine word
+    @settings(max_examples=150, deadline=None)
+    @given(networks(max_nodes=14))
+    @example(clique_graph(9))
+    def test_built_graphs(self, g):
+        h = build_conflict_graph(g)
+        assert greedy_coloring(h) == ref_greedy_coloring(h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(conflict_rows())
+    @example([[v for v in range(72) if v != u] for u in range(72)])
+    @example([[], [0], []])
+    def test_public_rows(self, rows):
+        h = ConflictGraph(rows)
+        got = greedy_coloring(h)
+        assert got == ref_greedy_coloring(h)
+        assert all(type(c) is int for c in got.colors)
 
 
 class TestSuccessfulLinksMatchesCounter:

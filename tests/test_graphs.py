@@ -7,6 +7,7 @@ rule, so it is independent of the pairwise case analysis in the package.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +167,24 @@ class TestColoring:
         assert graphs.is_proper(h, col)
         degree = max(len(h.conflict_neighbors(a)) for a in range(h.link_count))
         assert col.color_count <= degree + 1
+
+    def test_greedy_and_check_skip_the_closure(self):
+        h = graphs.build_conflict_graph(graphs.random_network(10, 14, seed=1))
+        assert graphs.is_proper(h, graphs.greedy_coloring(h))
+        assert "_undirected" not in vars(h)
+
+    def test_greedy_memory_follows_rows(self):
+        # the closure of these 500 links is 500 frozensets of about 70
+        # links each; rows and a bitmask per link take a fraction of that
+        g = graphs.random_network(100, 250, seed=1)
+        tracemalloc.start()
+        try:
+            col = graphs.greedy_coloring(graphs.build_conflict_graph(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert col.color_count > 0
+        assert peak < 1_000_000
 
     def test_path_chromatic_is_four(self):
         h = graphs.build_conflict_graph(graphs.path_graph(3))
