@@ -35,7 +35,6 @@ from .graphs import (
     write_graph,
 )
 from .schedules import (
-    extend_to_maximal_independent,
     read_schedule,
     schedule_from_coloring,
     schedule_from_selector,
@@ -54,7 +53,7 @@ from .selectors import (
     uss_sample_check,
     write_selector,
 )
-from .sim import POLICIES, failure_accounting, run, stability_verdict
+from .sim import MIN_VERDICT_ROUNDS, POLICIES, failure_accounting, run, stability_verdict
 from .traffic import (
     AdversaryConfig,
     gen_clique_scenario,
@@ -113,7 +112,7 @@ def emit(record: dict, fmt: str, stream=None) -> None:
 def cmd_conflict_graph(args) -> int:
     g = read_graph(args.graph)
     h = build_conflict_graph(g)
-    rep = degree_bound_check(g, h)
+    rep = degree_bound_check(g)
     emit(
         {
             "nodes": len(g.nodes),
@@ -187,11 +186,7 @@ def cmd_verify_selector(args) -> int:
 def cmd_schedule_coloring(args) -> int:
     h = build_conflict_graph(read_graph(args.graph))
     coloring = exact_chromatic(h) if args.exact else greedy_coloring(h)
-    if args.maximal:
-        sched = extend_to_maximal_independent(coloring, h)
-    else:
-        sched = schedule_from_coloring(coloring)
-    return _report_schedule(sched, "coloring", args)
+    return _report_schedule(schedule_from_coloring(coloring), "coloring", args)
 
 
 def cmd_schedule_selector(args) -> int:
@@ -374,7 +369,7 @@ def cmd_simulate(args) -> int:
         "final_backlog": int(metrics.per_round_backlog[-1]),
         "max_latency": metrics.max_latency,
     }
-    if metrics.rounds >= 10:
+    if metrics.rounds >= MIN_VERDICT_ROUNDS:
         verdict = stability_verdict(metrics)
         record["slope"] = verdict.slope
         record["stable"] = verdict.stable
@@ -505,6 +500,8 @@ def _experiment_seed(args, seed: int, out: Path) -> list[dict]:
 def cmd_experiment(args) -> int:
     if args.sweep < 1:
         raise ParameterError("--sweep needs at least one seed")
+    if args.rounds < MIN_VERDICT_ROUNDS:
+        raise ParameterError(f"need at least {MIN_VERDICT_ROUNDS} rounds for a stability verdict")
     out = Path(args.out_dir)
     seeds = range(args.sweep)
     runs = [row for seed in seeds for row in _experiment_seed(args, seed, out)]
@@ -566,7 +563,6 @@ def build_parser() -> _Parser:
     c = _leaf(ssub, "coloring", cmd_schedule_coloring, "one round per color of a conflict-graph coloring")
     c.add_argument("graph")
     c.add_argument("--exact", action="store_true", help="exact chromatic number (small graphs)")
-    c.add_argument("--maximal", action="store_true", help="extend color classes to maximal independent sets")
     s = _leaf(ssub, "selector", cmd_schedule_selector, "selector rows; k must exceed the conflict in-degree")
     s.add_argument("graph")
     s.add_argument("selector")

@@ -14,7 +14,6 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 from .errors import FormatError, ParameterError, SizeError
@@ -136,10 +135,9 @@ class ConflictGraph:
     row, refuses out-of-range and self-blocking links and counts
     `max_in_degree`.  `build_conflict_graph` hands over rows already in
     that form with their in-degree counted and uses `_from_canonical`,
-    which skips both passes.  The undirected closure is built on the first
-    call of `conflict_neighbors`; of the package's algorithms only
-    `exact_chromatic` and `extend_to_maximal_independent` make that call,
-    while `greedy_coloring` and `is_proper` read the directed rows.
+    which skips both passes.  The graph holds only these directed rows:
+    `greedy_coloring` and `is_proper` read them as they are, and
+    `exact_chromatic` builds the undirected closure it needs for itself.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -176,23 +174,9 @@ class ConflictGraph:
                 in_degree[v] += 1
         object.__setattr__(self, "max_in_degree", max(in_degree, default=0))
 
-    @cached_property
-    def _undirected(self) -> tuple[frozenset[int], ...]:
-        blocked_by: list[list[int]] = [[] for _ in range(self.link_count)]
-        for u, out in enumerate(self.blocks):
-            for v in out:
-                blocked_by[v].append(u)
-        # a frozenset copied from a set gets a table sized to fit; one built
-        # straight from the rows keeps the sparser table of its growth
-        return tuple(frozenset({*out, *inn}) for out, inn in zip(self.blocks, blocked_by))
-
     @property
     def link_count(self) -> int:
         return len(self.blocks)
-
-    def conflict_neighbors(self, link: int) -> frozenset[int]:
-        """Neighbors in the undirected closure of the blocking relation."""
-        return self._undirected[link]
 
 
 def build_conflict_graph(g: NetworkGraph) -> ConflictGraph:
@@ -207,11 +191,8 @@ def build_conflict_graph(g: NetworkGraph) -> ConflictGraph:
     the in-links of every out-neighbor of ta.  That set depends only on ta,
     so it is built and sorted once per node, and each out-link of the node
     takes it with its own index removed: set work grows with
-    nodes * delta^2, plus one row copy per link.
-
-    Link (x, y) lies in the set of y and of each in-neighbor n of y, and is
-    blocked by every out-link of those nodes but itself, so its in-degree
-    is deg(y) + sum of deg(n) - 1 and depends only on y.
+    nodes * delta^2, plus one row copy per link.  The in-degree comes from
+    `conflict_in_degree`, without a pass over the rows.
     """
     links = g.links
     in_links: dict[int, list[int]] = {n: [] for n in g.nodes}
@@ -230,12 +211,22 @@ def build_conflict_graph(g: NetworkGraph) -> ConflictGraph:
         for a in out:
             i = bisect_left(row, a)
             blocks[a] = row[:i] + row[i + 1 :]
+    return ConflictGraph._from_canonical(tuple(blocks), conflict_in_degree(g))
+
+
+def conflict_in_degree(g: NetworkGraph) -> int:
+    """Largest in-degree of the conflict graph of g, in closed form.
+
+    Link (x, y) lies in the blocking set of y and of each in-neighbor n of
+    y (see `build_conflict_graph`), and is blocked by every out-link of
+    those nodes but itself, so its in-degree is deg(y) + sum of deg(n) - 1
+    and depends only on y.
+    """
     deg = {n: len(g.in_neighbors(n)) for n in g.nodes}
-    max_in_degree = max(
+    return max(
         (deg[y] - 1 + sum(map(deg.__getitem__, g.in_neighbors(y))) for y in g.nodes if deg[y]),
         default=0,
     )
-    return ConflictGraph._from_canonical(tuple(blocks), max_in_degree)
 
 
 @dataclass(frozen=True)
@@ -247,16 +238,14 @@ class DegreeBoundReport:
     tight: bool
 
 
-def degree_bound_check(g: NetworkGraph, h: ConflictGraph | None = None) -> DegreeBoundReport:
+def degree_bound_check(g: NetworkGraph) -> DegreeBoundReport:
     """Check the conflict in-degree against delta^2 + delta - 1.
 
     The bound is undefined on an empty link set; that case reports
     bound=None and holds=True.
     """
-    if h is None:
-        h = build_conflict_graph(g)
     delta = g.max_degree
-    din = h.max_in_degree
+    din = conflict_in_degree(g)
     if delta == 0:
         return DegreeBoundReport(0, din, None, True, False)
     bound = delta * delta + delta - 1
@@ -354,17 +343,27 @@ def greedy_coloring(h: ConflictGraph) -> Coloring:
     return Coloring(tuple(b.bit_length() - 1 for b in bits))
 
 
-def exact_chromatic(h: ConflictGraph, vertex_limit: int = 24) -> Coloring:
+EXACT_VERTEX_LIMIT = 24
+
+
+def exact_chromatic(h: ConflictGraph) -> Coloring:
     """Branch-and-bound chromatic number of the undirected conflict closure.
 
-    Worst case exponential; refuses instances above vertex_limit.
+    The closure is built here from the directed rows: each link's row plus
+    the links whose rows hold it.  Worst case exponential; refuses more
+    than EXACT_VERTEX_LIMIT links.
     """
     n = h.link_count
-    if n > vertex_limit:
-        raise SizeError(f"{n} links exceeds the exact-coloring limit of {vertex_limit}; use greedy_coloring")
+    if n > EXACT_VERTEX_LIMIT:
+        raise SizeError(
+            f"{n} links exceeds the exact-coloring limit of {EXACT_VERTEX_LIMIT}; use greedy_coloring"
+        )
     if n == 0:
         return Coloring(())
-    adj = [h.conflict_neighbors(v) for v in range(n)]
+    adj = [set(row) for row in h.blocks]
+    for u, row in enumerate(h.blocks):
+        for v in row:
+            adj[v].add(u)
 
     # greedy clique on descending degree seeds the lower bound
     order = sorted(range(n), key=lambda v: -len(adj[v]))

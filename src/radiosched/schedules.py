@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .graphs import Coloring, ConflictGraph, NetworkGraph, build_conflict_graph, successful_links
+from .graphs import Coloring, NetworkGraph, conflict_in_degree, successful_links
 from .selectors import SelectorMatrix, format_fraction, parse_count, parse_fraction, parse_header
 
 
@@ -96,14 +96,14 @@ def schedule_from_selector(sel: SelectorMatrix, g: NetworkGraph) -> Transmission
     """Row r activates the links whose column carries a 1 (column i = link i).
 
     The selector must carry verified claims, and its k must cover one more
-    than the conflict in-degree of g, which is built here to check it.
+    than the conflict in-degree of g.
     """
     if sel.claimed_k is None or sel.claimed_eps is None:
         raise ParameterError("selector carries no verified (k, eps) claim")
     m = g.link_count
     if sel.n < m:
         raise ParameterError(f"selector has {sel.n} columns but the network has {m} links")
-    need = build_conflict_graph(g).max_in_degree + 1
+    need = conflict_in_degree(g) + 1
     if sel.claimed_k < need:
         raise ParameterError(f"selector k={sel.claimed_k} below conflict in-degree + 1 = {need}")
     used = sel.rows[:, :m]
@@ -111,29 +111,6 @@ def schedule_from_selector(sel: SelectorMatrix, g: NetworkGraph) -> Transmission
     ends = np.cumsum(used.sum(axis=1, dtype=np.int64)).tolist()
     active = tuple(tuple(links[a:b]) for a, b in zip([0] + ends[:-1], ends))
     return TransmissionSchedule._from_canonical(active, m, (sel.claimed_eps / sel.claimed_k, sel.t))
-
-
-def extend_to_maximal_independent(coloring: Coloring, h: ConflictGraph) -> TransmissionSchedule:
-    """Pad each color class to a maximal independent set of the conflict
-    closure, scanning links in index order.  Classes may overlap afterwards;
-    the per-class frequency claim is unchanged."""
-    if len(coloring.colors) != h.link_count:
-        raise ParameterError("coloring and conflict graph disagree on link count")
-    classes = []
-    for base in coloring.classes():
-        chosen = list(base)
-        members = set(base)
-        for v in range(h.link_count):
-            if v in members:
-                continue
-            if not (h.conflict_neighbors(v) & members):
-                chosen.append(v)
-                members.add(v)
-        classes.append(tuple(sorted(members)))
-    x = coloring.color_count
-    return TransmissionSchedule._from_canonical(
-        tuple(classes), h.link_count, (Fraction(1, x), x) if x else None
-    )
 
 
 @dataclass(frozen=True)

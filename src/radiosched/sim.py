@@ -381,6 +381,7 @@ def _failed_runs(metrics: RunMetrics) -> tuple[np.ndarray, np.ndarray]:
 
 
 STABLE_SLOPE = 1e-3
+MIN_VERDICT_ROUNDS = 10
 
 
 class StabilityVerdict(NamedTuple):
@@ -390,10 +391,11 @@ class StabilityVerdict(NamedTuple):
 
 def stability_verdict(metrics: RunMetrics) -> StabilityVerdict:
     """Fit a line to the second half of the backlog curve; a slope under
-    STABLE_SLOPE packets per round counts as stable."""
+    STABLE_SLOPE packets per round counts as stable.  Needs at least
+    MIN_VERDICT_ROUNDS rounds."""
     series = metrics.per_round_backlog
-    if series.size < 10:
-        raise ParameterError("need at least 10 rounds for a stability verdict")
+    if series.size < MIN_VERDICT_ROUNDS:
+        raise ParameterError(f"need at least {MIN_VERDICT_ROUNDS} rounds for a stability verdict")
     tail = series[series.size // 2 :]
     slope = float(np.polyfit(np.arange(tail.size), tail.astype(float), 1)[0])
     return StabilityVerdict(slope < STABLE_SLOPE, slope)

@@ -56,13 +56,15 @@ class AdversaryConfig:
 @dataclass(frozen=True)
 class InjectionTrace:
     """Injections as (round, packet) pairs, sorted by round, with the last
-    round covered recorded as the horizon."""
+    round covered recorded as the horizon, which is not negative."""
 
     injections: tuple[tuple[int, Packet], ...]
     horizon: int
 
     def __post_init__(self):
         object.__setattr__(self, "injections", tuple(self.injections))
+        if self.horizon < 0:
+            raise ParameterError(f"horizon {self.horizon} is negative")
         last = -1
         seen_ids = set()
         for r, pkt in self.injections:

@@ -77,23 +77,20 @@ class TestScheduleFlow:
         assert parse_text(capsys.readouterr().out)["provenance"] == "selector"
         assert main(["schedule", "verify", path3_file, sched]) == 0
 
-    def test_maximal_coloring(self, tmp_path, capsys):
+    def test_exact_coloring_record(self, tmp_path, capsys):
         g_file = tmp_path / "net.txt"
         write_graph(random_network(6, 7, seed=2), g_file)
-        plain, padded = tmp_path / "plain.sched", tmp_path / "padded.sched"
-        assert main(["schedule", "coloring", str(g_file), "--exact", "--out", str(plain)]) == 0
-        assert main(["schedule", "coloring", str(g_file), "--exact", "--maximal", "--out", str(padded)]) == 0
-        a, b = read_schedule(plain), read_schedule(padded)
-        assert a.period == b.period == 12 and a.claimed_frequency == b.claimed_frequency
-        assert all(set(x) <= set(y) for x, y in zip(a.active, b.active))
-        assert sum(map(len, a.active)) < sum(map(len, b.active))
+        sched = tmp_path / "exact.sched"
+        assert main(["schedule", "coloring", str(g_file), "--exact", "--out", str(sched)]) == 0
+        s = read_schedule(sched)
+        assert s.period == 12 and s.claimed_frequency == (Fraction(1, 12), 12)
         capsys.readouterr()
         # without --out the record is printed and no file is written
-        argv = ["schedule", "coloring", str(g_file), "--exact", "--maximal", "--format", "json-lines"]
+        argv = ["schedule", "coloring", str(g_file), "--exact", "--format", "json-lines"]
         assert main(argv) == 0
         rec = json.loads(capsys.readouterr().out)
         assert (rec["period"], rec["rho"], rec["window"]) == (12, "1/12", 12)
-        assert sorted(tmp_path.iterdir()) == [g_file, padded, plain]
+        assert sorted(tmp_path.iterdir()) == [sched, g_file]
 
 
 # (n, k) of a selector whose C(n, k) column sets fit the enumeration budget,
@@ -374,9 +371,9 @@ class TestExperiment:
         assert (tmp_path / "experiments" / "summary.json").exists()
 
 
-# Command lines the parser refuses: a flag that only another method reads, or
-# a method without its input. {g}, {sel} and {out} stand for a network, a
-# selector file and a file that must not be written.
+# Command lines the parser refuses: a flag that only another method reads or
+# that no command takes, or a method without its input. {g}, {sel} and {out}
+# stand for a network, a selector file and a file that must not be written.
 REFUSED = {
     "threshold-chi-and-delta": "bounds threshold coloring --chi 3 --delta 2",
     "threshold-no-kind": "bounds threshold",
@@ -393,11 +390,21 @@ REFUSED = {
     "poly-form-no-links": "bounds threshold poly --delta 2",
     "coloring-selector-file": "schedule coloring {g} --selector {sel} --out {out}",
     "selector-exact": "schedule selector {g} {sel} --exact --out {out}",
+    "coloring-maximal": "schedule coloring {g} --maximal --out {out}",
     "selector-maximal": "schedule selector {g} {sel} --maximal --out {out}",
     "selector-exact-maximal": "schedule selector {g} {sel} --exact --maximal --out {out}",
     "selector-no-file": "schedule selector {g} --out {out}",
     "poly-selector-eps-seed": "build-selector poly --n 16 --k 4 --eps 1/2 --seed 9 --out {out}",
     "random-selector-no-eps": "build-selector random --n 8 --k 2 --out {out}",
+}
+
+# the commands that generate and write a trace, less its --horizon; {g} and
+# {out} stand for a network and an output path that must not be written
+TRACE_WRITERS = {
+    "clique": "scenario clique --nodes 3 --epsilon 1/32 --out-dir {out}",
+    "tree-family": "scenario tree-family --delta 2 --rho 1/4 --out-dir {out}",
+    "leaky-bucket": "scenario leaky-bucket {g} --rho 1/4 --out {out}",
+    "experiment": "experiment --rounds 20 --out-dir {out}",
 }
 
 
@@ -474,6 +481,24 @@ class TestExitCodes:
     def test_empty_sweep_is_parameter_error(self, tmp_path, capsys):
         assert main(["experiment", "--sweep", "0", "--out-dir", str(tmp_path / "out")]) == 3
         assert not (tmp_path / "out").exists()
+
+    def test_too_few_rounds_refused_before_any_file(self, tmp_path, capsys):
+        # every run of an experiment gets a stability verdict, which needs
+        # MIN_VERDICT_ROUNDS rounds
+        out = tmp_path / "y"
+        assert main(["experiment", "--rounds", "5", "--out-dir", str(out)]) == 3
+        assert "need at least 10 rounds" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizon", ["-1", "-2"])
+    @pytest.mark.parametrize("command", list(TRACE_WRITERS))
+    def test_negative_horizon_is_parameter_error(self, path3_file, tmp_path, capsys, command, horizon):
+        # a trace with a negative horizon is one read_trace refuses
+        out = tmp_path / "out"
+        argv = TRACE_WRITERS[command].format(g=path3_file, out=out).split()
+        assert main([*argv, "--horizon", horizon]) == 3
+        assert f"horizon {horizon} is negative" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("net", [["--edges", "0"], ["--nodes", "1"]])
     def test_linkless_experiment_is_parameter_error(self, tmp_path, capsys, net):

@@ -32,6 +32,7 @@ from radiosched.graphs import (
     NetworkGraph,
     build_conflict_graph,
     clique_graph,
+    conflict_in_degree,
     greedy_coloring,
     path_graph,
     random_network,
@@ -40,7 +41,6 @@ from radiosched.graphs import (
 from radiosched.schedules import (
     FrequencyReport,
     TransmissionSchedule,
-    extend_to_maximal_independent,
     schedule_from_coloring,
     schedule_from_selector,
     verify_frequent,
@@ -157,8 +157,8 @@ def ref_blocks(g: NetworkGraph):
 
 
 def ref_conflict_closure(blocks):
-    """ConflictGraph's checks, one element at a time, and its in-link and
-    undirected tables built one edge end at a time; returns the first
+    """ConflictGraph's checks, one element at a time, and the rows' in-link
+    and undirected tables built one edge end at a time; returns the first
     error message instead of raising."""
     blocks = tuple(tuple(sorted(set(v))) for v in blocks)
     link_count = len(blocks)
@@ -180,9 +180,10 @@ def ref_conflict_closure(blocks):
 
 def ref_greedy_coloring(h: ConflictGraph) -> Coloring:
     """First-fit in link index order on the undirected conflict closure."""
+    undirected = ref_conflict_closure(h.blocks)[1]
     colors = [-1] * h.link_count
     for v in range(h.link_count):
-        taken = {colors[u] for u in h.conflict_neighbors(v) if colors[u] >= 0}
+        taken = {colors[u] for u in undirected[v] if colors[u] >= 0}
         c = 0
         while c in taken:
             c += 1
@@ -532,9 +533,15 @@ class TestConflictGraphMatchesPairwise:
     def test_same_blocks(self, g):
         h = build_conflict_graph(g)
         assert h.blocks == ref_blocks(g)
-        blocked_by, undirected = ref_conflict_closure(h.blocks)
+        blocked_by = ref_conflict_closure(h.blocks)[0]
         assert h.max_in_degree == max(map(len, blocked_by), default=0)
-        assert tuple(map(h.conflict_neighbors, range(h.link_count))) == undirected
+
+    @settings(max_examples=150, deadline=None)
+    @given(networks(max_nodes=14))
+    @example(NetworkGraph((0, 1, 2), ()))
+    def test_in_degree_closed_form(self, g):
+        counted = Counter(v for row in ref_blocks(g) for v in row)
+        assert conflict_in_degree(g) == max(counted.values(), default=0)
 
     def test_fixed_shapes(self):
         for g in (path_graph(2), path_graph(5), clique_graph(4), NetworkGraph((0, 1, 2), ())):
@@ -559,9 +566,8 @@ class TestConflictGraphMatchesPairwise:
             assert str(err.value) == want
         else:
             h = ConflictGraph(rows)
-            assert h.link_count == len(rows)
+            assert h.blocks == tuple(tuple(sorted(set(row))) for row in rows)
             assert h.max_in_degree == max(map(len, want[0]), default=0)
-            assert tuple(map(h.conflict_neighbors, range(len(rows)))) == want[1]
 
 
 @st.composite
@@ -729,24 +735,12 @@ class TestTrustedConstructionMatchesPublic:
         assert_canonical_schedule(got)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_extend_to_maximal_independent(self, data):
-        g = data.draw(networks(max_nodes=8))
-        h = build_conflict_graph(g)
-        coloring = data.draw(colorings(g.link_count))
-        got = extend_to_maximal_independent(coloring, h)
-        assert_canonical_schedule(got)
-        for base, row in zip(coloring.classes(), got.active):
-            assert set(base) <= set(row)
-
-    @settings(max_examples=150, deadline=None)
     @given(networks(max_nodes=14))
     def test_build_conflict_graph(self, g):
         got = build_conflict_graph(g)
         want = ConflictGraph(got.blocks)
         assert got == want
         assert got.max_in_degree == want.max_in_degree
-        assert all(got.conflict_neighbors(v) == want.conflict_neighbors(v) for v in range(g.link_count))
         assert type(got.blocks) is tuple
         assert all(type(row) is tuple and all(type(i) is int for i in row) for row in got.blocks)
 

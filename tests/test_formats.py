@@ -131,3 +131,18 @@ def test_readme_lists_every_command():
         if not any(c.startswith(f"radiosched {leaf} ") for c in commands)
     ]
     assert not missing
+
+
+# a name the README puts in backticks, which must then exist in the package
+IDENTIFIER = re.compile(
+    r"`([a-z][a-z0-9]*(?:_[a-z0-9]+)+"  # snake_case
+    r"|[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+"  # UPPER_SNAKE
+    r"|[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)`"  # CamelCase
+)
+
+
+def test_readme_names_exist_in_package():
+    source = "\n".join(p.read_text() for p in (README.parent / "src" / "radiosched").glob("*.py"))
+    names = set(IDENTIFIER.findall(README.read_text()))
+    assert names
+    assert sorted(n for n in names if not re.search(rf"\b{n}\b", source)) == []

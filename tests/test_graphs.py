@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from radiosched import graphs
 from radiosched.errors import FormatError, ParameterError, SizeError
+from test_differential import ref_conflict_closure
 
 
 def reception_oracle(g, transmitting_links):
@@ -70,11 +71,9 @@ class TestConflictGraph:
         in_degrees = sorted(sum(v in out for out in h.blocks) for v in range(4))
         assert in_degrees == [2, 2, 3, 3]
         assert h.max_in_degree == 3
-        # the undirected closure is built on the first neighbour query
-        assert "_undirected" not in vars(h)
         # every pair conflicts in at least one direction
         for u, v in itertools.combinations(range(4), 2):
-            assert v in h.conflict_neighbors(u)
+            assert v in h.blocks[u] or u in h.blocks[v]
 
     def test_clique_conflicts_are_complete(self):
         for n in (2, 3, 4):
@@ -82,7 +81,7 @@ class TestConflictGraph:
             h = graphs.build_conflict_graph(g)
             m = n * n - n
             assert h.link_count == m
-            assert all(len(h.conflict_neighbors(v)) == m - 1 for v in range(m))
+            assert all(len(nbrs) == m - 1 for nbrs in ref_conflict_closure(h.blocks)[1])
 
     @settings(max_examples=120, deadline=None)
     @given(networks_strategy())
@@ -108,7 +107,7 @@ class TestConflictGraph:
             cand = [i for i in range(g.link_count) if (r >> (i % 6)) & 1 or (i * 7 + r) % 3 == 0]
             succ = graphs.successful_links(g, cand)
             for a, b in itertools.combinations(succ, 2):
-                assert b not in h.conflict_neighbors(a)
+                assert b not in h.blocks[a] and a not in h.blocks[b]
 
 
 class TestDegreeBound:
@@ -151,7 +150,7 @@ def brute_chromatic(h):
     """Fewest blocks over all partitions of the links into independent
     sets; any proper coloring relabels to one of these partitions."""
     n = h.link_count
-    edges = [(u, v) for u in range(n) for v in h.conflict_neighbors(u) if u < v]
+    edges = [(u, v) for u, row in enumerate(h.blocks) for v in row]
     return min(
         max(s, default=-1) + 1
         for s in restricted_growth_strings(n)
@@ -165,13 +164,14 @@ class TestColoring:
         h = graphs.build_conflict_graph(g)
         col = graphs.greedy_coloring(h)
         assert graphs.is_proper(h, col)
-        degree = max(len(h.conflict_neighbors(a)) for a in range(h.link_count))
+        degree = max(map(len, ref_conflict_closure(h.blocks)[1]))
         assert col.color_count <= degree + 1
 
     def test_greedy_and_check_skip_the_closure(self):
         h = graphs.build_conflict_graph(graphs.random_network(10, 14, seed=1))
         assert graphs.is_proper(h, graphs.greedy_coloring(h))
-        assert "_undirected" not in vars(h)
+        # the graph holds its directed rows and nothing built from them
+        assert vars(h).keys() == {"blocks", "max_in_degree"}
 
     def test_greedy_memory_follows_rows(self):
         # the closure of these 500 links is 500 frozensets of about 70
@@ -210,12 +210,13 @@ class TestColoring:
         assert graphs.is_proper(h, col)
         assert col.color_count == brute_chromatic(h)
 
-    def test_exact_refuses_large_instances(self):
+    def test_exact_refuses_large_instances(self, monkeypatch):
         g = graphs.clique_graph(6)  # 30 links
         h = graphs.build_conflict_graph(g)
         with pytest.raises(SizeError):
             graphs.exact_chromatic(h)
-        assert graphs.exact_chromatic(h, vertex_limit=30).color_count == 30
+        monkeypatch.setattr(graphs, "EXACT_VERTEX_LIMIT", 30)
+        assert graphs.exact_chromatic(h).color_count == 30
 
     def test_coloring_validation(self):
         with pytest.raises(ParameterError):

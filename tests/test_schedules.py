@@ -90,33 +90,6 @@ class TestFromSelector:
         assert s.period == m.t
 
 
-class TestExtension:
-    def test_classes_become_maximal(self):
-        g = graphs.random_network(8, 10, seed=3)
-        h = graphs.build_conflict_graph(g)
-        col = graphs.greedy_coloring(h)
-        base = schedules.schedule_from_coloring(col)
-        ext = schedules.extend_to_maximal_independent(col, h)
-        assert ext.period == base.period
-        for r in range(ext.period):
-            chosen = set(ext.active[r])
-            assert set(base.active[r]) <= chosen
-            # independent and maximal
-            for v in chosen:
-                assert not (h.conflict_neighbors(v) & (chosen - {v}))
-            for v in range(h.link_count):
-                if v not in chosen:
-                    assert h.conflict_neighbors(v) & chosen
-
-    def test_extension_never_loses_successes(self):
-        g = graphs.random_network(7, 8, seed=11)
-        h = graphs.build_conflict_graph(g)
-        col = graphs.greedy_coloring(h)
-        base = schedules.verify_frequent(schedules.schedule_from_coloring(col), g)
-        ext = schedules.verify_frequent(schedules.extend_to_maximal_independent(col, h), g)
-        assert all(e >= b for e, b in zip(ext.per_link_min, base.per_link_min))
-
-
 class TestVerifyFrequent:
     def test_idle_link_fails(self):
         g = graphs.path_graph(2)
