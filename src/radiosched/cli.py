@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -652,8 +653,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # free the parser, whose reference cycles outlive it, before the handler runs
+    gc.collect(1)
     try:
         return args.func(args)
     except (ParameterError, FormatError, ConstructionError, OSError) as exc:

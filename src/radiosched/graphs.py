@@ -14,7 +14,10 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import FormatError, ParameterError, SizeError
 from .selectors import parse_count
@@ -75,6 +78,19 @@ class NetworkGraph:
         if not self.nodes:
             return 0
         return max(len(self._in_neighbors[n]) for n in self.nodes)
+
+    @cached_property
+    def _dense_ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Link tails, link heads and a padded in-neighbor table, as indices into `nodes`."""
+        index = {n: j for j, n in enumerate(self.nodes)}
+        ends = np.array([index[x] for link in self.links for x in link], dtype=np.intp)
+        tail, head = ends[0::2], ends[1::2]
+        # each link puts its tail in the next free slot of its head's row
+        order = np.argsort(head, kind="stable")
+        deg = np.bincount(head, minlength=len(self.nodes))
+        nbrs = np.full((len(self.nodes), deg.max(initial=0)), len(self.nodes), dtype=np.intp)
+        nbrs[head[order], np.arange(order.size) - (np.cumsum(deg) - deg)[head[order]]] = tail[order]
+        return tail, head, nbrs
 
 
 def from_undirected_edges(node_count: int, edges) -> NetworkGraph:
@@ -255,37 +271,46 @@ def degree_bound_check(g: NetworkGraph) -> DegreeBoundReport:
 # ---------------------------------------------------------------------------
 # round resolution
 
+def resolve_rows(g: NetworkGraph, row_of, link_of, nrows: int) -> np.ndarray:
+    """The package's one radio rule, over many rounds at once.  Activation j
+    puts link `link_of[j]` = (u, v) in round `row_of[j]` of [0, nrows), no
+    pair twice, and its entry in the returned bool array says whether it
+    wins when exactly its round's links transmit: u tails no other of them,
+    v is silent and no in-neighbor of v but u transmits.  Transmitters are
+    keyed round * (nodes + 1) + node over dense node indices and found by
+    binary search, one pass per in-neighbor column, so memory grows with the
+    activations and the network, never with rounds x nodes."""
+    tail, head, nbrs = g._dense_ends
+    stride = len(g.nodes) + 1  # node index len(nodes) pads `nbrs` and never transmits
+    if nrows * stride > np.iinfo(np.int64).max:
+        raise ParameterError(f"{nrows} rounds x {stride} nodes overflow the transmitter keys")
+    row_of = np.asarray(row_of, dtype=np.int64)
+    won = np.ones(row_of.size, dtype=bool)
+    # a round's lone link always wins; only shared rounds are resolved
+    shared = np.flatnonzero(np.bincount(row_of)[row_of] > 1)
+    base = row_of[shared] * stride
+    link_of = np.asarray(link_of, dtype=np.intp)[shared]
+    v, sent = head[link_of], base + tail[link_of]
+    keys, counts = np.unique(sent, return_counts=True)
+    keys = np.append(keys, nrows * stride)  # past every key, so a search stays in range
+
+    def busy(node):  # whether the node transmits in the activation's round
+        at = base + node
+        return keys[np.searchsorted(keys, at)] == at
+
+    sends_once = counts[np.searchsorted(keys, sent)] == 1
+    # the tail is one in-neighbor of the head, so it must be the only busy one
+    alone = sum(busy(col[v]) for col in nbrs.T) == 1
+    won[shared] = sends_once & ~busy(v) & alone
+    return won
+
+
 def successful_links(g: NetworkGraph, candidates) -> tuple[int, ...]:
-    """Resolve one synchronous round.
-
-    `candidates` are link indices that actually attempt transmission (already
-    restricted to nonempty queues by the caller).  A node is transmitting iff
-    it is the tail of at least one candidate.  Candidate (u, v) succeeds iff
-    u is the tail of exactly one candidate, v is silent, and u is the only
-    transmitting in-neighbor of v.
-
-    This is the package's one radio rule.  `verify_frequent` and `run` call
-    it once per distinct candidate set and reuse the result within the call.
-    """
+    """Resolve one synchronous round: the winners among `candidates`, the
+    link indices that attempt transmission, by `resolve_rows` on one row."""
     cand = sorted(set(candidates))
-    if len(cand) < 2:
-        # a lone tail sends once, its head is silent and hears no one else
-        return tuple(cand)
-    links = g.links
-    tails = [links[i][0] for i in cand]
-    busy = set(tails)
-    shared = {u for u in busy if tails.count(u) > 1} if len(busy) < len(tails) else ()
-    out = []
-    for i, u in zip(cand, tails):
-        v = links[i][1]
-        if u in shared or v in busy:
-            continue
-        # u itself is an in-neighbor of v, so any other transmitting one
-        # makes the intersection larger than {u}
-        if len(busy.intersection(g.in_neighbors(v))) > 1:
-            continue
-        out.append(i)
-    return tuple(out)
+    won = resolve_rows(g, [0] * len(cand), cand, 1)
+    return tuple(i for i, w in zip(cand, won.tolist()) if w)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .graphs import Coloring, NetworkGraph, conflict_in_degree, successful_links
+from .graphs import Coloring, NetworkGraph, conflict_in_degree, resolve_rows
 from .selectors import SelectorMatrix, format_fraction, parse_count, parse_fraction, parse_header
 
 
@@ -113,6 +114,13 @@ def schedule_from_selector(sel: SelectorMatrix, g: NetworkGraph) -> Transmission
     return TransmissionSchedule._from_canonical(active, m, (sel.claimed_eps / sel.claimed_k, sel.t))
 
 
+def activations(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The flat (round, link) activations of `rows`, round-major, for `resolve_rows`."""
+    lens = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    row_of = np.repeat(np.arange(len(rows), dtype=np.int64), lens)
+    return row_of, np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=row_of.size)
+
+
 @dataclass(frozen=True)
 class FrequencyReport:
     ok: bool
@@ -124,15 +132,17 @@ class FrequencyReport:
 
 
 def verify_frequent(schedule: TransmissionSchedule, g: NetworkGraph) -> FrequencyReport:
-    """Resolve each distinct row of the period once under full backlog and
-    count per-link successes in every cyclic window of the claimed length.
+    """Resolve the period's rows under full backlog in one `resolve_rows`
+    call and count per-link successes in every cyclic window of the claimed
+    length.
 
     Successes repeat with the period P, so a window of T rounds holds
     T // P whole periods plus T % P rounds from its start, and its count
     depends only on the start modulo P.  Every one of the P cyclic starts
-    is checked exactly; ok means every link clears rho*T in every window.
-    The report's rounds is the replay length max(2*T, P + T - 1) that
-    covers the same starts.  Exact rational comparison, no tolerance.
+    is checked exactly, from a P x links success matrix built only when
+    T % P != 0; ok means every link clears rho*T in every window.  The
+    report's rounds is the replay length max(2*T, P + T - 1) that covers
+    the same starts.  Exact rational comparison, no tolerance.
     """
     if schedule.claimed_frequency is None:
         raise ParameterError("schedule carries no frequency claim to verify")
@@ -141,21 +151,14 @@ def verify_frequent(schedule: TransmissionSchedule, g: NetworkGraph) -> Frequenc
     rho, T = schedule.claimed_frequency
     m, P = g.link_count, schedule.period
     total = max(2 * T, P + T - 1)
-    # resolve each distinct row once, then gather the rounds from those
-    ids: dict[tuple[int, ...], int] = {}
-    idx = np.array([ids.setdefault(row, len(ids)) for row in schedule.active], dtype=np.intp)
-    won_rows, won_links = [], []
-    for j, row in enumerate(ids):
-        won = successful_links(g, row)
-        won_rows += [j] * len(won)
-        won_links += won
-    distinct = np.zeros((len(ids), m), dtype=bool)
-    distinct[won_rows, won_links] = True
-    succ = distinct[idx]
+    row_of, link_of = activations(schedule.active)
+    won = resolve_rows(g, row_of, link_of, P)
     whole, rest = divmod(T, P) if P else (0, 0)
-    per_period = succ.sum(axis=0, dtype=np.int64).tolist()
+    per_period = np.bincount(link_of[won], minlength=m).tolist()
     if rest:
         # successes in rounds s .. s+rest-1 (mod P), one row per start s
+        succ = np.zeros((P, m), dtype=bool)
+        succ[row_of[won], link_of[won]] = True
         cum = np.zeros((P + rest, m), dtype=np.int64)
         np.cumsum(np.concatenate((succ, succ[: rest - 1])), axis=0, out=cum[1:])
         stretch = cum[rest:] - cum[:P]

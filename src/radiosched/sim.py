@@ -21,8 +21,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .graphs import NetworkGraph, successful_links
-from .schedules import TransmissionSchedule
+from .graphs import NetworkGraph, resolve_rows, successful_links
+from .schedules import TransmissionSchedule, activations
 from .traffic import AdversaryConfig, InjectionTrace, Packet, check_routes
 
 # Primary heap key of a packet waiting at a link after `hops` completed
@@ -143,8 +143,10 @@ def run(
     This is the package's one simulation kernel; every command and check
     that simulates calls it.  A round costs one pass over its schedule row,
     and each event (an injection, a forward or a delivery) O(log queue).
-    The radio rule `successful_links` runs once per distinct candidate set
-    met in the call and is memoised for the rest of it.
+    Its `min(period, rounds)` rows are resolved once by `resolve_rows`.  The
+    radio rule is monotone (a link that wins with its whole row wins in every
+    subset holding it), so on a clean row, whose links all win together, the
+    candidates win; elsewhere `successful_links` is memoised per candidate set.
     """
     key = POLICIES.get(policy.lower())
     if key is None:
@@ -167,9 +169,13 @@ def run(
     # which keeps the trace's packets unmodified.
     queues: list[list[tuple]] = [[] for _ in range(m)]
     span = min(schedule.period, rounds)
+    row_of, link_of = activations(schedule.active[:span])
     pattern = np.zeros((m, span), dtype=bool)
-    for r in range(span):
-        pattern[list(schedule.active[r]), r] = True
+    pattern[link_of, row_of] = True
+    # clean[r]: every link of row r wins with the whole row transmitting
+    lost = row_of[~resolve_rows(g, row_of, link_of, span)]
+    clean = (np.bincount(lost, minlength=span) == 0).tolist()
+    del row_of, link_of, lost
     # an empty schedule activates no link in any round
     rows = schedule.active or ((),)
     period = len(rows)
@@ -191,8 +197,8 @@ def run(
     since: dict[int, int] = {}
     length_count = [0]
     longest = 0
-    # winners of each candidate set met so far; schedule rows are sorted, so
-    # equal sets give equal tuples
+    # winners of each candidate set met so far on rows that are not clean;
+    # schedule rows are sorted, so equal sets give equal tuples
     resolved: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     for r in range(rounds):
@@ -217,11 +223,12 @@ def run(
                     longest = n
             queued += len(injected)
 
-        candidates = tuple([e for e in rows[r % period] if queues[e]])
+        at = r % period
+        candidates = [e for e in rows[at] if queues[e]]
         if candidates:
-            winners = resolved.get(candidates)
+            winners = candidates if clean[at] else resolved.get(cset := tuple(candidates))
             if winners is None:
-                winners = resolved[candidates] = successful_links(g, candidates)
+                winners = resolved[cset] = successful_links(g, cset)
             # a winner's head is silent, so a packet forwarded this round
             # never joins the queue of a later winner
             for e in winners:
@@ -276,7 +283,7 @@ def run(
         per_round_max_queue=np.frombuffer(max_queue_series, dtype=np.int64),
         delivered=tuple(delivered),
         undelivered_count=len(trace) - len(delivered),
-        final_queues=tuple(tuple(entry[1] for entry in sorted(q, key=itemgetter(2))) for q in queues),
+        final_queues=tuple(tuple(e[1] for e in sorted(q, key=itemgetter(2))) if q else () for q in queues),
     )
 
 

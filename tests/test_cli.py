@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -658,3 +660,27 @@ def test_every_flag_is_read_or_refused(tmp_path, monkeypatch):
             if code != 3 and action.dest not in read:
                 dropped.append(f"{leaf} {flag}")
     assert not dropped
+
+
+def test_parser_is_released_before_the_handler(monkeypatch):
+    # argparse's reference cycles would keep the whole tree alive through
+    # the run of the command
+    refs = []
+    real_build = cli.build_parser
+
+    def build():
+        parser = real_build()
+        refs.append(weakref.ref(parser))
+        return parser
+
+    seen = []
+
+    def handler(args):
+        seen.append(refs[0]() is None)
+        return 0
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    monkeypatch.setattr(cli, "cmd_threshold_coloring", handler)
+    gc.collect()  # start from empty young generations
+    assert main(["bounds", "threshold", "coloring", "--chi", "3"]) == 0
+    assert seen == [True]

@@ -36,11 +36,13 @@ from radiosched.graphs import (
     greedy_coloring,
     path_graph,
     random_network,
+    resolve_rows,
     successful_links,
 )
 from radiosched.schedules import (
     FrequencyReport,
     TransmissionSchedule,
+    activations,
     schedule_from_coloring,
     schedule_from_selector,
     verify_frequent,
@@ -301,7 +303,7 @@ def ref_verify_frequent(schedule, g):
     for r in range(total):
         key = r % schedule.period if schedule.period else 0
         if key not in per_period:
-            per_period[key] = successful_links(g, schedule.active_at(r))
+            per_period[key] = ref_successful_links(g, schedule.active_at(r))
         for i in per_period[key]:
             succ[r, i] = True
     cum = np.zeros((total + 1, m), dtype=np.int64)
@@ -401,6 +403,22 @@ def networks(draw, max_nodes=10):
         seed=draw(st.integers(0, 10**6)),
         max_degree=draw(st.none() | st.integers(1, 4)),
     )
+
+
+@st.composite
+def sparse_id_networks(draw, max_nodes=10):
+    """`networks` with its nodes renamed to distinct ids, in no order, that
+    may be sparse or huge."""
+    g = draw(networks(max_nodes))
+    ids = draw(
+        st.lists(
+            st.sampled_from([0, 7, 10**12]) | st.integers(0, 10**12),
+            min_size=len(g.nodes),
+            max_size=len(g.nodes),
+            unique=True,
+        )
+    )
+    return NetworkGraph(tuple(ids), tuple((ids[a], ids[b]) for a, b in g.links))
 
 
 @st.composite
@@ -604,9 +622,43 @@ class TestSuccessfulLinksMatchesCounter:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_same_winners(self, data):
-        g = data.draw(networks(max_nodes=12))
+        g = data.draw(networks(max_nodes=12) | sparse_id_networks(max_nodes=12))
         cands = data.draw(st.lists(st.integers(0, g.link_count - 1), max_size=2 * g.link_count))
         assert successful_links(g, cands) == ref_successful_links(g, cands)
+
+
+class TestResolveRowsMatchesCounter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rows_at_once(self, data):
+        # empty, singleton, full, drawn and repeated rows in one call, with
+        # the activations in any order
+        g = data.draw(networks(max_nodes=10) | sparse_id_networks())
+        m = g.link_count
+        drawn = st.sets(st.integers(0, m - 1)).map(lambda s: tuple(sorted(s)))
+        rows = data.draw(st.lists(drawn | st.sampled_from([(), (0,), tuple(range(m))]), max_size=8))
+        rows += rows[: data.draw(st.integers(0, len(rows)))]
+        row_of, link_of = activations(rows)
+        order = np.array(data.draw(st.permutations(range(row_of.size))), dtype=np.intp)
+        won = np.empty(row_of.size, dtype=bool)
+        won[order] = resolve_rows(g, row_of[order], link_of[order], len(rows))
+        for r, row in enumerate(rows):
+            assert tuple(link_of[(row_of == r) & won].tolist()) == ref_successful_links(g, row)
+
+    def test_huge_node_ids_every_subset(self):
+        # the path 0 - 7 - 10**12: all 16 sets of its 4 links, one per round
+        g = NetworkGraph((7, 10**12, 0), ((0, 7), (7, 0), (7, 10**12), (10**12, 7)))
+        rows = [tuple(i for i in range(4) if bits >> i & 1) for bits in range(16)]
+        row_of, link_of = activations(rows)
+        won = resolve_rows(g, row_of, link_of, len(rows))
+        for r, row in enumerate(rows):
+            want = ref_successful_links(g, row)
+            assert tuple(link_of[(row_of == r) & won].tolist()) == want == successful_links(g, row)
+
+    def test_key_overflow_refused(self):
+        g = path_graph(3)
+        with pytest.raises(ParameterError, match="overflow"):
+            resolve_rows(g, [0], [0], 2**62)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +699,7 @@ class TestVerifyFrequentMatchesReplay:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_same_report(self, data):
-        g = data.draw(networks(max_nodes=8))
+        g = data.draw(networks(max_nodes=8) | sparse_id_networks(max_nodes=8))
         sched = data.draw(claimed_schedules(g))
         assert verify_frequent(sched, g) == ref_verify_frequent(sched, g)
 
@@ -856,8 +908,8 @@ class TestRunMemoMatchesRescan:
     @given(st.data())
     def test_repeated_rows(self, data):
         # rows drawn from a pool of two, so candidate sets recur while the
-        # backlogs change under them; the radio rule runs once per distinct
-        # nonempty candidate set
+        # backlogs change under them; the per-set rule runs once per
+        # distinct nonempty candidate set met on a row that is not clean
         g = data.draw(networks(max_nodes=8))
         pool = [tuple(data.draw(st.sets(st.integers(0, g.link_count - 1)))) for _ in range(2)]
         rows = tuple(data.draw(st.sampled_from(pool)) for _ in range(data.draw(st.integers(1, 8))))
@@ -871,8 +923,25 @@ class TestRunMemoMatchesRescan:
             got = run(g, sched, policy, trace, rounds)
         want = ref_run(g, sched, policy, trace, rounds)
         assert_metrics_equal(got, want)
-        sets = {tuple(np.flatnonzero(col)) for col in want.attempted.T if col.any()}
+        active = sched.active
+        clean = [ref_successful_links(g, row) == row for row in active]
+        sets = {
+            tuple(np.flatnonzero(col))
+            for r, col in enumerate(want.attempted.T)
+            if col.any() and not clean[r % len(active)]
+        }
         assert rule.call_count == len(sets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_radio_rule_is_monotone(self, data):
+        # a link that wins with its whole row transmitting wins in every
+        # subset of the row that holds it, which lets run take a clean
+        # row's candidates as its winners
+        g = data.draw(networks(max_nodes=10))
+        row = data.draw(st.sets(st.integers(0, g.link_count - 1)))
+        subset = data.draw(st.sets(st.sampled_from(sorted(row)))) if row else set()
+        assert set(ref_successful_links(g, row)) & subset <= set(ref_successful_links(g, subset))
 
 
 # every window length, against a bound loose enough to hold and one no
