@@ -218,17 +218,17 @@ def cmd_schedule_verify(args) -> int:
     if sched.claimed_frequency is None:
         raise ParameterError("schedule file carries no rho=/T= claim to verify")
     rep = verify_frequent(sched, g)
-    emit(
-        {
-            "ok": rep.ok,
-            "rho": rep.rho,
-            "window": rep.T,
-            "rounds": rep.rounds,
-            "per_link_min": rep.per_link_min,
-            "per_link_max": rep.per_link_max,
-        },
-        args.format,
-    )
+    record = {
+        "ok": rep.ok,
+        "rho": rep.rho,
+        "window": rep.T,
+        "rounds": rep.rounds,
+        "per_link_min": rep.per_link_min,
+        "per_link_max": rep.per_link_max,
+    }
+    if rep.witness is not None:
+        record.update(zip(("witness_link", "witness_start", "witness_count"), rep.witness))
+    emit(record, args.format)
     return 0 if rep.ok else 2
 
 
@@ -292,16 +292,8 @@ def cmd_scenario_leaky_bucket(args) -> int:
 def _admissibility_record(rep, adv) -> dict:
     record = {"admissible": rep.admissible, "rho": adv.rho, "burst": adv.b}
     if rep.witness is not None:
-        w = rep.witness
-        record.update(
-            {
-                "witness_link": w.link,
-                "witness_start": w.start,
-                "witness_length": w.length,
-                "witness_load": w.load,
-                "witness_allowed": w.allowed,
-            }
-        )
+        keys = ("witness_link", "witness_start", "witness_length", "witness_load", "witness_allowed")
+        record.update(zip(keys, rep.witness))
     return record
 
 
@@ -387,14 +379,7 @@ def cmd_simulate(args) -> int:
             }
         )
         if not frep.holds:
-            w = frep.witness
-            record.update(
-                {
-                    "fail_witness_link": w.link,
-                    "fail_witness_start": w.start,
-                    "fail_witness_count": w.count,
-                }
-            )
+            record.update(zip(("fail_witness_link", "fail_witness_start", "fail_witness_count"), frep.witness))
             code = 2
     # files first: an unwritable path exits 3 with nothing printed
     if args.metrics is not None:
@@ -506,19 +491,9 @@ def cmd_experiment(args) -> int:
     out = Path(args.out_dir)
     seeds = range(args.sweep)
     runs = [row for seed in seeds for row in _experiment_seed(args, seed, out)]
-    config = {
-        "nodes": args.nodes,
-        "edges": args.edges,
-        "routes": args.routes,
-        "max_hops": args.max_hops,
-        "rho_scale": args.rho_scale,
-        "burst": args.burst,
-        "horizon": args.horizon,
-        "rounds": args.rounds,
-        "intensity": args.intensity,
-        "sweep": args.sweep,
-    }
-    summary = {"config": config, "runs": runs}
+    # the flags that shape the runs, echoed by name
+    flags = "nodes edges routes max_hops rho_scale burst horizon rounds intensity sweep".split()
+    summary = {"config": {k: getattr(args, k) for k in flags}, "runs": runs}
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     emit({"seeds": len(seeds), "runs": len(runs), "out_dir": str(out)}, args.format)
     return 0

@@ -330,12 +330,6 @@ class Coloring:
             raise ParameterError("color out of range")
         object.__setattr__(self, "color_count", max(self.colors, default=-1) + 1)
 
-    def classes(self) -> list[tuple[int, ...]]:
-        by_color: list[list[int]] = [[] for _ in range(self.color_count)]
-        for link, c in enumerate(self.colors):
-            by_color[c].append(link)
-        return [tuple(v) for v in by_color]
-
 
 def is_proper(h: ConflictGraph, coloring: Coloring) -> bool:
     # each pair of the closure lies in at least one of the two directed rows

@@ -1,18 +1,22 @@
 """Cyclic transmission schedules and their frequency guarantees.
 
 A schedule activates a set of links each round, repeating with a fixed
-period.  Its quality measure is (rho, T)-frequency: under full backlog
-every link succeeds at least rho*T times in any window of T consecutive
-rounds.  A proper conflict coloring with x classes gives (1/x, x); a
-selector of strength eps covering k-1 conflicting links gives (eps/k, t).
+period, and is held as its flat (round, link) activations, which the
+radio rule `resolve_rows` reads with no per-row pass.  Its quality
+measure is (rho, T)-frequency: under full backlog every link succeeds at
+least rho*T times in any window of T consecutive rounds.  A proper
+conflict coloring with x classes gives (1/x, x); a selector of strength
+eps covering k-1 conflicting links gives (eps/k, t).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,76 +25,95 @@ from .graphs import Coloring, NetworkGraph, conflict_in_degree, resolve_rows
 from .selectors import SelectorMatrix, format_fraction, parse_count, parse_fraction, parse_header
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransmissionSchedule:
-    """Round r activates active[r % period]; period is the number of rows.
+    """Round r activates link link_of[j] for every j with round_of[j] equal
+    to r % period.
 
-    The constructor turns each row into a sorted tuple of distinct Python
-    ints and refuses out-of-range links.  Builders in this package hand over
-    rows already in that form and use `_from_canonical`, which skips that
-    pass but still checks the frequency claim.
+    The constructor takes the activations in any order, refuses a round
+    outside [0, period) and a link outside [0, link_count), and holds them
+    as read-only int64 arrays sorted by (round, link) with no pair twice.
     """
 
-    active: tuple[tuple[int, ...], ...]
+    round_of: np.ndarray
+    link_of: np.ndarray
+    period: int
     link_count: int
     claimed_frequency: tuple[Fraction, int] | None = None
-    period: int = field(init=False)
 
     def __post_init__(self):
-        rows = [tuple(map(int, row)) for row in self.active]
-        active = tuple(r if len(r) < 2 else tuple(sorted(set(r))) for r in rows)
-        object.__setattr__(self, "active", active)
-        for row in active:
-            # rows are sorted, so only their ends can leave the range
-            if row and (row[0] < 0 or row[-1] >= self.link_count):
-                bad = next(i for i in row if not 0 <= i < self.link_count)
-                raise ParameterError(f"scheduled link {bad} out of range")
-        self._finish()
-
-    @classmethod
-    def _from_canonical(cls, active, link_count: int, claimed_frequency=None) -> "TransmissionSchedule":
-        """Trusted construction: `active` must be a tuple of sorted tuples of
-        distinct Python ints in [0, link_count)."""
-        sched = cls.__new__(cls)
-        object.__setattr__(sched, "active", active)
-        object.__setattr__(sched, "link_count", link_count)
-        object.__setattr__(sched, "claimed_frequency", claimed_frequency)
-        sched._finish()
-        return sched
-
-    def _finish(self):
-        # the period, and the check and normal form of the claim
-        object.__setattr__(self, "period", len(self.active))
+        period, m = int(self.period), int(self.link_count)
+        round_of = np.asarray(self.round_of, dtype=np.int64)
+        link_of = np.asarray(self.link_of, dtype=np.int64)
+        if period < 0 or m < 0 or round_of.ndim != 1 or round_of.shape != link_of.shape:
+            raise ParameterError("a schedule needs period, link_count >= 0 and flat activations of one length")
+        bad = (round_of < 0) | (round_of >= period)
+        if bad.any():
+            raise ParameterError(f"scheduled round {round_of[bad].min()} out of range")
+        bad = (link_of < 0) | (link_of >= m)
+        if bad.any():
+            # the smallest bad link of the first round that holds one
+            first = round_of == round_of[bad].min()
+            raise ParameterError(f"scheduled link {link_of[bad & first].min()} out of range")
+        if period * m <= np.iinfo(np.int64).max:  # the (round, link) key cannot wrap
+            order = np.argsort(round_of * m + link_of, kind="stable")
+        else:
+            order = np.lexsort((link_of, round_of))
+        round_of, link_of = round_of[order], link_of[order]
+        fresh = np.ones(round_of.size, dtype=bool)
+        fresh[1:] = (round_of[1:] != round_of[:-1]) | (link_of[1:] != link_of[:-1])
+        for name, arr in (("round_of", round_of[fresh]), ("link_of", link_of[fresh])):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "link_count", m)
         if self.claimed_frequency is not None:
             rho, T = self.claimed_frequency
             if T < 1 or not 0 < Fraction(rho) <= 1:
                 raise ParameterError("claimed frequency needs 0 < rho <= 1 and T >= 1")
             object.__setattr__(self, "claimed_frequency", (Fraction(rho), int(T)))
 
-    def active_at(self, round_index: int) -> tuple[int, ...]:
-        if self.period == 0:
-            return ()
-        return self.active[round_index % self.period]
+    def __eq__(self, other):
+        if not isinstance(other, TransmissionSchedule):
+            return NotImplemented
+        shape = (self.period, self.link_count, self.claimed_frequency)
+        if shape != (other.period, other.link_count, other.claimed_frequency):
+            return False
+        return np.array_equal(self.round_of, other.round_of) and np.array_equal(self.link_of, other.link_of)
+
+    @cached_property
+    def active(self) -> tuple[tuple[int, ...], ...]:
+        """Each round's links as a sorted tuple, built on first read and kept."""
+        links = self.link_of.tolist()
+        bounds = np.searchsorted(self.round_of, np.arange(self.period + 1)).tolist()
+        return tuple(tuple(links[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def rotated(self, offset: int) -> "TransmissionSchedule":
+        """The schedule whose round r is round r + offset of this one."""
         if self.period == 0:
             return self
-        shift = offset % self.period
-        return TransmissionSchedule._from_canonical(
-            self.active[shift:] + self.active[:shift],
-            self.link_count,
-            self.claimed_frequency,
-        )
+        shifted = (self.round_of - offset % self.period) % self.period
+        return TransmissionSchedule(shifted, self.link_of, self.period, self.link_count, self.claimed_frequency)
+
+
+def schedule_from_rows(rows, link_count: int, claimed_frequency) -> TransmissionSchedule:
+    """The schedule whose round r activates the links listed in rows[r], in
+    any order and possibly more than once; the period is len(rows)."""
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    try:
+        link_of = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lens.sum()))
+    except OverflowError:
+        # a link beyond int64 is out of range: name the first bad row's smallest
+        bad = next(b for b in ([i for i in row if not 0 <= i < link_count] for row in rows) if b)
+        raise ParameterError(f"scheduled link {min(bad)} out of range") from None
+    round_of = np.repeat(np.arange(len(rows), dtype=np.int64), lens)
+    return TransmissionSchedule(round_of, link_of, len(rows), link_count, claimed_frequency)
 
 
 def schedule_from_coloring(coloring: Coloring) -> TransmissionSchedule:
     """Round r activates color class r mod x; each link succeeds once per x."""
-    x = coloring.color_count
-    return TransmissionSchedule._from_canonical(
-        tuple(coloring.classes()),
-        len(coloring.colors),
-        (Fraction(1, x), x) if x else None,
-    )
+    x, m = coloring.color_count, len(coloring.colors)
+    return TransmissionSchedule(coloring.colors, np.arange(m), x, m, (Fraction(1, x), x) if x else None)
 
 
 def schedule_from_selector(sel: SelectorMatrix, g: NetworkGraph) -> TransmissionSchedule:
@@ -107,18 +130,15 @@ def schedule_from_selector(sel: SelectorMatrix, g: NetworkGraph) -> Transmission
     need = conflict_in_degree(g) + 1
     if sel.claimed_k < need:
         raise ParameterError(f"selector k={sel.claimed_k} below conflict in-degree + 1 = {need}")
-    used = sel.rows[:, :m]
-    links = (np.flatnonzero(used) % m).tolist()  # row-major, so ascending within each row
-    ends = np.cumsum(used.sum(axis=1, dtype=np.int64)).tolist()
-    active = tuple(tuple(links[a:b]) for a, b in zip([0] + ends[:-1], ends))
-    return TransmissionSchedule._from_canonical(active, m, (sel.claimed_eps / sel.claimed_k, sel.t))
+    # the entries are 0/1, so the bool view finds the same cells, and faster
+    round_of, link_of = divmod(np.flatnonzero(sel.rows[:, :m].view(bool)), m)
+    return TransmissionSchedule(round_of, link_of, sel.t, m, (sel.claimed_eps / sel.claimed_k, sel.t))
 
 
-def activations(rows) -> tuple[np.ndarray, np.ndarray]:
-    """The flat (round, link) activations of `rows`, round-major, for `resolve_rows`."""
-    lens = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    row_of = np.repeat(np.arange(len(rows), dtype=np.int64), lens)
-    return row_of, np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=row_of.size)
+class ServiceWindow(NamedTuple):
+    link: int
+    start: int
+    count: int
 
 
 @dataclass(frozen=True)
@@ -129,12 +149,14 @@ class FrequencyReport:
     rounds: int
     per_link_min: tuple[int, ...]
     per_link_max: tuple[int, ...]
+    # the fewest-success window, first in (link, start) order; None when ok
+    witness: ServiceWindow | None
 
 
 def verify_frequent(schedule: TransmissionSchedule, g: NetworkGraph) -> FrequencyReport:
-    """Resolve the period's rows under full backlog in one `resolve_rows`
-    call and count per-link successes in every cyclic window of the claimed
-    length.
+    """Resolve the period's activations under full backlog in one
+    `resolve_rows` call and count per-link successes in every cyclic window
+    of the claimed length.
 
     Successes repeat with the period P, so a window of T rounds holds
     T // P whole periods plus T % P rounds from its start, and its count
@@ -151,7 +173,7 @@ def verify_frequent(schedule: TransmissionSchedule, g: NetworkGraph) -> Frequenc
     rho, T = schedule.claimed_frequency
     m, P = g.link_count, schedule.period
     total = max(2 * T, P + T - 1)
-    row_of, link_of = activations(schedule.active)
+    row_of, link_of = schedule.round_of, schedule.link_of
     won = resolve_rows(g, row_of, link_of, P)
     whole, rest = divmod(T, P) if P else (0, 0)
     per_period = np.bincount(link_of[won], minlength=m).tolist()
@@ -162,13 +184,18 @@ def verify_frequent(schedule: TransmissionSchedule, g: NetworkGraph) -> Frequenc
         cum = np.zeros((P + rest, m), dtype=np.int64)
         np.cumsum(np.concatenate((succ, succ[: rest - 1])), axis=0, out=cum[1:])
         stretch = cum[rest:] - cum[:P]
-        part_min, part_max = stretch.min(axis=0).tolist(), stretch.max(axis=0).tolist()
-    else:
-        part_min = part_max = [0] * m
+    else:  # whole periods only: one start stands for every start
+        stretch = np.zeros((1, m), dtype=np.int64)
+    part_min, part_max = stretch.min(axis=0).tolist(), stretch.max(axis=0).tolist()
     per_min = tuple(whole * c + p for c, p in zip(per_period, part_min))
     per_max = tuple(whole * c + p for c, p in zip(per_period, part_max))
     need = rho * T
-    return FrequencyReport(all(v >= need for v in per_min), rho, T, total, per_min, per_max)
+    ok = all(v >= need for v in per_min)
+    witness = None
+    if not ok:
+        link = per_min.index(min(per_min))
+        witness = ServiceWindow(link, int(stretch[:, link].argmin()), per_min[link])
+    return FrequencyReport(ok, rho, T, total, per_min, per_max, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +222,7 @@ def read_schedule(path) -> TransmissionSchedule:
     if len(body) != period:
         raise FormatError(f"expected {period} round lines, found {len(body)}")
     try:
-        active = tuple(tuple(int(v) for v in line.split()) for line in body)
+        rows = [[int(v) for v in line.split()] for line in body]
     except ValueError as exc:
         raise FormatError("round lines must hold integer link indices") from exc
     if ("rho" in fields) != ("T" in fields):
@@ -204,6 +231,6 @@ def read_schedule(path) -> TransmissionSchedule:
     if "rho" in fields:
         claimed = (parse_fraction(fields["rho"]), parse_count(fields["T"]))
     try:
-        return TransmissionSchedule(active, links, claimed_frequency=claimed)
+        return schedule_from_rows(rows, links, claimed)
     except ParameterError as exc:
         raise FormatError(str(exc)) from exc

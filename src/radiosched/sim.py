@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .graphs import NetworkGraph, resolve_rows, successful_links
-from .schedules import TransmissionSchedule, activations
+from .schedules import TransmissionSchedule
 from .traffic import AdversaryConfig, InjectionTrace, Packet, check_routes
 
 # Primary heap key of a packet waiting at a link after `hops` completed
@@ -143,10 +143,12 @@ def run(
     This is the package's one simulation kernel; every command and check
     that simulates calls it.  A round costs one pass over its schedule row,
     and each event (an injection, a forward or a delivery) O(log queue).
-    Its `min(period, rounds)` rows are resolved once by `resolve_rows`.  The
-    radio rule is monotone (a link that wins with its whole row wins in every
-    subset holding it), so on a clean row, whose links all win together, the
-    candidates win; elsewhere `successful_links` is memoised per candidate set.
+    Its `min(period, rounds)` rows, cut from the schedule's sorted
+    activations by one `searchsorted`, are resolved once by `resolve_rows`.
+    The radio rule is monotone (a link that wins with its whole row wins in
+    every subset holding it), so on a clean row, whose links all win
+    together, the candidates win; elsewhere `successful_links` is memoised
+    per candidate set.
     """
     key = POLICIES.get(policy.lower())
     if key is None:
@@ -168,17 +170,21 @@ def run(
     # by it restores queue order; hops counts the packet's completed hops,
     # which keeps the trace's packets unmodified.
     queues: list[list[tuple]] = [[] for _ in range(m)]
+    # the activations of the rounds the run reaches; rows[r] lists row r's
+    # links in ascending order, and an empty schedule activates none
     span = min(schedule.period, rounds)
-    row_of, link_of = activations(schedule.active[:span])
+    stop = np.searchsorted(schedule.round_of, span)
+    row_of, link_of = schedule.round_of[:stop], schedule.link_of[:stop]
     pattern = np.zeros((m, span), dtype=bool)
     pattern[link_of, row_of] = True
     # clean[r]: every link of row r wins with the whole row transmitting
     lost = row_of[~resolve_rows(g, row_of, link_of, span)]
     clean = (np.bincount(lost, minlength=span) == 0).tolist()
-    del row_of, link_of, lost
-    # an empty schedule activates no link in any round
-    rows = schedule.active or ((),)
+    links = link_of.tolist()
+    ends = np.cumsum(np.bincount(row_of, minlength=span)).tolist()
+    rows = [links[a:b] for a, b in zip([0] + ends, ends)] or [[]]
     period = len(rows)
+    del row_of, link_of, lost, links
     # (link, start, end) of every closed backlogged stretch, and
     # link * rounds + round of every success
     stretches = array("q")
@@ -198,7 +204,7 @@ def run(
     length_count = [0]
     longest = 0
     # winners of each candidate set met so far on rows that are not clean;
-    # schedule rows are sorted, so equal sets give equal tuples
+    # rows are sorted, so equal sets give equal tuples
     resolved: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     for r in range(rounds):

@@ -268,15 +268,7 @@ def gen_clique_scenario(n: int, epsilon, horizon: int) -> CliqueScenario:
     m = g.link_count
     chi = n * n - n
     secondary = math.ceil(1 / epsilon)
-    injections = []
-    next_id = 0
-    for r in range(horizon + 1):
-        waves = (r % chi == 0) + (r % secondary == 0)
-        for _ in range(waves):
-            for e in range(m):
-                injections.append((r, Packet(next_id, r, (e,))))
-                next_id += 1
-    return CliqueScenario(g, InjectionTrace(tuple(injections), horizon), chi, secondary)
+    return CliqueScenario(g, _periodic_trace(range(m), (chi, secondary), horizon), chi, secondary)
 
 
 @dataclass(frozen=True)
@@ -327,14 +319,15 @@ def gen_tree_family(delta: int, rho, horizon: int) -> TreeFamilyScenario:
             trees.append(build(extra))
 
     shared_links = tuple(2 * e for e in range(len(shared_edges)))
-    period = math.ceil(1 / rho)
-    injections = []
-    next_id = 0
-    for r in range(0, horizon + 1, period):
-        for e in shared_links:
-            injections.append((r, Packet(next_id, r, (e,))))
-            next_id += 1
-    return TreeFamilyScenario(tuple(trees), shared_links, InjectionTrace(tuple(injections), horizon))
+    trace = _periodic_trace(shared_links, (math.ceil(1 / rho),), horizon)
+    return TreeFamilyScenario(tuple(trees), shared_links, trace)
+
+
+def _periodic_trace(links, periods, horizon: int) -> InjectionTrace:
+    """At each multiple r of each period in [0, horizon], one single-link
+    packet per link, in order; ids count up by round, period, then link."""
+    waves = ((r, e) for r in range(horizon + 1) for p in periods if r % p == 0 for e in links)
+    return InjectionTrace(tuple((r, Packet(i, r, (e,))) for i, (r, e) in enumerate(waves)), horizon)
 
 
 def random_routes(g: NetworkGraph, count: int, max_hops: int, seed: int) -> list[tuple[int, ...]]:

@@ -26,8 +26,8 @@ from radiosched.graphs import (
     random_network,
 )
 from radiosched.schedules import (
-    TransmissionSchedule,
     schedule_from_coloring,
+    schedule_from_rows,
     schedule_from_selector,
     verify_frequent,
 )
@@ -193,7 +193,7 @@ def test_criterion_6_clique_instability():
     h = build_conflict_graph(sc.g)
     coloring = exact_chromatic(h)
     col_sched = schedule_from_coloring(coloring)
-    all_active = TransmissionSchedule(active=(tuple(range(6)),), link_count=6)
+    all_active = schedule_from_rows((tuple(range(6)),), 6, None)
     sel = poly_uss(6, 6)
     sel_sched = schedule_from_selector(sel, sc.g)
 

@@ -79,6 +79,20 @@ class TestScheduleFlow:
         assert parse_text(capsys.readouterr().out)["provenance"] == "selector"
         assert main(["schedule", "verify", path3_file, sched]) == 0
 
+    def test_failing_verify_names_its_witness(self, path3_file, tmp_path, capsys):
+        # links 1-3 are never scheduled; link 1 is the first with no success
+        sched = tmp_path / "sched.txt"
+        sched.write_text("schedule period=2 links=4 rho=1/2 T=2\n0\n0 3\n")
+        argv = ["schedule", "verify", path3_file, str(sched), "--format", "json-lines"]
+        assert main(argv) == 2
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["ok"], rec["witness_link"], rec["witness_start"], rec["witness_count"]) == (False, 1, 0, 0)
+        good = tmp_path / "good.txt"
+        assert main(["schedule", "coloring", path3_file, "--exact", "--out", str(good)]) == 0
+        capsys.readouterr()
+        assert main(["schedule", "verify", path3_file, str(good)]) == 0
+        assert not any(k.startswith("witness") for k in parse_text(capsys.readouterr().out))
+
     def test_exact_coloring_record(self, tmp_path, capsys):
         g_file = tmp_path / "net.txt"
         write_graph(random_network(6, 7, seed=2), g_file)

@@ -6,8 +6,8 @@ simulation kernel and its sparse record, the event-based failure
 accounting, the cyclic-window frequency check, the selector to schedule
 extraction, the packing of selector column sets and the selector sample
 check against the direct implementations they replaced, kept here as
-reference oracles; and the package's trusted schedule and conflict-graph
-builders against the public constructors.
+reference oracles; the schedule builders against the rows adapter; and the
+trusted conflict-graph builder against the public constructor.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ from radiosched.graphs import (
 )
 from radiosched.schedules import (
     FrequencyReport,
+    ServiceWindow,
     TransmissionSchedule,
-    activations,
     schedule_from_coloring,
+    schedule_from_rows,
     schedule_from_selector,
     verify_frequent,
 )
@@ -243,7 +244,7 @@ def ref_run(g, schedule, policy, trace, rounds) -> SimpleNamespace:
         for e in range(m):
             if queues[e]:
                 backlogged[e, r] = True
-        act = schedule.active_at(r)
+        act = ref_row(schedule, r)
         active[list(act), r] = True
         candidates = [e for e in act if queues[e]]
         attempted[candidates, r] = True
@@ -292,9 +293,15 @@ def ref_failure_accounting(dense, adv, rho_prime, window) -> FailureReport:
     return FailureReport(holds, bound, window, max_count, witness)
 
 
+def ref_row(schedule, r):
+    """The links schedule round r activates, from the schedule's rows."""
+    return schedule.active[r % schedule.period] if schedule.period else ()
+
+
 def ref_verify_frequent(schedule, g):
     """Round-by-round replay of max(2*T, period + T - 1) rounds with a
-    cumsum over every replayed round."""
+    cumsum over every replayed round; the witness is numpy's first argmin
+    of the per-link minima, then of that link's window counts."""
     rho, T = schedule.claimed_frequency
     m = g.link_count
     total = max(2 * T, schedule.period + T - 1)
@@ -303,7 +310,7 @@ def ref_verify_frequent(schedule, g):
     for r in range(total):
         key = r % schedule.period if schedule.period else 0
         if key not in per_period:
-            per_period[key] = ref_successful_links(g, schedule.active_at(r))
+            per_period[key] = ref_successful_links(g, ref_row(schedule, r))
         for i in per_period[key]:
             succ[r, i] = True
     cum = np.zeros((total + 1, m), dtype=np.int64)
@@ -312,7 +319,13 @@ def ref_verify_frequent(schedule, g):
     per_min = window_counts.min(axis=0) if m else np.zeros(0, dtype=np.int64)
     per_max = window_counts.max(axis=0) if m else np.zeros(0, dtype=np.int64)
     ok = all(Fraction(int(v)) >= rho * T for v in per_min)
-    return FrequencyReport(ok, rho, T, total, tuple(int(v) for v in per_min), tuple(int(v) for v in per_max))
+    witness = None
+    if not ok:
+        link = int(np.argmin(per_min))
+        start = int(np.argmin(window_counts[:, link]))
+        witness = ServiceWindow(link, start, int(window_counts[start, link]))
+    per_min, per_max = tuple(int(v) for v in per_min), tuple(int(v) for v in per_max)
+    return FrequencyReport(ok, rho, T, total, per_min, per_max, witness)
 
 
 def ref_schedule_active(active, link_count):
@@ -638,7 +651,8 @@ class TestResolveRowsMatchesCounter:
         drawn = st.sets(st.integers(0, m - 1)).map(lambda s: tuple(sorted(s)))
         rows = data.draw(st.lists(drawn | st.sampled_from([(), (0,), tuple(range(m))]), max_size=8))
         rows += rows[: data.draw(st.integers(0, len(rows)))]
-        row_of, link_of = activations(rows)
+        sched = schedule_from_rows(rows, m, None)
+        row_of, link_of = sched.round_of, sched.link_of
         order = np.array(data.draw(st.permutations(range(row_of.size))), dtype=np.intp)
         won = np.empty(row_of.size, dtype=bool)
         won[order] = resolve_rows(g, row_of[order], link_of[order], len(rows))
@@ -649,7 +663,8 @@ class TestResolveRowsMatchesCounter:
         # the path 0 - 7 - 10**12: all 16 sets of its 4 links, one per round
         g = NetworkGraph((7, 10**12, 0), ((0, 7), (7, 0), (7, 10**12), (10**12, 7)))
         rows = [tuple(i for i in range(4) if bits >> i & 1) for bits in range(16)]
-        row_of, link_of = activations(rows)
+        sched = schedule_from_rows(rows, 4, None)
+        row_of, link_of = sched.round_of, sched.link_of
         won = resolve_rows(g, row_of, link_of, len(rows))
         for r, row in enumerate(rows):
             want = ref_successful_links(g, row)
@@ -685,7 +700,7 @@ def claimed_schedules(draw, g: NetworkGraph):
     else:
         T = draw(st.integers(1, 6))
     rho = Fraction(draw(st.integers(1, 2 * T)), 2 * T)
-    return TransmissionSchedule(rows, m, claimed_frequency=(rho, T))
+    return schedule_from_rows(rows, m, (rho, T))
 
 
 def outcome(build):
@@ -709,13 +724,13 @@ class TestVerifyFrequentMatchesReplay:
         g = path_graph(2)
         rows = ((0,), (1,), (), (0,), (1,))
         for T in range(1, 13):
-            sched = TransmissionSchedule(rows, 2, claimed_frequency=(Fraction(1, 5), T))
+            sched = schedule_from_rows(rows, 2, (Fraction(1, 5), T))
             assert verify_frequent(sched, g) == ref_verify_frequent(sched, g)
 
     def test_no_links(self):
         g = NetworkGraph((0, 1), ())
         for period, T in ((0, 3), (2, 2), (2, 3)):
-            sched = TransmissionSchedule(((),) * period, 0, claimed_frequency=(Fraction(1, 2), T))
+            sched = schedule_from_rows(((),) * period, 0, (Fraction(1, 2), T))
             assert verify_frequent(sched, g) == ref_verify_frequent(sched, g)
 
 
@@ -727,8 +742,43 @@ class TestScheduleRowsMatchPerElement:
         element = st.integers(-2, m + 2) | st.integers(-2, m + 2).map(np.int64)
         rows = data.draw(st.lists(st.lists(element, max_size=8), max_size=6))
         want = ref_schedule_active(rows, m)
-        got = outcome(lambda: TransmissionSchedule(rows, m).active)
+        got = outcome(lambda: schedule_from_rows(rows, m, None).active)
         assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_constructor_takes_any_activations(self, data):
+        # (round, link) pairs handed over directly: unsorted, repeated, and
+        # a mix of Python ints and np.int64
+        m = data.draw(st.integers(0, 6))
+        period = data.draw(st.integers(0, 5))
+        element = st.integers(-2, m + 2) | st.integers(-2, m + 2).map(np.int64)
+        rounds = st.integers(0, period - 1) | st.integers(0, period - 1).map(np.int64)
+        pairs = data.draw(st.lists(st.tuples(rounds, element), max_size=20)) if period else []
+        pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=5)) if pairs else []
+        rows = [[link for r, link in pairs if r == at] for at in range(period)]
+        want = ref_schedule_active(rows, m)
+        round_of, link_of = [r for r, _ in pairs], [link for _, link in pairs]
+        assert outcome(lambda: TransmissionSchedule(round_of, link_of, period, m).active) == want
+        if not isinstance(want, str):
+            sched = TransmissionSchedule(round_of, link_of, period, m)
+            assert sched == schedule_from_rows(want, m, None)
+            assert sched.round_of.dtype == sched.link_of.dtype == np.int64
+
+    def test_sort_key_does_not_wrap(self):
+        # period * link_count is 2**65: a round * link_count + link key would
+        # wrap around int64 and put the last round first
+        last = 2**62 - 1
+        sched = TransmissionSchedule([last, 0, last, 5, last], [0, 7, 3, 0, 0], 2**62, 8)
+        assert sched.round_of.tolist() == [0, 5, last, last]
+        assert sched.link_of.tolist() == [7, 0, 0, 3]
+        rot = sched.rotated(-1)
+        assert rot.round_of.tolist() == [0, 0, 1, 6] and rot.link_of.tolist() == [0, 3, 7, 0]
+
+    def test_links_beyond_int64(self):
+        for rows in ([[0], [2**70, -(2**70), 1]], [[3, 2**64]], [[], [1, -(2**63) - 1]]):
+            want = ref_schedule_active(rows, 2)
+            assert outcome(lambda: schedule_from_rows(rows, 2, None).active) == want
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -744,15 +794,15 @@ class TestScheduleRowsMatchPerElement:
         ).reshape(t, n)
         sel = SelectorMatrix(rows, claimed_k=n, claimed_eps=Fraction(1, 2))
         want = outcome(
-            lambda: TransmissionSchedule(ref_selector_active(sel, m), m, (Fraction(1, 2 * n), t))
+            lambda: schedule_from_rows(ref_selector_active(sel, m), m, (Fraction(1, 2 * n), t))
         )
         assert outcome(lambda: schedule_from_selector(sel, g)) == want
 
 
 def assert_canonical_schedule(got: TransmissionSchedule):
-    """`got` equals the public constructor applied to its own rows, and
-    those rows are tuples of Python ints."""
-    want = TransmissionSchedule(got.active, got.link_count, got.claimed_frequency)
+    """`got` equals the rows adapter applied to its own rows, and those rows
+    are tuples of Python ints."""
+    want = schedule_from_rows(got.active, got.link_count, got.claimed_frequency)
     assert got == want
     assert type(got.active) is tuple
     assert all(type(row) is tuple and all(type(i) is int for i in row) for row in got.active)
@@ -771,7 +821,7 @@ class TestTrustedConstructionMatchesPublic:
         x = coloring.color_count
         rows = [[link for link, c in enumerate(coloring.colors) if c == color] for color in range(x)]
         claim = (Fraction(1, x), x) if x else None
-        assert got == TransmissionSchedule(rows, len(coloring.colors), claim)
+        assert got == schedule_from_rows(rows, len(coloring.colors), claim)
         assert_canonical_schedule(got)
 
     @settings(max_examples=150, deadline=None)
@@ -783,7 +833,7 @@ class TestTrustedConstructionMatchesPublic:
         got = sched.rotated(offset)
         shift = offset % sched.period if sched.period else 0
         rows = sched.active[shift:] + sched.active[:shift]
-        assert got == TransmissionSchedule(rows, sched.link_count, sched.claimed_frequency)
+        assert got == schedule_from_rows(rows, sched.link_count, sched.claimed_frequency)
         assert_canonical_schedule(got)
 
     @settings(max_examples=150, deadline=None)
@@ -799,7 +849,7 @@ class TestTrustedConstructionMatchesPublic:
     def test_refuses_bad_claims(self):
         for claim in ((Fraction(1, 2), 0), (Fraction(0), 3), (Fraction(3, 2), 3)):
             with pytest.raises(ParameterError) as err:
-                TransmissionSchedule._from_canonical(((0,),), 1, claim)
+                schedule_from_rows(((0,),), 1, claim)
             assert str(err.value) == "claimed frequency needs 0 < rho <= 1 and T >= 1"
 
 
@@ -868,7 +918,7 @@ def schedules_for(draw, g: NetworkGraph):
         tuple(draw(st.sets(st.integers(0, g.link_count - 1), max_size=g.link_count)))
         for _ in range(period)
     )
-    return TransmissionSchedule(active=rows, link_count=g.link_count)
+    return schedule_from_rows(rows, g.link_count, None)
 
 
 class TestRunMatchesRescan:
@@ -899,7 +949,7 @@ class TestRunMatchesRescan:
         sc = gen_clique_scenario(n, Fraction(1, d), 150)
         m = sc.g.link_count
         rows = tuple((e,) for e in range(m)) + ((),) * offset
-        sched = TransmissionSchedule(rows, m)
+        sched = schedule_from_rows(rows, m, None)
         assert_metrics_equal(run(sc.g, sched, policy, sc.trace, 200), ref_run(sc.g, sched, policy, sc.trace, 200))
 
 
@@ -913,7 +963,7 @@ class TestRunMemoMatchesRescan:
         g = data.draw(networks(max_nodes=8))
         pool = [tuple(data.draw(st.sets(st.integers(0, g.link_count - 1)))) for _ in range(2)]
         rows = tuple(data.draw(st.sampled_from(pool)) for _ in range(data.draw(st.integers(1, 8))))
-        sched = TransmissionSchedule(rows, g.link_count)
+        sched = schedule_from_rows(rows, g.link_count, None)
         routes = data.draw(route_sets(g))
         adv = AdversaryConfig(data.draw(rates), data.draw(st.integers(1, 5)))
         trace = gen_leaky_bucket(g, routes, adv, data.draw(st.integers(0, 40)), data.draw(st.integers(0, 10**6)))

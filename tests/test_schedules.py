@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radiosched import graphs, schedules, selectors as sel
+from radiosched import graphs, schedules, selectors as sel, traffic
 from radiosched.errors import FormatError, ParameterError
+from radiosched.sim import run
 
 
 def path3_setup():
@@ -28,6 +29,7 @@ class TestFromColoring:
         assert sorted(s.active) == [(0,), (1,)]
         rep = schedules.verify_frequent(s, g)
         assert rep.ok and rep.per_link_min == (1, 1) and rep.per_link_max == (1, 1)
+        assert rep.witness is None
 
     def test_path3_exact(self):
         g, _, col = path3_setup()
@@ -39,7 +41,7 @@ class TestFromColoring:
 
     def test_empty(self):
         s = schedules.schedule_from_coloring(graphs.Coloring(()))
-        assert s.period == 0 and s.active_at(17) == ()
+        assert s.period == 0 and s.active == () and s.round_of.size == 0
 
 
 class TestFromSelector:
@@ -93,13 +95,14 @@ class TestFromSelector:
 class TestVerifyFrequent:
     def test_idle_link_fails(self):
         g = graphs.path_graph(2)
-        s = schedules.TransmissionSchedule(((0,), (0,)), 2, claimed_frequency=(Fraction(1, 2), 2))
+        s = schedules.schedule_from_rows(((0,), (0,)), 2, (Fraction(1, 2), 2))
         rep = schedules.verify_frequent(s, g)
         assert not rep.ok and rep.per_link_min[1] == 0
+        assert rep.witness == schedules.ServiceWindow(1, 0, 0)
 
     def test_colliding_schedule_fails(self):
         g = graphs.path_graph(2)
-        s = schedules.TransmissionSchedule(((0, 1),), 2, claimed_frequency=(Fraction(1, 2), 2))
+        s = schedules.schedule_from_rows(((0, 1),), 2, (Fraction(1, 2), 2))
         assert not schedules.verify_frequent(s, g).ok
 
     @settings(max_examples=25, deadline=None)
@@ -118,16 +121,16 @@ class TestVerifyFrequent:
     def test_checks_every_cyclic_window(self):
         # rounds 4-5 serve no link; 2*T rounds would only see starts 0..2
         g = graphs.path_graph(2)
-        s = schedules.TransmissionSchedule(
-            ((0,), (1,), (0,), (1,), (), ()), 2, claimed_frequency=(Fraction(1, 2), 2)
-        )
+        s = schedules.schedule_from_rows(((0,), (1,), (0,), (1,), (), ()), 2, (Fraction(1, 2), 2))
         rep = schedules.verify_frequent(s, g)
         assert not rep.ok
         assert rep.rounds == 7 and rep.per_link_min == (0, 0)
+        # link 0 wins in rounds 0 and 2, so the window of rounds 3-4 is its first empty one
+        assert rep.witness == schedules.ServiceWindow(0, 3, 0)
 
     def test_requires_claim(self):
         g = graphs.path_graph(2)
-        s = schedules.TransmissionSchedule(((0,),), 2)
+        s = schedules.schedule_from_rows(((0,),), 2, None)
         with pytest.raises(ParameterError):
             schedules.verify_frequent(s, g)
 
@@ -143,7 +146,7 @@ class TestScheduleFiles:
         assert back.claimed_frequency == s.claimed_frequency
 
     def test_idle_round_roundtrip(self, tmp_path):
-        s = schedules.TransmissionSchedule(((0,), (), (1,)), 2)
+        s = schedules.schedule_from_rows(((0,), (), (1,)), 2, None)
         p = tmp_path / "sched.txt"
         schedules.write_schedule(s, p)
         assert schedules.read_schedule(p).active == ((0,), (), (1,))
@@ -159,3 +162,44 @@ class TestScheduleFiles:
         p.write_text("bogus\n")
         with pytest.raises(FormatError):
             schedules.read_schedule(p)
+
+
+class TestFlatActivations:
+    def test_selector_rows_never_built(self):
+        # verify_frequent and run read the activations; only `active` builds
+        # the row tuples
+        g = graphs.random_network(12, 18, seed=1, max_degree=3)
+        m = sel.poly_uss(g.link_count, graphs.conflict_in_degree(g) + 1)
+        s = schedules.schedule_from_selector(m, g)
+        assert schedules.verify_frequent(s, g).ok
+        routes = traffic.random_routes(g, 6, 3, seed=1)
+        trace = traffic.gen_leaky_bucket(g, routes, traffic.AdversaryConfig(Fraction(1, 50), 2), 300, seed=1)
+        metrics = run(g, s, "lis", trace, 300)
+        assert metrics.delivered_count > 0
+        assert "active" not in vars(s)
+        assert len(s.active) == s.period and "active" in vars(s)
+
+    def test_arrays_are_sorted_and_read_only(self):
+        s = schedules.TransmissionSchedule(np.array([2, 0, 2, 0]), [1, 3, 0, 3], 3, 4)
+        assert s.round_of.tolist() == [0, 2, 2] and s.link_of.tolist() == [3, 0, 1]
+        assert s.active == ((3,), (), (0, 1))
+        with pytest.raises(ValueError):
+            s.round_of[0] = 1
+
+    def test_equality(self):
+        a = schedules.schedule_from_rows(((1, 0), (0,)), 2, (Fraction(1, 2), 2))
+        assert a == schedules.TransmissionSchedule([1, 0, 0], [0, 1, 0], 2, 2, (Fraction(1, 2), 2))
+        assert a != schedules.schedule_from_rows(((1, 0), (0,)), 2, None)
+        assert a != schedules.schedule_from_rows(((1, 0), (0,), ()), 2, (Fraction(1, 2), 2))
+        assert a != schedules.schedule_from_rows(((1, 0), (1,)), 2, (Fraction(1, 2), 2))
+        assert a != schedules.schedule_from_rows(((1, 0), (0,)), 3, (Fraction(1, 2), 2))
+
+    def test_refuses_bad_rounds_and_shapes(self):
+        with pytest.raises(ParameterError, match="scheduled round 3 out of range"):
+            schedules.TransmissionSchedule([0, 3], [0, 0], 3, 1)
+        with pytest.raises(ParameterError, match="scheduled round -1 out of range"):
+            schedules.TransmissionSchedule([-1], [0], 3, 1)
+        with pytest.raises(ParameterError, match="of one length"):
+            schedules.TransmissionSchedule([0, 1], [0], 3, 1)
+        with pytest.raises(ParameterError, match="period, link_count >= 0"):
+            schedules.TransmissionSchedule([], [], -1, 1)

@@ -19,7 +19,7 @@ from radiosched.graphs import (
     path_graph,
     random_network,
 )
-from radiosched.schedules import TransmissionSchedule, schedule_from_coloring
+from radiosched.schedules import schedule_from_coloring, schedule_from_rows
 from radiosched.sim import failure_accounting, run, stability_verdict
 from radiosched.traffic import (
     AdversaryConfig,
@@ -60,7 +60,7 @@ class TestStepSemantics:
 
     def test_head_on_collision(self):
         g = path_graph(2)
-        sched = TransmissionSchedule(active=((0, 1),), link_count=2)
+        sched = schedule_from_rows(((0, 1),), 2, None)
         tr = trace_of([(0, 0, (0,)), (0, 1, (1,))], 0)
         metrics = run(g, sched, "lis", tr, 3)
         assert metrics.delivered == ()
@@ -73,7 +73,7 @@ class TestStepSemantics:
         # link 2 is active every round, yet the packet hopping onto it at
         # round 0 can only move at round 1
         g = path_graph(3)
-        sched = TransmissionSchedule(active=((0, 2),), link_count=4)
+        sched = schedule_from_rows(((0, 2),), 4, None)
         tr = trace_of([(0, 0, (0, 2))], 0)
         metrics = run(g, sched, "lis", tr, 2)
         assert metrics.delivered == ((0, 0, 1),)
@@ -82,7 +82,7 @@ class TestStepSemantics:
 
     def test_late_injections_never_enter(self):
         g = path_graph(2)
-        sched = TransmissionSchedule(active=((0,),), link_count=2)
+        sched = schedule_from_rows(((0,),), 2, None)
         tr = trace_of([(0, 0, (0,)), (5, 1, (0,))], 5)
         metrics = run(g, sched, "lis", tr, 3)
         assert metrics.delivered_count == 1
@@ -93,7 +93,7 @@ class TestStepSemantics:
 class TestPolicies:
     def one_link_runs(self, policy):
         g = path_graph(2)
-        sched = TransmissionSchedule(active=((0,),), link_count=2)
+        sched = schedule_from_rows(((0,),), 2, None)
         tr = trace_of([(0, 0, (0,)), (0, 1, (0,)), (1, 2, (0,))], 1)
         return run(g, sched, policy, tr, 5)
 
@@ -105,7 +105,7 @@ class TestPolicies:
 
     def test_ftg_prefers_longer_route(self):
         g = path_graph(4)
-        sched = TransmissionSchedule(active=((2,),), link_count=6)
+        sched = schedule_from_rows(((2,),), 6, None)
         tr = trace_of([(0, 0, (2,)), (0, 1, (2, 4))], 0)
         short_first = run(g, sched, "nfs", tr, 3)
         long_first = run(g, sched, "ftg", tr, 3)
@@ -118,7 +118,7 @@ class TestPolicies:
         # sis serves newest first, but the leftovers are listed in the order
         # they joined the queue: 2 went at round 1, 3 arrived at round 2
         g = path_graph(2)
-        sched = TransmissionSchedule(active=((), (0,), ()), link_count=2)
+        sched = schedule_from_rows(((), (0,), ()), 2, None)
         tr = trace_of([(0, 0, (0,)), (0, 1, (0,)), (1, 2, (0,)), (2, 3, (0,))], 2)
         metrics = run(g, sched, "sis", tr, 3)
         assert [d.id for d in metrics.delivered] == [2]
@@ -126,7 +126,7 @@ class TestPolicies:
 
     def test_unknown_policy(self):
         g = path_graph(2)
-        sched = TransmissionSchedule(active=((0,),), link_count=2)
+        sched = schedule_from_rows(((0,),), 2, None)
         with pytest.raises(ParameterError, match="policy"):
             run(g, sched, "fifo", trace_of([(0, 0, (0,))], 0), 2)
 
@@ -148,7 +148,7 @@ def sim_cases(draw):
         )
         for _ in range(period)
     )
-    sched = TransmissionSchedule(active=active, link_count=g.link_count)
+    sched = schedule_from_rows(active, g.link_count, None)
     routes = random_routes(g, draw(st.integers(1, 4)), 3, seed=draw(st.integers(0, 50)))
     tr = gen_leaky_bucket(
         g, routes, AdversaryConfig(Fraction(1, 2), 2), draw(st.integers(5, 25)), seed=7
@@ -196,7 +196,7 @@ class TestInvariants:
     @given(st.integers(0, 100))
     def test_lis_single_link_is_fifo(self, seed):
         g = path_graph(2)
-        sched = TransmissionSchedule(active=((0,), ()), link_count=2)
+        sched = schedule_from_rows(((0,), ()), 2, None)
         tr = gen_leaky_bucket(g, [(0,)], AdversaryConfig(Fraction(1, 3), 2), 20, seed=seed)
         metrics = run(g, sched, "lis", tr, 60)
         ids = [d.id for d in metrics.delivered]
@@ -207,7 +207,7 @@ class TestInvariants:
 class TestFailureAccounting:
     def starved_metrics(self, rounds):
         g = path_graph(2)
-        sched = TransmissionSchedule(active=((),), link_count=2)
+        sched = schedule_from_rows(((),), 2, None)
         return run(g, sched, "lis", trace_of([(0, 0, (0,))], 0), rounds)
 
     def test_bound_holds(self):
@@ -226,7 +226,7 @@ class TestFailureAccounting:
 
     def test_no_links(self):
         g = random_network(1, 0, seed=0)
-        sched = TransmissionSchedule(active=((),), link_count=0)
+        sched = schedule_from_rows(((),), 0, None)
         metrics = run(g, sched, "lis", InjectionTrace((), 0), 5)
         rep = failure_accounting(metrics, AdversaryConfig(Fraction(1, 2), 1), Fraction(1, 2), 2)
         assert rep.holds and rep.max_count == 0 and rep.witness is None
@@ -246,7 +246,7 @@ class TestFailureAccounting:
 class TestStability:
     def test_drained_run_is_stable(self):
         g = path_graph(2)
-        sched = TransmissionSchedule(active=((0,),), link_count=2)
+        sched = schedule_from_rows(((0,),), 2, None)
         tr = trace_of([(0, 0, (0,))], 0)
         metrics = run(g, sched, "lis", tr, 40)
         verdict = stability_verdict(metrics)
@@ -265,7 +265,7 @@ class TestStability:
 
     def test_needs_enough_rounds(self):
         g = path_graph(2)
-        sched = TransmissionSchedule(active=((0,),), link_count=2)
+        sched = schedule_from_rows(((0,),), 2, None)
         metrics = run(g, sched, "lis", trace_of([(0, 0, (0,))], 0), 5)
         with pytest.raises(ParameterError, match="rounds"):
             stability_verdict(metrics)

@@ -321,6 +321,16 @@ class TestTreeFamily:
                         frontier.append(v)
             assert seen == set(t.nodes)
 
+    def test_exact_injections(self):
+        # delta 2: shared links 0 and 2; rho 2/5 injects every ceil(5/2) = 3
+        # rounds, both links in order, ids counting up
+        fam = gen_tree_family(2, Fraction(2, 5), 7)
+        assert fam.shared_links == (0, 2)
+        assert fam.trace.horizon == 7
+        assert fam.trace.injections == tuple(
+            (r, Packet(i, r, (e,))) for i, (r, e) in enumerate((r, e) for r in (0, 3, 6) for e in (0, 2))
+        )
+
 
 class TestRandomRoutes:
     def test_valid_and_deterministic(self):
