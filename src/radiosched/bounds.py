@@ -1,13 +1,10 @@
 """Closed-form stability thresholds and latency bounds.
 
-All results are exact Fractions.  Irrational constants (e, logarithms)
-enter as the nearest binary float, converted once, so comparisons stay
-reproducible.
+All results are exact Fractions.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -16,36 +13,15 @@ from .errors import ParameterError
 
 def uss_threshold(delta: int, eps: Fraction) -> Fraction:
     """Injection-rate threshold eps / (delta + 1) guaranteed by a selector
-    schedule of strength eps, for a conflict graph with max in-degree
-    `delta`."""
-    d1 = _delta_plus_one(delta)
+    schedule of strength eps built with k = delta + 1, for a conflict graph
+    with max in-degree at most `delta`.  With a larger k the guarantee is
+    eps / k, which is this form at delta = k - 1."""
+    if delta < 0:
+        raise ParameterError("conflict degree must be non-negative")
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ParameterError("eps must lie in (0, 1]")
-    return eps / d1
-
-
-def poly_uss_threshold(delta: int, m: int) -> Fraction:
-    """`uss_threshold` at the polynomial construction's generic strength
-    1 / (4 log_{delta+1} m), for m links."""
-    d1 = _delta_plus_one(delta)
-    if m < 2:
-        raise ParameterError("poly threshold needs a link count m >= 2")
-    if d1 < 2:
-        raise ParameterError("poly threshold needs delta >= 1")
-    log_ratio = Fraction(math.log(m) / math.log(d1))
-    return 1 / (4 * d1 * log_ratio)
-
-
-def random_uss_threshold(delta: int) -> Fraction:
-    """`uss_threshold` at the sampled construction's strength floor 1/e."""
-    return 1 / (Fraction(math.e) * _delta_plus_one(delta))
-
-
-def _delta_plus_one(delta: int) -> int:
-    if delta < 0:
-        raise ParameterError("conflict degree must be non-negative")
-    return delta + 1
+    return eps / (delta + 1)
 
 
 def coloring_threshold(chi: int) -> Fraction:

@@ -18,13 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    coloring_threshold,
-    latency_bound,
-    poly_uss_threshold,
-    random_uss_threshold,
-    uss_threshold,
-)
+from .bounds import coloring_threshold, latency_bound, uss_threshold
 from .errors import ConstructionError, FormatError, ParameterError
 from .graphs import (
     build_conflict_graph,
@@ -396,18 +390,7 @@ def cmd_threshold_coloring(args) -> int:
 
 
 def cmd_threshold_direct(args) -> int:
-    return _report_uss_threshold(uss_threshold(args.delta, parse_fraction(args.eps)), args)
-
-
-def cmd_threshold_poly(args) -> int:
-    return _report_uss_threshold(poly_uss_threshold(args.delta, args.links), args)
-
-
-def cmd_threshold_random(args) -> int:
-    return _report_uss_threshold(random_uss_threshold(args.delta), args)
-
-
-def _report_uss_threshold(value, args) -> int:
+    value = uss_threshold(args.delta, parse_fraction(args.eps))
     emit(
         {
             "kind": "selector",
@@ -443,9 +426,11 @@ def _experiment_seed(args, seed: int, out: Path) -> list[dict]:
     coloring = greedy_coloring(h)
     sched = schedule_from_coloring(coloring)
     chi = coloring.color_count
-    threshold = coloring_threshold(chi)
+    if sched.claimed_frequency is None:
+        raise ParameterError("need at least one color")
+    threshold, window = sched.claimed_frequency
     rho = parse_fraction(args.rho_scale) * threshold
-    lat = latency_bound(rho, threshold, chi, args.burst, args.max_hops) if rho < threshold else None
+    lat = latency_bound(rho, threshold, window, args.burst, args.max_hops) if rho < threshold else None
     adv = AdversaryConfig(rho, args.burst)
     routes = random_routes(g, args.routes, args.max_hops, seed=seed)
     tr = gen_leaky_bucket(g, routes, adv, args.horizon, seed=seed, intensity=args.intensity)
@@ -599,11 +584,7 @@ def build_parser() -> _Parser:
     c.add_argument("--chi", type=int, required=True)
     direct = _leaf(tsub, "direct", cmd_threshold_direct, "eps/(delta+1) for a selector of strength eps")
     direct.add_argument("--eps", required=True, help="selector strength p/q")
-    poly = _leaf(tsub, "poly", cmd_threshold_poly, "direct, at the poly construction's strength for m links")
-    poly.add_argument("--links", type=int, required=True, help="link count m")
-    rnd = _leaf(tsub, "random", cmd_threshold_random, "direct, at the random construction's strength 1/e")
-    for f in (direct, poly, rnd):
-        f.add_argument("--delta", type=int, required=True, help="conflict in-degree")
+    direct.add_argument("--delta", type=int, required=True, help="conflict in-degree")
     lt = _leaf(bsub, "latency", cmd_bounds_latency)
     lt.add_argument("--rho", required=True)
     lt.add_argument("--rho-prime", required=True)

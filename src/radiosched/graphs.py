@@ -119,8 +119,9 @@ def random_network(node_count: int, edge_count: int, seed: int, max_degree: int 
     """Random symmetric network: `edge_count` undirected edges drawn without
     replacement, optionally capped at `max_degree` per node.
 
-    Deterministic for a given seed.  Returns fewer edges only when the cap
-    makes the target infeasible.
+    Deterministic for a given seed.  Returns fewer edges only when
+    `edge_count` exceeds the C(node_count, 2) pairs, which then all appear
+    unless capped, or when the cap makes the target infeasible.
     """
     rng = random.Random(seed)
     pairs = [(a, b) for a in range(node_count) for b in range(a + 1, node_count)]

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bounds import coloring_threshold, uss_threshold
 from .errors import FormatError, ParameterError
 from .graphs import Coloring, NetworkGraph, conflict_in_degree, resolve_rows
 from .selectors import SelectorMatrix, format_fraction, parse_count, parse_fraction, parse_header
@@ -113,7 +114,7 @@ def schedule_from_rows(rows, link_count: int, claimed_frequency) -> Transmission
 def schedule_from_coloring(coloring: Coloring) -> TransmissionSchedule:
     """Round r activates color class r mod x; each link succeeds once per x."""
     x, m = coloring.color_count, len(coloring.colors)
-    return TransmissionSchedule(coloring.colors, np.arange(m), x, m, (Fraction(1, x), x) if x else None)
+    return TransmissionSchedule(coloring.colors, np.arange(m), x, m, (coloring_threshold(x), x) if x else None)
 
 
 def schedule_from_selector(sel: SelectorMatrix, g: NetworkGraph) -> TransmissionSchedule:
@@ -132,7 +133,8 @@ def schedule_from_selector(sel: SelectorMatrix, g: NetworkGraph) -> Transmission
         raise ParameterError(f"selector k={sel.claimed_k} below conflict in-degree + 1 = {need}")
     # the entries are 0/1, so the bool view finds the same cells, and faster
     round_of, link_of = divmod(np.flatnonzero(sel.rows[:, :m].view(bool)), m)
-    return TransmissionSchedule(round_of, link_of, sel.t, m, (sel.claimed_eps / sel.claimed_k, sel.t))
+    rho = uss_threshold(sel.claimed_k - 1, sel.claimed_eps)
+    return TransmissionSchedule(round_of, link_of, sel.t, m, (rho, sel.t))
 
 
 class ServiceWindow(NamedTuple):
@@ -189,8 +191,7 @@ def verify_frequent(schedule: TransmissionSchedule, g: NetworkGraph) -> Frequenc
     part_min, part_max = stretch.min(axis=0).tolist(), stretch.max(axis=0).tolist()
     per_min = tuple(whole * c + p for c, p in zip(per_period, part_min))
     per_max = tuple(whole * c + p for c, p in zip(per_period, part_max))
-    need = rho * T
-    ok = all(v >= need for v in per_min)
+    ok = not per_min or min(per_min) >= rho * T
     witness = None
     if not ok:
         link = per_min.index(min(per_min))

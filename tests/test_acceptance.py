@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from radiosched.bounds import coloring_threshold, latency_bound, random_uss_threshold
+from radiosched.bounds import coloring_threshold, latency_bound, uss_threshold
 from radiosched.graphs import (
     build_conflict_graph,
     clique_graph,
@@ -231,15 +231,22 @@ def test_criterion_7_failure_accounting(stable_runs):
 
 
 def test_criterion_8_threshold_ratio():
+    # the rates the built schedules claim, not closed forms: the selector
+    # schedule claims uss_threshold at its selector's eps, both claims
+    # verify, and coloring over selector is (delta + 1) / (chi * eps)
     ok = True
     details = []
     for g in (path_graph(2), path_graph(3), clique_graph(3)):
         h = build_conflict_graph(g)
-        chi = exact_chromatic(h).color_count
-        delta = h.max_in_degree
-        assert chi == delta + 1
-        ratio = coloring_threshold(chi) / random_uss_threshold(delta)
-        ok = ok and ratio == Fraction(math.e) * (delta + 1) / chi
-        ok = ok and abs(float(ratio) - math.e) < 1e-9
-        details.append(f"chi={chi}:{float(ratio):.9f}")
+        coloring = exact_chromatic(h)
+        chi, delta = coloring.color_count, h.max_in_degree
+        sel = poly_uss(g.link_count, delta + 1)
+        by_color, by_sel = schedule_from_coloring(coloring), schedule_from_selector(sel, g)
+        rho_c, rho_s = by_color.claimed_frequency[0], by_sel.claimed_frequency[0]
+        ok = ok and rho_c == coloring_threshold(chi)
+        ok = ok and rho_s == uss_threshold(delta, sel.claimed_eps)
+        ok = ok and verify_frequent(by_color, g).ok and verify_frequent(by_sel, g).ok
+        ratio = rho_c / rho_s
+        ok = ok and ratio == Fraction(delta + 1, chi) / sel.claimed_eps
+        details.append(f"chi={chi} eps={sel.claimed_eps}:{ratio}")
     verdict(8, ok, " ".join(details))

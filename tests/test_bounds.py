@@ -1,19 +1,12 @@
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radiosched.bounds import (
-    coloring_threshold,
-    latency_bound,
-    poly_uss_threshold,
-    random_uss_threshold,
-    uss_threshold,
-)
+from radiosched.bounds import coloring_threshold, latency_bound, uss_threshold
 from radiosched.errors import ParameterError
 
 
@@ -22,39 +15,11 @@ class TestThresholds:
         assert uss_threshold(3, Fraction(1, 2)) == Fraction(1, 8)
         assert uss_threshold(0, Fraction(1, 4)) == Fraction(1, 4)
 
-    def test_generic_form_value(self):
-        # 1 / (4 * (delta+1) * log_{delta+1} m); with m = (delta+1)^2 the
-        # logarithm is exactly 2
-        got = poly_uss_threshold(3, 16)
-        assert got == pytest.approx(Fraction(1, 32))
-
-    def test_generic_form_shrinks_with_m(self):
-        vals = [poly_uss_threshold(3, m) for m in (4, 16, 256, 4096)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert all(v > 0 for v in vals)
-
-    def test_floor_form_ratio(self):
-        # coloring threshold over the 1/e-strength threshold is exactly
-        # e * (delta + 1) / chi
-        for chi, delta in [(2, 1), (4, 3), (12, 11)]:
-            ratio = coloring_threshold(chi) / random_uss_threshold(delta)
-            assert abs(float(ratio) - math.e) < 1e-12
-
     def test_form_errors(self):
         with pytest.raises(ParameterError, match="eps"):
             uss_threshold(3, Fraction(0))
-        with pytest.raises(ParameterError, match="m >= 2"):
-            poly_uss_threshold(3, 1)
-        with pytest.raises(ParameterError, match="delta >= 1"):
-            poly_uss_threshold(0, 9)
-        thresholds = (
-            lambda delta: uss_threshold(delta, Fraction(1, 2)),
-            lambda delta: poly_uss_threshold(delta, 9),
-            random_uss_threshold,
-        )
-        for threshold in thresholds:
-            with pytest.raises(ParameterError, match="non-negative"):
-                threshold(-1)
+        with pytest.raises(ParameterError, match="non-negative"):
+            uss_threshold(-1, Fraction(1, 2))
         with pytest.raises(ParameterError, match="color"):
             coloring_threshold(0)
 

@@ -394,16 +394,10 @@ REFUSED = {
     "threshold-chi-and-delta": "bounds threshold coloring --chi 3 --delta 2",
     "threshold-no-kind": "bounds threshold",
     "chi-direct-form-eps-links": "bounds threshold direct --chi 3 --eps 1/4 --links 9",
-    "chi-random-form": "bounds threshold random --chi 3",
     "chi-eps": "bounds threshold coloring --chi 3 --eps 1/4",
     "chi-links": "bounds threshold coloring --chi 3 --links 9",
-    "random-form-eps": "bounds threshold random --delta 2 --eps 1/4",
-    "poly-form-eps": "bounds threshold poly --delta 2 --links 9 --eps 1/4",
     "direct-form-links": "bounds threshold direct --delta 2 --eps 1/4 --links 9",
-    "random-form-links": "bounds threshold random --delta 2 --links 9",
-    "random-form-eps-links": "bounds threshold random --delta 2 --eps 1/4 --links 9",
     "direct-form-no-eps": "bounds threshold direct --delta 2",
-    "poly-form-no-links": "bounds threshold poly --delta 2",
     "coloring-selector-file": "schedule coloring {g} --selector {sel} --out {out}",
     "selector-exact": "schedule selector {g} {sel} --exact --out {out}",
     "coloring-maximal": "schedule coloring {g} --maximal --out {out}",
@@ -412,6 +406,16 @@ REFUSED = {
     "selector-no-file": "schedule selector {g} --out {out}",
     "poly-selector-eps-seed": "build-selector poly --n 16 --k 4 --eps 1/2 --seed 9 --out {out}",
     "random-selector-no-eps": "build-selector random --n 8 --k 2 --out {out}",
+    # the deleted poly and random threshold forms, from their old valid command
+    # lines to the ones they refused; use direct with the selector's eps
+    "poly-form-deleted": "bounds threshold poly --delta 2 --links 9",
+    "random-form-deleted": "bounds threshold random --delta 2",
+    "chi-random-form": "bounds threshold random --chi 3",
+    "random-form-eps": "bounds threshold random --delta 2 --eps 1/4",
+    "poly-form-eps": "bounds threshold poly --delta 2 --links 9 --eps 1/4",
+    "random-form-links": "bounds threshold random --delta 2 --links 9",
+    "random-form-eps-links": "bounds threshold random --delta 2 --eps 1/4 --links 9",
+    "poly-form-no-links": "bounds threshold poly --delta 2",
 }
 
 # the commands that generate and write a trace, less its --horizon; {g} and
@@ -469,10 +473,8 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_selector_forms_read_their_flags(self, capsys):
-        cases = (("direct", ["--eps", "1/4"]), ("poly", ["--links", "9"]), ("random", []))
-        for form, flags in cases:
-            assert main(["bounds", "threshold", form, "--delta", "2", *flags]) == 0
-            assert parse_text(capsys.readouterr().out)["form"] == form
+        assert main(["bounds", "threshold", "direct", "--delta", "2", "--eps", "1/4"]) == 0
+        assert parse_text(capsys.readouterr().out)["form"] == "direct"
 
     @pytest.mark.parametrize(
         "argv",
@@ -606,8 +608,6 @@ BASE = {
     "simulate": "{g} {sched} {trace} --rounds 20",
     "bounds threshold coloring": "--chi 3",
     "bounds threshold direct": "--delta 2 --eps 1/4",
-    "bounds threshold poly": "--delta 2 --links 9",
-    "bounds threshold random": "--delta 2",
     "bounds latency": "--rho 3/16 --rho-prime 1/4 --window 4 --burst 2 --nesting 2",
     "experiment": "--nodes 5 --edges 5 --horizon 40 --rounds 40 --out-dir {dir}",
 }
