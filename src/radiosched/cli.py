@@ -104,51 +104,37 @@ def emit(record: dict, fmt: str, stream=None) -> None:
 # subcommand handlers
 
 
-def cmd_conflict_graph(args) -> int:
+def cmd_conflict_graph(args) -> tuple[dict | None, int]:
     g = read_graph(args.graph)
     h = build_conflict_graph(g)
     rep = degree_bound_check(g)
-    emit(
-        {
-            "nodes": len(g.nodes),
-            "links": g.link_count,
-            "conflicts": sum(len(b) for b in h.blocks),
-            "degree": rep.delta_g,
-            "max_in_degree": rep.delta_in_h,
-            "bound": rep.bound if rep.bound is not None else "-",
-            "holds": rep.holds,
-            "tight": rep.tight,
-        },
-        args.format,
-    )
-    return 0
+    return {
+        "nodes": len(g.nodes),
+        "links": g.link_count,
+        "conflicts": sum(len(b) for b in h.blocks),
+        "degree": rep.delta_g,
+        "max_in_degree": rep.delta_in_h,
+        "bound": rep.bound if rep.bound is not None else "-",
+        "holds": rep.holds,
+        "tight": rep.tight,
+    }, 0
 
 
-def cmd_build_poly_selector(args) -> int:
+def cmd_build_poly_selector(args) -> tuple[dict | None, int]:
     return _report_selector(poly_uss(args.n, args.k), args)
 
 
-def cmd_build_random_selector(args) -> int:
+def cmd_build_random_selector(args) -> tuple[dict | None, int]:
     return _report_selector(random_uss(args.n, args.k, parse_fraction(args.eps), seed=args.seed), args)
 
 
-def _report_selector(sel, args) -> int:
+def _report_selector(sel, args) -> tuple[dict | None, int]:
     if args.out is not None:
         write_selector(sel, args.out)
-    emit(
-        {
-            "n": sel.n,
-            "t": sel.t,
-            "k": sel.claimed_k,
-            "eps": sel.claimed_eps,
-            "ones": int(sel.rows.sum()),
-        },
-        args.format,
-    )
-    return 0
+    return {"n": sel.n, "t": sel.t, "k": sel.claimed_k, "eps": sel.claimed_eps, "ones": int(sel.rows.sum())}, 0
 
 
-def cmd_verify_selector(args) -> int:
+def cmd_verify_selector(args) -> tuple[dict | None, int]:
     sel = read_selector(args.selector)
     k = args.k if args.k is not None else sel.claimed_k
     if k is None:
@@ -170,43 +156,42 @@ def cmd_verify_selector(args) -> int:
             "target_eps": target,
             "ok": ok,
         }
+        witness = (*res.witness, res.min_count)
     else:
         chk = uss_sample_check(sel, k, target, trials=SAMPLE_TRIALS, seed=0)
-        record = {"mode": "sample", "trials": chk.trials, "threshold": chk.threshold, "ok": chk.ok}
         ok = chk.ok
-    emit(record, args.format)
-    return 0 if ok else 2
+        record = {"mode": "sample", "trials": chk.trials, "threshold": chk.threshold, "ok": ok}
+        witness = chk.witness
+    if not ok:
+        record.update(zip(("witness_set", "witness_column", "witness_count"), witness))
+    return record, 0 if ok else 2
 
 
-def cmd_schedule_coloring(args) -> int:
+def cmd_schedule_coloring(args) -> tuple[dict | None, int]:
     h = build_conflict_graph(read_graph(args.graph))
     coloring = exact_chromatic(h) if args.exact else greedy_coloring(h)
     return _report_schedule(schedule_from_coloring(coloring), "coloring", args)
 
 
-def cmd_schedule_selector(args) -> int:
+def cmd_schedule_selector(args) -> tuple[dict | None, int]:
     sched = schedule_from_selector(read_selector(args.selector), read_graph(args.graph))
     return _report_schedule(sched, "selector", args)
 
 
-def _report_schedule(sched, provenance: str, args) -> int:
+def _report_schedule(sched, provenance: str, args) -> tuple[dict | None, int]:
     if args.out is not None:
         write_schedule(sched, args.out)
     rho, period = sched.claimed_frequency or (Fraction(0), 0)
-    emit(
-        {
-            "period": sched.period,
-            "links": sched.link_count,
-            "rho": rho,
-            "window": period,
-            "provenance": provenance,
-        },
-        args.format,
-    )
-    return 0
+    return {
+        "period": sched.period,
+        "links": sched.link_count,
+        "rho": rho,
+        "window": period,
+        "provenance": provenance,
+    }, 0
 
 
-def cmd_schedule_verify(args) -> int:
+def cmd_schedule_verify(args) -> tuple[dict | None, int]:
     g = read_graph(args.graph)
     sched = read_schedule(args.schedule)
     if sched.claimed_frequency is None:
@@ -222,13 +207,18 @@ def cmd_schedule_verify(args) -> int:
     }
     if rep.witness is not None:
         record.update(zip(("witness_link", "witness_start", "witness_count"), rep.witness))
-    emit(record, args.format)
-    return 0 if rep.ok else 2
+    return record, 0 if rep.ok else 2
 
 
-def cmd_scenario_clique(args) -> int:
+def _out_dir(args) -> Path:
+    if not args.out_dir:
+        raise ParameterError("--out-dir is empty")
+    return Path(args.out_dir)
+
+
+def cmd_scenario_clique(args) -> tuple[dict | None, int]:
     sc = gen_clique_scenario(args.nodes, parse_fraction(args.epsilon), args.horizon)
-    out = Path(args.out_dir)
+    out = _out_dir(args)
     record = {
         "nodes": args.nodes,
         "links": sc.g.link_count,
@@ -242,45 +232,31 @@ def cmd_scenario_clique(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_graph(sc.g, out / "graph.txt")
     write_trace(sc.trace, out / "trace.txt")
-    emit(record, args.format)
-    return 0
+    return record, 0
 
 
-def cmd_scenario_tree_family(args) -> int:
+def cmd_scenario_tree_family(args) -> tuple[dict | None, int]:
     fam = gen_tree_family(args.delta, parse_fraction(args.rho), args.horizon)
-    out = Path(args.out_dir)
+    out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     for i, t in enumerate(fam.trees):
         write_graph(t, out / f"tree_{i:02d}.txt")
     write_trace(fam.trace, out / "trace.txt")
-    emit(
-        {
-            "trees": len(fam.trees),
-            "shared_links": list(fam.shared_links),
-            "injections": len(fam.trace),
-            "out_dir": str(out),
-        },
-        args.format,
-    )
-    return 0
+    return {
+        "trees": len(fam.trees),
+        "shared_links": list(fam.shared_links),
+        "injections": len(fam.trace),
+        "out_dir": str(out),
+    }, 0
 
 
-def cmd_scenario_leaky_bucket(args) -> int:
+def cmd_scenario_leaky_bucket(args) -> tuple[dict | None, int]:
     g = read_graph(args.graph)
     adv = AdversaryConfig(parse_fraction(args.rho), args.burst)
     routes = random_routes(g, args.routes, args.max_hops, seed=args.seed)
     tr = gen_leaky_bucket(g, routes, adv, args.horizon, seed=args.seed, intensity=args.intensity)
     write_trace(tr, args.out)
-    emit(
-        {
-            "routes": len(routes),
-            "injections": len(tr),
-            "horizon": tr.horizon,
-            "out": args.out,
-        },
-        args.format,
-    )
-    return 0
+    return {"routes": len(routes), "injections": len(tr), "horizon": tr.horizon, "out": args.out}, 0
 
 
 def _admissibility_record(rep, adv) -> dict:
@@ -291,12 +267,11 @@ def _admissibility_record(rep, adv) -> dict:
     return record
 
 
-def cmd_validate_trace(args) -> int:
+def cmd_validate_trace(args) -> tuple[dict | None, int]:
     tr = read_trace(args.trace)
     adv = AdversaryConfig(parse_fraction(args.rho), args.burst)
     rep = validate_trace(tr, adv, link_count=args.links)
-    emit(_admissibility_record(rep, adv), args.format)
-    return 0 if rep.admissible else 2
+    return _admissibility_record(rep, adv), 0 if rep.admissible else 2
 
 
 def _write_metrics_csv(metrics, path) -> None:
@@ -328,7 +303,7 @@ def _write_round_log(metrics, path) -> None:
             )
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict | None, int]:
     # --rho asks for the trace check and --rho-prime for failure accounting
     # against its adversary; --burst and --fail-window tune those checks
     if args.burst is not None and args.rho is None:
@@ -345,7 +320,7 @@ def cmd_simulate(args) -> int:
         rep = validate_trace(tr, adv, link_count=g.link_count)
         if not rep.admissible:
             emit(_admissibility_record(rep, adv), args.format, stream=sys.stderr)
-            return 2
+            return None, 2
     metrics = run(g, sched, args.policy, tr, args.rounds)
     record = {
         "rounds": metrics.rounds,
@@ -375,49 +350,38 @@ def cmd_simulate(args) -> int:
         if not frep.holds:
             record.update(zip(("fail_witness_link", "fail_witness_start", "fail_witness_count"), frep.witness))
             code = 2
-    # files first: an unwritable path exits 3 with nothing printed
     if args.metrics is not None:
         _write_metrics_csv(metrics, args.metrics)
     if args.log is not None:
         _write_round_log(metrics, args.log)
-    emit(record, args.format)
-    return code
+    return record, code
 
 
-def cmd_threshold_coloring(args) -> int:
-    emit({"kind": "coloring", "chi": args.chi, "threshold": coloring_threshold(args.chi)}, args.format)
-    return 0
+def cmd_threshold_coloring(args) -> tuple[dict | None, int]:
+    return {"kind": "coloring", "chi": args.chi, "threshold": coloring_threshold(args.chi)}, 0
 
 
-def cmd_threshold_direct(args) -> int:
+def cmd_threshold_direct(args) -> tuple[dict | None, int]:
     value = uss_threshold(args.delta, parse_fraction(args.eps))
-    emit(
-        {
-            "kind": "selector",
-            "delta": args.delta,
-            "form": args.form,
-            "threshold": value,
-            "approx": float(value),
-        },
-        args.format,
-    )
-    return 0
+    return {
+        "kind": "selector",
+        "delta": args.delta,
+        "form": args.form,
+        "threshold": value,
+        "approx": float(value),
+    }, 0
 
 
-def cmd_bounds_latency(args) -> int:
+def cmd_bounds_latency(args) -> tuple[dict | None, int]:
     lb = latency_bound(
         parse_fraction(args.rho), parse_fraction(args.rho_prime), args.window, args.burst, args.nesting
     )
-    emit(
-        {
-            "active_classes": lb.active_classes,
-            "delivery_windows": lb.delivery_windows,
-            "rounds": lb.rounds,
-            "rounds_approx": float(lb.rounds),
-        },
-        args.format,
-    )
-    return 0
+    return {
+        "active_classes": lb.active_classes,
+        "delivery_windows": lb.delivery_windows,
+        "rounds": lb.rounds,
+        "rounds_approx": float(lb.rounds),
+    }, 0
 
 
 def _experiment_seed(args, seed: int, out: Path) -> list[dict]:
@@ -468,20 +432,19 @@ def _experiment_seed(args, seed: int, out: Path) -> list[dict]:
     return rows
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> tuple[dict | None, int]:
     if args.sweep < 1:
         raise ParameterError("--sweep needs at least one seed")
     if args.rounds < MIN_VERDICT_ROUNDS:
         raise ParameterError(f"need at least {MIN_VERDICT_ROUNDS} rounds for a stability verdict")
-    out = Path(args.out_dir)
+    out = _out_dir(args)
     seeds = range(args.sweep)
     runs = [row for seed in seeds for row in _experiment_seed(args, seed, out)]
     # the flags that shape the runs, echoed by name
     flags = "nodes edges routes max_hops rho_scale burst horizon rounds intensity sweep".split()
     summary = {"config": {k: getattr(args, k) for k in flags}, "runs": runs}
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    emit({"seeds": len(seeds), "runs": len(runs), "out_dir": str(out)}, args.format)
-    return 0
+    return {"seeds": len(seeds), "runs": len(runs), "out_dir": str(out)}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +572,21 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command and print its record once the handler has returned.
+
+    Each handler returns its record and exit code, so a refusal or an
+    unwritable path anywhere in it exits 3 with nothing on stdout.  A record
+    of None prints nothing: `simulate --rho` writes an inadmissible trace's
+    record to stderr itself.
+    """
     args = build_parser().parse_args(argv)
     # free the parser, whose reference cycles outlive it, before the handler runs
     gc.collect(1)
     try:
-        return args.func(args)
+        record, code = args.func(args)
+        if record is not None:
+            emit(record, args.format)
+        return code
     except (ParameterError, FormatError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

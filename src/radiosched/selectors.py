@@ -82,28 +82,11 @@ def exhaustive_fits(n: int, k: int) -> bool:
     return math.comb(n, k) <= SUBSET_BUDGET
 
 
-def _pack_words(rows: np.ndarray) -> np.ndarray:
-    """Pack 0/1 rows into little-endian 64-bit words, one row per entry."""
-    t, n = rows.shape
-    nwords = (n + 63) // 64
-    words = np.zeros((t, nwords), dtype=np.uint64)
-    for w in range(nwords):
-        chunk = rows[:, 64 * w : 64 * (w + 1)].astype(np.uint64)
-        shifts = np.arange(chunk.shape[1], dtype=np.uint64)
-        words[:, w] = (chunk << shifts[None, :]).sum(axis=1, dtype=np.uint64)
-    return words
-
-
-def _pack_combos(combos: list[tuple[int, ...]], size: int, n: int) -> np.ndarray:
-    """Pack column sets of ``size`` distinct columns out of ``n`` into the
-    words of _pack_words, one set per entry."""
-    members = np.array(combos, dtype=np.int64).reshape(len(combos), size)
-    bits = np.uint64(1) << (members % 64).astype(np.uint64)
-    words = np.zeros((len(combos), (n + 63) // 64), dtype=np.uint64)
-    for w in range(words.shape[1]):
-        # distinct columns set distinct bits, so their sum is their OR
-        words[:, w] = np.where(members // 64 == w, bits, 0).sum(axis=1, dtype=np.uint64)
-    return words
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Pack 0/1 rows into little-endian 64-bit words, one row per entry:
+    bit i of word w is column 64 * w + i."""
+    padded = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 64)))
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
 def uss_min_count(m: SelectorMatrix, k: int) -> MinCountResult:
@@ -123,22 +106,28 @@ def uss_min_count(m: SelectorMatrix, k: int) -> MinCountResult:
     if t == 0:
         return MinCountResult(0, Fraction(0), (tuple(range(k)), 0))
 
-    words = _pack_words(m.rows)
+    words = _pack(m.rows)
     nwords = words.shape[1]
-    rest_combos = list(itertools.combinations(range(n), k - 1))
-    rest_words = _pack_combos(rest_combos, k - 1, n)
+    # the (k - 1)-sets in lexicographic order, as members and as a 0/1 matrix
+    sets = math.comb(n, k - 1)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k - 1))
+    rest = np.fromiter(flat, np.intp, sets * (k - 1)).reshape(sets, k - 1)
+    member = np.zeros((sets, n), dtype=np.uint8)
+    member[np.arange(sets)[:, None], rest] = 1
+    rest_words = _pack(member)
+
+    def witness_of(i: int, a: int) -> tuple[tuple[int, ...], int]:
+        return tuple(sorted([*rest[i].tolist(), a])), a
 
     best = t + 1
     witness = (tuple(range(k)), 0)
     for a in range(n):
         isolating_rows = words[m.rows[:, a] == 1]
-        wa, ba = a // 64, np.uint64(1 << (a % 64))
-        keep = np.nonzero((rest_words[:, wa] & ba) == 0)[0]
-        if keep.size == 0:
-            continue
+        # k <= n, so some set avoids a
+        keep = np.flatnonzero(member[:, a] == 0)
         r = isolating_rows.shape[0]
         if r == 0:
-            return MinCountResult(0, Fraction(0), (tuple(sorted(rest_combos[keep[0]] + (a,))), a))
+            return MinCountResult(0, Fraction(0), witness_of(keep[0], a))
         chunk = max(1, 4_000_000 // r)
         for lo in range(0, keep.size, chunk):
             idx = keep[lo : lo + chunk]
@@ -150,7 +139,7 @@ def uss_min_count(m: SelectorMatrix, k: int) -> MinCountResult:
             j = int(counts.argmin())
             if counts[j] < best:
                 best = int(counts[j])
-                witness = (tuple(sorted(rest_combos[idx[j]] + (a,))), a)
+                witness = witness_of(idx[j], a)
                 if best == 0:
                     return MinCountResult(0, Fraction(0), witness)
     return MinCountResult(best, Fraction(k * best, t), witness)

@@ -147,8 +147,8 @@ def run(
     activations by one `searchsorted`, are resolved once by `resolve_rows`.
     The radio rule is monotone (a link that wins with its whole row wins in
     every subset holding it), so on a clean row, whose links all win
-    together, the candidates win; elsewhere `successful_links` is memoised
-    per candidate set.
+    together, the candidates win; elsewhere `successful_links` resolves the
+    candidates.
     """
     key = POLICIES.get(policy.lower())
     if key is None:
@@ -203,9 +203,6 @@ def run(
     since: dict[int, int] = {}
     length_count = [0]
     longest = 0
-    # winners of each candidate set met so far on rows that are not clean;
-    # rows are sorted, so equal sets give equal tuples
-    resolved: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     for r in range(rounds):
         injected = by_round.get(r)
@@ -232,9 +229,7 @@ def run(
         at = r % period
         candidates = [e for e in rows[at] if queues[e]]
         if candidates:
-            winners = candidates if clean[at] else resolved.get(cset := tuple(candidates))
-            if winners is None:
-                winners = resolved[cset] = successful_links(g, cset)
+            winners = candidates if clean[at] else successful_links(g, candidates)
             # a winner's head is silent, so a packet forwarded this round
             # never joins the queue of a later winner
             for e in winners:

@@ -143,6 +143,28 @@ class TestSelectorVerification:
         assert main(["verify-selector", sel, "--eps=99/100"]) == 2
         assert parse_text(capsys.readouterr().out)["ok"] == "False"
 
+    @pytest.mark.parametrize("mode", [EXHAUSTIVE, SAMPLED])
+    def test_failure_names_its_witness(self, tmp_path, capsys, mode):
+        # the witness keys appear on exit 2 only; the set, column and count
+        # they name are recounted here from the matrix
+        n, k = mode
+        sel = tmp_path / "sel.txt"
+        assert main(["build-selector", "poly", "--n", n, "--k", k, "--out", str(sel)]) == 0
+        capsys.readouterr()
+        assert main(["verify-selector", str(sel), "--format", "json-lines"]) == 0
+        assert not any(key.startswith("witness_") for key in json.loads(capsys.readouterr().out))
+        assert main(["verify-selector", str(sel), "--eps=1", "--format", "json-lines"]) == 2
+        rec = json.loads(capsys.readouterr().out)
+        combo, a = rec["witness_set"], rec["witness_column"]
+        assert len(combo) == int(k) and a in combo
+        rows = selectors.read_selector(sel).rows
+        own = rows[rows[:, a] == 1]
+        assert rec["witness_count"] == int((own[:, combo].sum(axis=1) == 1).sum())
+        if mode == EXHAUSTIVE:
+            assert rec["witness_count"] == rec["min_count"]
+        else:
+            assert rec["witness_count"] < rec["threshold"]
+
     @pytest.mark.parametrize("eps", ["-1/2", "3/2"])
     @pytest.mark.parametrize("mode", [EXHAUSTIVE, SAMPLED])
     def test_target_outside_unit_interval_is_parameter_error(self, tmp_path, capsys, eps, mode):
@@ -483,18 +505,26 @@ class TestExitCodes:
             ["schedule", "coloring", "{g}", "--out"],
             ["simulate", "{g}", "{sched}", "{trace}", "--rounds", "4", "--metrics"],
             ["simulate", "{g}", "{sched}", "{trace}", "--rounds", "4", "--log"],
+            ["scenario", "clique", "--nodes", "3", "--epsilon", "1/32", "--horizon", "10", "--out-dir"],
+            ["scenario", "tree-family", "--delta", "2", "--rho", "1/4", "--horizon", "10", "--out-dir"],
+            ["experiment", "--horizon", "20", "--rounds", "20", "--out-dir"],
         ],
     )
-    def test_empty_output_path_is_parameter_error(self, path3_file, tmp_path, capsys, argv):
-        # an empty path used to be taken for "no file" and the command exited 0
+    def test_empty_output_path_is_parameter_error(self, path3_file, tmp_path, capsys, monkeypatch, argv):
+        # an empty file path used to be taken for "no file", and an empty
+        # directory for the current one, and the command exited 0
         sched, trace = tmp_path / "sched.txt", tmp_path / "trace.txt"
         sched.write_text("schedule period=4 links=4\n0\n1\n2\n3\n")
         trace.write_text("# horizon 0\ninject 0 0 0\n")
         argv = [arg.format(g=path3_file, sched=sched, trace=trace) for arg in argv]
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
         assert main([*argv, ""]) == 3
         out, err = capsys.readouterr()
         assert err.startswith("error: ")
         assert not out
+        assert not any(cwd.iterdir())
 
     def test_empty_sweep_is_parameter_error(self, tmp_path, capsys):
         assert main(["experiment", "--sweep", "0", "--out-dir", str(tmp_path / "out")]) == 3
@@ -691,7 +721,7 @@ def test_parser_is_released_before_the_handler(monkeypatch):
 
     def handler(args):
         seen.append(refs[0]() is None)
-        return 0
+        return {}, 0
 
     monkeypatch.setattr(cli, "build_parser", build)
     monkeypatch.setattr(cli, "cmd_threshold_coloring", handler)

@@ -6,7 +6,8 @@ simulation kernel and its sparse record, the event-based failure
 accounting, the cyclic-window frequency check, the selector to schedule
 extraction, the packing of selector column sets and the selector sample
 check against the direct implementations they replaced, kept here as
-reference oracles; the schedule builders against the rows adapter; and the
+reference oracles; the exhaustive selector count against a brute-force
+count; the schedule builders against the rows adapter; and the
 trusted conflict-graph builder against the public constructor.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from itertools import combinations
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -48,7 +50,15 @@ from radiosched.schedules import (
     schedule_from_selector,
     verify_frequent,
 )
-from radiosched.selectors import SampleCheck, SelectorMatrix, _pack_combos, poly_uss, uss_sample_check
+from radiosched.selectors import (
+    MinCountResult,
+    SampleCheck,
+    SelectorMatrix,
+    _pack,
+    poly_uss,
+    uss_min_count,
+    uss_sample_check,
+)
 from radiosched.sim import (
     POLICIES,
     DeliveryRecord,
@@ -357,6 +367,22 @@ def ref_uss_sample_check(m, k, eps, trials, seed):
         if count < threshold:
             return SampleCheck(False, trials, threshold, (combo, a, count))
     return SampleCheck(True, trials, threshold, None)
+
+
+def ref_uss_min_count(m, k):
+    """Every (A, a) with |A| = k counted on Python-int row masks: for each a
+    in turn, the (k - 1)-sets avoiding a in lexicographic order, keeping the
+    first strict minimum as the witness."""
+    masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in m.rows]
+    best, witness = None, None
+    for a in range(m.n):
+        own = [mask for mask in masks if mask >> a & 1]
+        for rest in combinations([j for j in range(m.n) if j != a], k - 1):
+            rest_mask = sum(1 << j for j in rest)
+            count = sum(1 for mask in own if not mask & rest_mask)
+            if best is None or count < best:
+                best, witness = count, (tuple(sorted(rest + (a,))), a)
+    return MinCountResult(best, Fraction(k * best, m.t) if m.t else Fraction(0), witness)
 
 
 def ref_pack_combos(combos, n):
@@ -882,6 +908,50 @@ class TestSampleCheckMatchesFullMatrix:
             assert uss_sample_check(*case) == ref_uss_sample_check(*case)
 
 
+@st.composite
+def min_count_cases(draw, n, t, k):
+    """A 0/1 matrix of n columns and t rows, some columns all zero, and a k
+    in [1, n] drawn from k."""
+    n, t = draw(n), draw(t)
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    rows = np.array(
+        [[0 if j in zero_cols else draw(st.integers(0, 1)) for j in range(n)] for _ in range(t)],
+        dtype=np.uint8,
+    ).reshape(t, n)
+    return SelectorMatrix(rows), draw(k(n))
+
+
+class TestMinCountMatchesBruteForce:
+    @settings(max_examples=200, deadline=None)
+    @given(min_count_cases(st.integers(1, 10), st.integers(0, 12), lambda n: st.integers(1, n)))
+    def test_small_matrices(self, case):
+        assert uss_min_count(*case) == ref_uss_min_count(*case)
+
+    @settings(max_examples=25, deadline=None)
+    @given(min_count_cases(st.integers(60, 130), st.integers(0, 8), lambda n: st.integers(1, 2)))
+    def test_several_words(self, case):
+        assert uss_min_count(*case) == ref_uss_min_count(*case)
+
+    @pytest.mark.parametrize("n, k", [(5, 3), (130, 2)])
+    def test_no_rows(self, n, k):
+        m = SelectorMatrix(np.zeros((0, n), dtype=np.uint8))
+        assert uss_min_count(m, k) == ref_uss_min_count(m, k) == MinCountResult(0, Fraction(0), (tuple(range(k)), 0))
+
+    def test_zero_count_column(self):
+        # row j isolates column j alone, and column 129 is never isolated:
+        # its first set in the third word is the witness
+        m = SelectorMatrix(np.eye(129, 130, dtype=np.uint8))
+        assert uss_min_count(m, 2) == ref_uss_min_count(m, 2) == MinCountResult(0, Fraction(0), ((0, 129), 129))
+
+
+def membership(combos, n):
+    """The 0/1 matrix with one row per column set."""
+    member = np.zeros((len(combos), n), dtype=np.uint8)
+    for i, combo in enumerate(combos):
+        member[i, list(combo)] = 1
+    return member
+
+
 class TestPackCombosMatchesPerElement:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -895,15 +965,15 @@ class TestPackCombosMatchesPerElement:
                 max_size=20,
             )
         )
-        got = _pack_combos(combos, size, n)
+        got = _pack(membership(combos, n))
         assert got.dtype == np.uint64 and np.array_equal(got, ref_pack_combos(combos, n))
 
     def test_word_edges(self):
         for n in (64, 65, 128, 130):
             singles = [(j,) for j in range(n)]
             pairs = [(0, n - 1), (62, 63), (n - 2, n - 1)]
-            assert np.array_equal(_pack_combos(singles, 1, n), ref_pack_combos(singles, n))
-            assert np.array_equal(_pack_combos(pairs, 2, n), ref_pack_combos(pairs, n))
+            assert np.array_equal(_pack(membership(singles, n)), ref_pack_combos(singles, n))
+            assert np.array_equal(_pack(membership(pairs, n)), ref_pack_combos(pairs, n))
 
 
 # ---------------------------------------------------------------------------
@@ -958,8 +1028,9 @@ class TestRunMemoMatchesRescan:
     @given(st.data())
     def test_repeated_rows(self, data):
         # rows drawn from a pool of two, so candidate sets recur while the
-        # backlogs change under them; the per-set rule runs once per
-        # distinct nonempty candidate set met on a row that is not clean
+        # backlogs change under them; the rule runs once per round whose row
+        # is not clean and has a nonempty candidate set, and never on a
+        # clean row
         g = data.draw(networks(max_nodes=8))
         pool = [tuple(data.draw(st.sets(st.integers(0, g.link_count - 1)))) for _ in range(2)]
         rows = tuple(data.draw(st.sampled_from(pool)) for _ in range(data.draw(st.integers(1, 8))))
@@ -975,12 +1046,8 @@ class TestRunMemoMatchesRescan:
         assert_metrics_equal(got, want)
         active = sched.active
         clean = [ref_successful_links(g, row) == row for row in active]
-        sets = {
-            tuple(np.flatnonzero(col))
-            for r, col in enumerate(want.attempted.T)
-            if col.any() and not clean[r % len(active)]
-        }
-        assert rule.call_count == len(sets)
+        resolved = [r for r, col in enumerate(want.attempted.T) if col.any() and not clean[r % len(active)]]
+        assert rule.call_count == len(resolved)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
