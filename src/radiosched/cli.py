@@ -276,9 +276,7 @@ def cmd_validate_trace(args) -> tuple[dict | None, int]:
 
 def _write_metrics_csv(metrics, path) -> None:
     n = metrics.rounds
-    delivered = metrics.delivered
-    rounds_of = np.fromiter((d.delivered_round for d in delivered), np.int64, len(delivered))
-    cum = np.bincount(rounds_of, minlength=n).cumsum(dtype=np.int64)
+    cum = np.bincount(metrics.delivered_rounds, minlength=n).cumsum(dtype=np.int64)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["round", "total_backlog", "delivered_cum", "max_queue"])

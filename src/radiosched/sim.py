@@ -11,31 +11,36 @@ packets only become selectable in the next round.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import islice
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
 from .graphs import NetworkGraph, resolve_rows, successful_links
 from .schedules import TransmissionSchedule
-from .traffic import AdversaryConfig, InjectionTrace, Packet, check_routes
+from .traffic import AdversaryConfig, InjectionTrace, check_routes
 
-# Primary heap key of a packet waiting at a link after `hops` completed
-# hops; the packet id breaks ties.  A packet's key is fixed while it waits.
-POLICIES: dict[str, Callable[[Packet, int], int]] = {
+# A policy orders each link's queue by a key affine in the packet's injection
+# round, its completed hops and its route length, smallest first, and breaks
+# ties by the smaller packet id.  POLICIES maps a policy to those three
+# coefficients, so `run` computes a key with no call per packet.  A key is
+# fixed while the packet waits, and a forward adds the hops coefficient.
+POLICIES: dict[str, tuple[int, int, int]] = {
     # longest-in-system: oldest injection first
-    "lis": lambda p, hops: p.injection_round,
+    "lis": (1, 0, 0),
     # shortest-in-system: newest injection first
-    "sis": lambda p, hops: -p.injection_round,
+    "sis": (-1, 0, 0),
     # nearest-from-source: fewest completed hops first
-    "nfs": lambda p, hops: hops,
+    "nfs": (0, 1, 0),
     # furthest-to-go: most remaining hops first
-    "ftg": lambda p, hops: hops - len(p.route),
+    "ftg": (0, 1, -1),
 }
 
 
@@ -58,11 +63,16 @@ class RunMetrics:
     and then start; stretches are disjoint and nonempty but may touch.
     `success_events` is the sorted int64 array of link * rounds + round
     over every successful transmission.  `per_round_backlog` is the total
-    queued packet count at the end of each round.  `undelivered_count`
-    counts trace packets not delivered within the simulated rounds,
-    including any whose injection round was never reached.
+    queued packet count at the end of each round.  `delivered_ids`,
+    `injection_rounds` and `delivered_rounds` are three int64 columns with
+    one entry per delivered packet, in delivery order, so a delivery costs
+    24 bytes and no Python object.  `undelivered_count` counts trace
+    packets not delivered within the simulated rounds, including any whose
+    injection round was never reached.  `final_queues` lists each link's
+    queued packet ids in arrival order.
 
-    The dense (link_count, rounds) bool views `active`, `backlogged` and
+    `delivered`, the deliveries as a tuple of `DeliveryRecord`, and the
+    dense (link_count, rounds) bool views `active`, `backlogged` and
     `success` are built on first read and kept.  `attempted` is
     `active & backlogged`, since a link attempts exactly when it is
     scheduled with a nonempty queue; `collided` is attempted without
@@ -75,13 +85,20 @@ class RunMetrics:
     success_events: np.ndarray
     per_round_backlog: np.ndarray
     per_round_max_queue: np.ndarray
-    delivered: tuple[DeliveryRecord, ...]
+    delivered_ids: np.ndarray
+    injection_rounds: np.ndarray
+    delivered_rounds: np.ndarray
     undelivered_count: int
     final_queues: tuple[tuple[int, ...], ...]
 
     @property
     def link_count(self) -> int:
         return self.pattern.shape[0]
+
+    @cached_property
+    def delivered(self) -> tuple[DeliveryRecord, ...]:
+        columns = (self.delivered_ids, self.injection_rounds, self.delivered_rounds)
+        return tuple(map(DeliveryRecord, *(c.tolist() for c in columns)))
 
     @cached_property
     def active(self) -> np.ndarray:
@@ -118,7 +135,7 @@ class RunMetrics:
 
     @property
     def delivered_count(self) -> int:
-        return len(self.delivered)
+        return len(self.delivered_ids)
 
     @property
     def max_backlog(self) -> int:
@@ -127,7 +144,7 @@ class RunMetrics:
     @property
     def max_latency(self) -> int:
         """Largest delivered_round - injection_round over delivered packets."""
-        return max((d.delivered_round - d.injection_round for d in self.delivered), default=0)
+        return int((self.delivered_rounds - self.injection_rounds).max(initial=0))
 
 
 def run(
@@ -147,11 +164,13 @@ def run(
     activations by one `searchsorted`, are resolved once by `resolve_rows`.
     The radio rule is monotone (a link that wins with its whole row wins in
     every subset holding it), so on a clean row, whose links all win
-    together, the candidates win; elsewhere `successful_links` resolves the
-    candidates.
+    together, every backlogged link wins; elsewhere `successful_links`
+    resolves the backlogged links.  A queued packet is one int and a
+    delivery three int64 entries, with no tuple or record per packet.
+    Packet ids must fit in int64, the type of `RunMetrics.delivered_ids`.
     """
-    key = POLICIES.get(policy.lower())
-    if key is None:
+    coef = POLICIES.get(policy.lower())
+    if coef is None:
         raise ParameterError(f"unknown policy {policy!r}; choose from {sorted(POLICIES)}")
     if schedule.link_count != g.link_count:
         raise ParameterError("schedule and network disagree on link count")
@@ -160,18 +179,37 @@ def run(
     check_routes(trace, g)
 
     m = g.link_count
-    by_round: dict[int, list[Packet]] = {}
-    for r, pkt in trace.injections:
-        by_round.setdefault(r, []).append(pkt)
+    # the packets injected before `rounds`: the trace is sorted by round,
+    # so they are its first `count`, and injections[ptr] is the next due
+    injections = trace.injections
+    count = bisect_left(injections, rounds, key=itemgetter(0))
+    try:
+        ids = np.array([pkt.id for _, pkt in islice(injections, count)], dtype=np.int64)
+    except OverflowError:
+        raise ParameterError("packet ids must fit in int64") from None
+    # Each queued packet is one int, key * count + rank, where rank is the
+    # packet id's rank among the run's ids: int order is (key, id) order,
+    # negative keys included, so the head of a link's heap is the policy's
+    # choice, and a forward adds step to it.  rank maps an injection index
+    # to its rank and by_rank back; hops and stamp, indexed by rank, count a
+    # packet's completed hops and number its last push, so sorting a queue
+    # by stamp restores arrival order.
+    order = np.argsort(ids)
+    rank = np.empty(count, dtype=np.int64)
+    rank[order] = np.arange(count)
+    rank, by_rank = memoryview(rank), memoryview(order)
+    del ids, order
+    hops = array("q", [0]) * count
+    stamp = array("q", [0]) * count
+    at_round, at_hops, at_length = coef
+    step = at_hops * count
+    ptr = 0
+    due = injections[0][0] if count else -1
 
-    # queues[e] is a binary heap of (key, id, arrival, hops, packet) entries.
-    # Ids are unique, so the head is the policy's choice and comparisons
-    # never reach the later fields.  arrival numbers the pushes, so sorting
-    # by it restores queue order; hops counts the packet's completed hops,
-    # which keeps the trace's packets unmodified.
-    queues: list[list[tuple]] = [[] for _ in range(m)]
+    queues: list[list[int]] = [[] for _ in range(m)]
     # the activations of the rounds the run reaches; rows[r] lists row r's
-    # links in ascending order, and an empty schedule activates none
+    # links in ascending order, and an empty schedule reads as one empty,
+    # clean row
     span = min(schedule.period, rounds)
     stop = np.searchsorted(schedule.round_of, span)
     row_of, link_of = schedule.round_of[:stop], schedule.link_of[:stop]
@@ -179,19 +217,21 @@ def run(
     pattern[link_of, row_of] = True
     # clean[r]: every link of row r wins with the whole row transmitting
     lost = row_of[~resolve_rows(g, row_of, link_of, span)]
-    clean = (np.bincount(lost, minlength=span) == 0).tolist()
+    clean = (np.bincount(lost, minlength=span) == 0).tolist() or [True]
     links = link_of.tolist()
     ends = np.cumsum(np.bincount(row_of, minlength=span)).tolist()
     rows = [links[a:b] for a, b in zip([0] + ends, ends)] or [[]]
     period = len(rows)
     del row_of, link_of, lost, links
-    # (link, start, end) of every closed backlogged stretch, and
-    # link * rounds + round of every success
+    # (link, start, end) of every closed backlogged stretch, link * rounds +
+    # round of every success, and the three delivery columns
     stretches = array("q")
     events = array("q")
+    delivered_ids = array("q")
+    injected_at = array("q")
+    delivered_at = array("q")
     backlog_series = array("q", [0]) * rounds
     max_queue_series = array("q", [0]) * rounds
-    delivered: list[DeliveryRecord] = []
     queued = 0
     arrivals = 0
     # Incremental view of the queues, so a round costs O(activity), not
@@ -205,13 +245,16 @@ def run(
     longest = 0
 
     for r in range(rounds):
-        injected = by_round.get(r)
-        if injected:
-            for pkt in injected:
-                e = pkt.route[0]
+        if r == due:
+            first = ptr
+            while due == r:
+                route = injections[ptr][1].route
+                e = route[0]
                 q = queues[e]
                 n = len(q)
-                heappush(q, (key(pkt, 0), pkt.id, arrivals, 0, pkt))
+                k = rank[ptr]
+                heappush(q, (at_round * r + at_length * len(route)) * count + k)
+                stamp[k] = arrivals
                 arrivals += 1
                 if n:
                     length_count[n] -= 1
@@ -224,49 +267,66 @@ def run(
                     length_count[n] += 1
                 if n > longest:
                     longest = n
-            queued += len(injected)
+                ptr += 1
+                due = injections[ptr][0] if ptr < count else -1
+            queued += ptr - first
 
+        # a clean row's links all win, and none of them is the next link of
+        # another's packet (its tail would transmit over that link's head),
+        # so the row is read as it stands; elsewhere the candidates are the
+        # backlogged links and the radio rule picks the winners.  A winner's
+        # head is silent, so a packet forwarded this round never joins the
+        # queue of a later winner.
         at = r % period
-        candidates = [e for e in rows[at] if queues[e]]
-        if candidates:
-            winners = candidates if clean[at] else successful_links(g, candidates)
-            # a winner's head is silent, so a packet forwarded this round
-            # never joins the queue of a later winner
-            for e in winners:
-                events.append(e * rounds + r)
-                q = queues[e]
-                n = len(q)
-                _, pid, _, hops, pkt = heappop(q)
+        if clean[at]:
+            winners = rows[at]
+        else:
+            winners = [e for e in rows[at] if queues[e]]
+            if winners:
+                winners = successful_links(g, winners)
+        for e in winners:
+            q = queues[e]
+            n = len(q)
+            if not n:
+                continue
+            events.append(e * rounds + r)
+            head = heappop(q)
+            length_count[n] -= 1
+            if n > 1:
+                length_count[n - 1] += 1
+            else:
+                stretches.extend((e, since.pop(e), r + 1))
+            if n == longest and not length_count[n]:
+                longest -= 1  # the queue just popped now has length n - 1
+            k = head % count
+            injected, pkt = injections[by_rank[k]]
+            route = pkt.route
+            h = hops[k] + 1
+            if h == len(route):
+                delivered_ids.append(pkt.id)
+                injected_at.append(injected)
+                delivered_at.append(r)
+                queued -= 1
+                continue
+            hops[k] = h
+            # a forwarded packet waits at its next link from round r + 1
+            nxt = route[h]
+            q = queues[nxt]
+            n = len(q)
+            heappush(q, head + step)
+            stamp[k] = arrivals
+            arrivals += 1
+            if n:
                 length_count[n] -= 1
-                if n > 1:
-                    length_count[n - 1] += 1
-                else:
-                    stretches.extend((e, since.pop(e), r + 1))
-                if n == longest and not length_count[n]:
-                    longest -= 1  # the queue just popped now has length n - 1
-                hops += 1
-                route = pkt.route
-                if hops == len(route):
-                    delivered.append(DeliveryRecord(pid, pkt.injection_round, r))
-                    queued -= 1
-                    continue
-                # a forwarded packet waits at its next link from round r + 1
-                nxt = route[hops]
-                q = queues[nxt]
-                n = len(q)
-                heappush(q, (key(pkt, hops), pid, arrivals, hops, pkt))
-                arrivals += 1
-                if n:
-                    length_count[n] -= 1
-                else:
-                    since[nxt] = r + 1
-                n += 1
-                if n == len(length_count):
-                    length_count.append(1)
-                else:
-                    length_count[n] += 1
-                if n > longest:
-                    longest = n
+            else:
+                since[nxt] = r + 1
+            n += 1
+            if n == len(length_count):
+                length_count.append(1)
+            else:
+                length_count[n] += 1
+            if n > longest:
+                longest = n
         backlog_series[r] = queued
         max_queue_series[r] = longest
     for e, start in since.items():
@@ -274,17 +334,22 @@ def run(
             stretches.extend((e, start, rounds))
     spans = np.frombuffer(stretches, dtype=np.int64).reshape(-1, 3)
 
+    def arrival_order(q):
+        return tuple(injections[by_rank[k]][1].id for k in sorted((x % count for x in q), key=stamp.__getitem__))
+
+    # views of the array buffers, with no copy, except the sorted ones
     return RunMetrics(
         rounds=rounds,
         pattern=pattern,
         stretches=spans[np.argsort(spans[:, 0] * rounds + spans[:, 1])],
         success_events=np.sort(np.frombuffer(events, dtype=np.int64)),
-        # views of the two buffers: no copy
         per_round_backlog=np.frombuffer(backlog_series, dtype=np.int64),
         per_round_max_queue=np.frombuffer(max_queue_series, dtype=np.int64),
-        delivered=tuple(delivered),
-        undelivered_count=len(trace) - len(delivered),
-        final_queues=tuple(tuple(e[1] for e in sorted(q, key=itemgetter(2))) if q else () for q in queues),
+        delivered_ids=np.frombuffer(delivered_ids, dtype=np.int64),
+        injection_rounds=np.frombuffer(injected_at, dtype=np.int64),
+        delivered_rounds=np.frombuffer(delivered_at, dtype=np.int64),
+        undelivered_count=len(trace) - len(delivered_ids),
+        final_queues=tuple(arrival_order(q) if q else () for q in queues),
     )
 
 

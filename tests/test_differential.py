@@ -1007,6 +1007,26 @@ class TestRunMatchesRescan:
         rounds = data.draw(st.integers(1, 50))
         assert_metrics_equal(run(g, sched, policy, trace, rounds), ref_run(g, sched, policy, trace, rounds))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sparse_shuffled_ids(self, data):
+        # ids drawn apart from injection order, so a packet's id rank is
+        # not its injection index and key ties go to the smaller id
+        g = data.draw(networks(max_nodes=6))
+        sched = data.draw(schedules_for(g))
+        routes = data.draw(route_sets(g))
+        adv = AdversaryConfig(data.draw(rates), data.draw(st.integers(1, 5)))
+        trace = gen_leaky_bucket(g, routes, adv, data.draw(st.integers(0, 40)), data.draw(st.integers(0, 10**6)))
+        ids = data.draw(st.lists(st.integers(0, 2**62 - 1), min_size=len(trace), max_size=len(trace), unique=True))
+        if ids == sorted(ids):
+            ids.reverse()
+        trace = InjectionTrace(
+            tuple((r, Packet(i, r, pkt.route)) for (r, pkt), i in zip(trace.injections, ids)), trace.horizon
+        )
+        rounds = data.draw(st.integers(1, 50))
+        for policy in sorted(POLICIES):
+            assert_metrics_equal(run(g, sched, policy, trace, rounds), ref_run(g, sched, policy, trace, rounds))
+
     @settings(max_examples=20, deadline=None)
     @given(
         st.integers(2, 3),
@@ -1140,7 +1160,9 @@ class TestFailureAccountingMatchesDense:
             success_events=np.flatnonzero(success),
             per_round_backlog=np.zeros(rounds, dtype=np.int64),
             per_round_max_queue=np.zeros(rounds, dtype=np.int64),
-            delivered=(),
+            delivered_ids=np.zeros(0, dtype=np.int64),
+            injection_rounds=np.zeros(0, dtype=np.int64),
+            delivered_rounds=np.zeros(0, dtype=np.int64),
             undelivered_count=0,
             final_queues=((),) * m,
         )

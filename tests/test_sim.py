@@ -20,7 +20,7 @@ from radiosched.graphs import (
     random_network,
 )
 from radiosched.schedules import schedule_from_coloring, schedule_from_rows
-from radiosched.sim import failure_accounting, run, stability_verdict
+from radiosched.sim import DeliveryRecord, failure_accounting, run, stability_verdict
 from radiosched.traffic import (
     AdversaryConfig,
     InjectionTrace,
@@ -123,6 +123,17 @@ class TestPolicies:
         metrics = run(g, sched, "sis", tr, 3)
         assert [d.id for d in metrics.delivered] == [2]
         assert metrics.final_queues == ((0, 1, 3), ())
+
+    def test_ids_beyond_int64_refused(self):
+        # deliveries keep ids in an int64 column
+        g = path_graph(2)
+        sched = schedule_from_rows(((0,),), 2, None)
+        with pytest.raises(ParameterError, match="int64"):
+            run(g, sched, "lis", trace_of([(0, 2**63, (0,))], 0), 2)
+        assert run(g, sched, "lis", trace_of([(0, 2**63 - 1, (0,)), (0, -(2**63), (0,))], 0), 3).delivered == (
+            (-(2**63), 0, 0),
+            (2**63 - 1, 0, 1),
+        )
 
     def test_unknown_policy(self):
         g = path_graph(2)
@@ -285,6 +296,44 @@ class TestCliqueThroughput:
 
 class TestSparseRecord:
     DENSE_VIEWS = {"active", "attempted", "backlogged", "success"}
+
+    def test_delivery_columns(self):
+        sc = gen_clique_scenario(3, Fraction(1, 31), 600)
+        sched = schedule_from_coloring(exact_chromatic(build_conflict_graph(sc.g)))
+        metrics = run(sc.g, sched, "sis", sc.trace, 600)
+        columns = (metrics.delivered_ids, metrics.injection_rounds, metrics.delivered_rounds)
+        assert all(c.dtype == np.int64 and c.shape == (metrics.delivered_count,) for c in columns)
+        assert "delivered" not in vars(metrics)  # built on first read
+        delivered = metrics.delivered
+        assert delivered is metrics.delivered
+        assert all(type(d) is DeliveryRecord and all(type(v) is int for v in d) for d in delivered)
+        assert [tuple(d) for d in delivered] == list(zip(*(c.tolist() for c in columns)))
+        assert metrics.max_latency == max(d.delivered_round - d.injection_round for d in delivered)
+
+    def test_bytes_per_delivery(self):
+        # An overloaded clique delivers one packet a round, so each extra
+        # delivery comes with one extra round and one success.  The kept
+        # record then gains 48 bytes of int64 entries (three delivery
+        # columns, one success event, two per-round series), plus buffer
+        # over-allocation and the final queue slots of the extra backlog,
+        # about 2 bytes each.  A record of Python objects per delivery
+        # (namedtuple, list slot, round int) costs about 90 bytes more.
+        sc = gen_clique_scenario(3, Fraction(1, 31), 2400)
+        sched = schedule_from_coloring(exact_chromatic(build_conflict_graph(sc.g)))
+        run(sc.g, sched, "lis", sc.trace, 12)  # any one-time cost falls outside the trace
+        kept = {}
+        tracemalloc.start()
+        try:
+            for rounds in (1200, 2400):
+                before = tracemalloc.get_traced_memory()[0]
+                metrics = run(sc.g, sched, "lis", sc.trace, rounds)
+                kept[rounds] = (tracemalloc.get_traced_memory()[0] - before, metrics.delivered_count)
+                del metrics
+        finally:
+            tracemalloc.stop()
+        (short_bytes, short_count), (long_bytes, long_count) = kept[1200], kept[2400]
+        assert long_count - short_count >= 1000
+        assert (long_bytes - short_bytes) / (long_count - short_count) < 56
 
     def test_long_run_memory(self):
         # 120 links x 20k rounds with traffic throughout: one dense bool view
