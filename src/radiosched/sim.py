@@ -11,13 +11,10 @@ packets only become selectable in the next round.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import islice
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -109,15 +106,15 @@ class RunMetrics:
 
     @cached_property
     def backlogged(self) -> np.ndarray:
-        # +1 at each stretch's first flat index, -1 just past its last; a
-        # stretch may start where the previous one ends, so the ends are
-        # subtracted after the starts are set.  The running sum is 0 or 1.
+        # run-length decoding: the flat bounds 0, start, end, start, ...,
+        # links * rounds cut the array into alternately idle and backlogged
+        # runs, an idle one empty where two stretches touch
         m, n = self.link_count, self.rounds
-        first = self.stretches[:, 0] * n + self.stretches[:, 1]
-        delta = np.zeros(m * n + 1, dtype=np.int8)
-        delta[first] = 1
-        delta[first + (self.stretches[:, 2] - self.stretches[:, 1])] -= 1
-        return np.cumsum(delta[:-1], dtype=np.int8).view(bool).reshape(m, n)
+        flat = (self.stretches[:, :1] * n + self.stretches[:, 1:]).ravel()
+        runs = np.diff(flat, prepend=0, append=m * n)
+        backlogged = np.zeros(runs.size, dtype=bool)
+        backlogged[1::2] = True
+        return np.repeat(backlogged, runs).reshape(m, n)
 
     @cached_property
     def success(self) -> np.ndarray:
@@ -166,8 +163,8 @@ def run(
     every subset holding it), so on a clean row, whose links all win
     together, every backlogged link wins; elsewhere `successful_links`
     resolves the backlogged links.  A queued packet is one int and a
-    delivery three int64 entries, with no tuple or record per packet.
-    Packet ids must fit in int64, the type of `RunMetrics.delivered_ids`.
+    delivery three int64 entries, with no tuple or record per packet; the
+    trace's columns are read through memoryviews, which yield Python ints.
     """
     coef = POLICIES.get(policy.lower())
     if coef is None:
@@ -180,31 +177,31 @@ def run(
 
     m = g.link_count
     # the packets injected before `rounds`: the trace is sorted by round,
-    # so they are its first `count`, and injections[ptr] is the next due
-    injections = trace.injections
-    count = bisect_left(injections, rounds, key=itemgetter(0))
-    try:
-        ids = np.array([pkt.id for _, pkt in islice(injections, count)], dtype=np.int64)
-    except OverflowError:
-        raise ParameterError("packet ids must fit in int64") from None
+    # so they are its first `count`, and packet ptr is the next due
+    count = int(np.searchsorted(trace.rounds, rounds))
+    ids = trace.ids[:count]
     # Each queued packet is one int, key * count + rank, where rank is the
     # packet id's rank among the run's ids: int order is (key, id) order,
     # negative keys included, so the head of a link's heap is the policy's
     # choice, and a forward adds step to it.  rank maps an injection index
-    # to its rank and by_rank back; hops and stamp, indexed by rank, count a
-    # packet's completed hops and number its last push, so sorting a queue
-    # by stamp restores arrival order.
+    # to its rank and by_rank back; route_by_rank holds each packet's route
+    # tuple from the trace's table, and hops and stamp, indexed by rank,
+    # count a packet's completed hops and number its last push, so sorting
+    # a queue by stamp restores arrival order.
     order = np.argsort(ids)
     rank = np.empty(count, dtype=np.int64)
     rank[order] = np.arange(count)
+    routes = trace.routes
+    route_by_rank = [routes[j] for j in trace.route_of[order].tolist()]
     rank, by_rank = memoryview(rank), memoryview(order)
     del ids, order
+    injected_round, packet_id = memoryview(trace.rounds), memoryview(trace.ids)
     hops = array("q", [0]) * count
     stamp = array("q", [0]) * count
     at_round, at_hops, at_length = coef
     step = at_hops * count
     ptr = 0
-    due = injections[0][0] if count else -1
+    due = injected_round[0] if count else -1
 
     queues: list[list[int]] = [[] for _ in range(m)]
     # the activations of the rounds the run reaches; rows[r] lists row r's
@@ -248,11 +245,11 @@ def run(
         if r == due:
             first = ptr
             while due == r:
-                route = injections[ptr][1].route
+                k = rank[ptr]
+                route = route_by_rank[k]
                 e = route[0]
                 q = queues[e]
                 n = len(q)
-                k = rank[ptr]
                 heappush(q, (at_round * r + at_length * len(route)) * count + k)
                 stamp[k] = arrivals
                 arrivals += 1
@@ -268,7 +265,7 @@ def run(
                 if n > longest:
                     longest = n
                 ptr += 1
-                due = injections[ptr][0] if ptr < count else -1
+                due = injected_round[ptr] if ptr < count else -1
             queued += ptr - first
 
         # a clean row's links all win, and none of them is the next link of
@@ -299,12 +296,12 @@ def run(
             if n == longest and not length_count[n]:
                 longest -= 1  # the queue just popped now has length n - 1
             k = head % count
-            injected, pkt = injections[by_rank[k]]
-            route = pkt.route
+            route = route_by_rank[k]
             h = hops[k] + 1
             if h == len(route):
-                delivered_ids.append(pkt.id)
-                injected_at.append(injected)
+                i = by_rank[k]
+                delivered_ids.append(packet_id[i])
+                injected_at.append(injected_round[i])
                 delivered_at.append(r)
                 queued -= 1
                 continue
@@ -335,7 +332,7 @@ def run(
     spans = np.frombuffer(stretches, dtype=np.int64).reshape(-1, 3)
 
     def arrival_order(q):
-        return tuple(injections[by_rank[k]][1].id for k in sorted((x % count for x in q), key=stamp.__getitem__))
+        return tuple(packet_id[by_rank[k]] for k in sorted((x % count for x in q), key=stamp.__getitem__))
 
     # views of the array buffers, with no copy, except the sorted ones
     return RunMetrics(

@@ -5,82 +5,145 @@ A (rho, b)-adversary may inject, into any single link and any window of T
 consecutive rounds, at most rho*T + b packets whose routes traverse that
 link.  Traversal is charged at injection time.  All rate arithmetic is
 exact rational.
+
+A trace is held as columns, 24 bytes and no Python object per packet, and
+the generators cost per injection: `_periodic_trace` builds its columns
+with numpy, and `gen_leaky_bucket` visits a route only in the rounds where
+its buckets could let it inject.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapreplace
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import FormatError, ParameterError
 from .graphs import NetworkGraph, clique_graph, from_undirected_edges
 from .selectors import parse_count
 
 
-@dataclass(slots=True)
-class Packet:
-    """One packet with a fixed route of link indices.  Slotted: the
-    generators build one per injection, and a packet holds no `__dict__`."""
+class Packet(NamedTuple):
+    """One row of a trace: a packet's id, injection round and route of link
+    indices.  `InjectionTrace.injections` builds one per read and keeps
+    none; `trace_from_packets` turns them back into a trace."""
 
     id: int
     injection_round: int
     route: tuple[int, ...]
 
-    def __post_init__(self):
-        self.route = tuple(map(int, self.route))
-        if not self.route:
-            raise ParameterError(f"packet {self.id}: empty route")
-        if min(self.route) < 0:
-            raise ParameterError(f"packet {self.id}: negative link {min(self.route)}")
-        if self.injection_round < 0:
-            raise ParameterError(f"packet {self.id}: negative injection round")
+
+def _int64_column(values, what: str) -> np.ndarray:
+    """values as a read-only int64 copy, refused if one does not fit."""
+    try:
+        column = np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ParameterError(f"{what} must fit in int64") from None
+    if column.ndim != 1:
+        raise ParameterError(f"{what} must form one column")
+    column.flags.writeable = False
+    return column
 
 
-@dataclass(frozen=True)
-class AdversaryConfig:
-    rho: Fraction
-    b: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", Fraction(self.rho))
-        if self.rho <= 0:
-            raise ParameterError("injection rate must be positive")
-        if self.b < 0:
-            raise ParameterError("burst allowance must be non-negative")
+def _structure_fault(route) -> str | None:
+    if not route:
+        return "empty route"
+    if min(route) < 0:
+        return f"negative link {min(route)}"
+    return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InjectionTrace:
-    """Injections as (round, packet) pairs, sorted by round, with the last
-    round covered recorded as the horizon, which is not negative."""
+    """Injections as columns, in trace order, sorted by round.
 
-    injections: tuple[tuple[int, Packet], ...]
+    `rounds` and `ids` are read-only int64 arrays with one entry per packet,
+    `route_of` each packet's index into `routes`, a table of routes of link
+    indices that the generators and readers build with no route twice, and
+    `horizon` the last round covered.  The constructor copies the columns
+    and refuses, with numpy over the columns and once per distinct route: a
+    value outside int64, an empty route or a negative link, a negative or
+    out-of-order round, a repeated id, and a negative horizon or one before
+    the last injection.  A fault in a route names the first packet that
+    uses it.
+
+    `injections` yields the `(round, Packet)` pairs, each built as it is
+    read and kept by nothing; `trace_from_packets` builds a trace from
+    such pairs.
+    """
+
+    rounds: np.ndarray
+    ids: np.ndarray
+    route_of: np.ndarray
+    routes: tuple[tuple[int, ...], ...]
     horizon: int
 
     def __post_init__(self):
-        object.__setattr__(self, "injections", tuple(self.injections))
+        put = object.__setattr__
+        put(self, "rounds", _int64_column(self.rounds, "injection rounds"))
+        put(self, "ids", _int64_column(self.ids, "packet ids"))
+        put(self, "route_of", _int64_column(self.route_of, "route indices"))
+        put(self, "routes", tuple(tuple(map(int, rt)) for rt in self.routes))
+        rounds, ids, route_of = self.rounds, self.ids, self.route_of
+        if not len(rounds) == len(ids) == len(route_of):
+            raise ParameterError("trace columns differ in length")
         if self.horizon < 0:
             raise ParameterError(f"horizon {self.horizon} is negative")
-        last = -1
-        seen_ids = set()
-        for r, pkt in self.injections:
-            if r != pkt.injection_round:
-                raise ParameterError(f"packet {pkt.id}: entry round {r} != injection_round")
-            if r < last:
-                raise ParameterError("injections must be sorted by round")
-            last = r
-            if pkt.id in seen_ids:
-                raise ParameterError(f"duplicate packet id {pkt.id}")
-            seen_ids.add(pkt.id)
-        if last > self.horizon:
+        if not ids.size:
+            return
+        if route_of.min() < 0 or route_of.max() >= len(self.routes):
+            raise ParameterError("route index outside the route table")
+        _refuse_faulty_routes(self, _structure_fault)
+        negative = np.flatnonzero(rounds < 0)
+        if negative.size:
+            raise ParameterError(f"packet {ids[negative[0]]}: negative injection round")
+        if (rounds[1:] < rounds[:-1]).any():
+            raise ParameterError("injections must be sorted by round")
+        if not (ids[1:] > ids[:-1]).all():
+            # a stable sort puts each repeat after its first occurrence; name
+            # the repeat that comes first in the trace
+            order = np.argsort(ids, kind="stable")
+            repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+            if repeats.size:
+                raise ParameterError(f"duplicate packet id {ids[repeats.min()]}")
+        if rounds[-1] > self.horizon:
             raise ParameterError("horizon precedes the last injection")
 
     def __len__(self) -> int:
-        return len(self.injections)
+        return len(self.ids)
+
+    @property
+    def injections(self):
+        """(round, Packet) pairs in trace order, built as they are read."""
+        routes = self.routes
+        for r, i, j in zip(memoryview(self.rounds), memoryview(self.ids), memoryview(self.route_of)):
+            yield r, Packet(i, r, routes[j])
+
+
+def _columns(injections) -> tuple[list[int], list[int], list[int], tuple]:
+    """The columns and route table of (round, Packet) pairs."""
+    rounds, ids, route_of, table = [], [], [], {}
+    for r, pkt in injections:
+        if r != pkt.injection_round:
+            raise ParameterError(f"packet {pkt.id}: entry round {r} != injection_round")
+        rounds.append(r)
+        ids.append(pkt.id)
+        route_of.append(table.setdefault(tuple(map(int, pkt.route)), len(table)))
+    return rounds, ids, route_of, tuple(table)
+
+
+def trace_from_packets(injections, horizon: int) -> InjectionTrace:
+    """A trace from (round, Packet) pairs in trace order, the form
+    `InjectionTrace.injections` yields; for traces built by hand."""
+    return InjectionTrace(*_columns(injections), horizon)
 
 
 def _route_fault(route, link_count: int, links=None) -> str | None:
@@ -97,16 +160,40 @@ def _route_fault(route, link_count: int, links=None) -> str | None:
     return None
 
 
+def _refuse_faulty_routes(tr: InjectionTrace, fault_of) -> None:
+    """Raise for the first packet, in trace order, whose route `fault_of`
+    finds a fault in; each route of the table is looked at once."""
+    faults = {}
+    for j, route in enumerate(tr.routes):
+        fault = fault_of(route)
+        if fault:
+            faults[j] = fault
+    if faults:
+        faulty = np.zeros(len(tr.routes), dtype=bool)
+        faulty[list(faults)] = True
+        hit = np.flatnonzero(faulty[tr.route_of])
+        if hit.size:
+            k = hit[0]
+            raise ParameterError(f"packet {tr.ids[k]}: {faults[int(tr.route_of[k])]}")
+
+
 def check_routes(tr: InjectionTrace, g: NetworkGraph) -> None:
     """Routes must be link paths of g: valid indices, consecutive links
-    chained head to tail."""
-    checked = set()
-    for _, pkt in tr.injections:
-        if pkt.route not in checked:
-            fault = _route_fault(pkt.route, g.link_count, g.links)
-            if fault:
-                raise ParameterError(f"packet {pkt.id}: {fault}")
-            checked.add(pkt.route)
+    chained head to tail.  Costs one check per distinct route."""
+    _refuse_faulty_routes(tr, lambda route: _route_fault(route, g.link_count, g.links))
+
+
+@dataclass(frozen=True)
+class AdversaryConfig:
+    rho: Fraction
+    b: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "rho", Fraction(self.rho))
+        if self.rho <= 0:
+            raise ParameterError("injection rate must be positive")
+        if self.b < 0:
+            raise ParameterError("burst allowance must be non-negative")
 
 
 class Violation(NamedTuple):
@@ -125,53 +212,107 @@ class AdmissibilityReport(NamedTuple):
 def validate_trace(tr: InjectionTrace, adv: AdversaryConfig, link_count: int | None = None) -> AdmissibilityReport:
     """Check every window of every length on every link against rho*T + b.
 
-    Exact in Python ints: a window holding load L over T rounds violates iff
+    Exact in integers: a window holding load L over T rounds violates iff
     den*L - num*T > den*b.  With d(t) = den*load(0..t) - num*(t + 1) and
     d(-1) = 0, the window s..t violates iff d(t) - d(s - 1) > den*b.  d rises
     only at a link's injection rounds and falls strictly between them, so
     the first violating end, and the earliest start that minimises
-    d(s - 1) before it, are both injection rounds (or the start 0).  Each
-    link's injection rounds are walked once, lowest link first: memory and
-    time grow with link-events, not links x horizon.  A link at or past
-    link_count (inferred from the routes when None) is a ParameterError.
+    d(s - 1) before it, are both injection rounds (or the start 0).
+
+    A packet crosses each distinct link of its route once.  Those crossings,
+    stably sorted by link, list each link's rounds in order, and numpy
+    takes every crossing's d before and after it, and the running minimum
+    of d(s - 1) within its link, in one pass over all links: each link's
+    values are shifted below the previous link's, so one running minimum
+    does not cross links.  Where those values could leave int64 they are
+    Python ints instead.  The lowest link with a violation is then walked
+    round by round for its witness.  Memory and time grow with crossings,
+    not links x horizon.  A link at or past link_count (inferred from the
+    routes when None) is a ParameterError.
     """
+    used = np.flatnonzero(np.bincount(tr.route_of, minlength=len(tr.routes))).tolist()
     if link_count is None:
-        link_count = 1 + max((max(p.route) for _, p in tr.injections), default=0)
-    # per link, {round: load} in round order, since the trace is sorted
-    loads: dict[int, dict[int, int]] = {}
-    checked = set()
-    for r, pkt in tr.injections:
-        if pkt.route not in checked:
-            fault = _route_fault(pkt.route, link_count)
-            if fault:
-                raise ParameterError(f"packet {pkt.id}: {fault}")
-            checked.add(pkt.route)
-        for e in set(pkt.route):
-            at = loads.get(e)
-            if at is None:
-                at = loads[e] = {}
-            at[r] = at.get(r, 0) + 1
+        link_count = 1 + max((max(tr.routes[j]) for j in used), default=0)
+    _refuse_faulty_routes(tr, lambda route: _route_fault(route, link_count))
+    admissible = AdmissibilityReport(True, None)
+    # each used route's distinct links, flattened: route j's are
+    # flat[first[j] : first[j] + width[j]]
+    distinct = [()] * len(tr.routes)
+    for j in used:
+        distinct[j] = sorted(set(tr.routes[j]))
+    width = np.array([len(links) for links in distinct], dtype=np.int64)
+    first = np.cumsum(width) - width
+    flat = np.array([e for links in distinct for e in links], dtype=np.int64)
+    crossings = width[tr.route_of]
+    total = int(crossings.sum())
+    if not total:
+        return admissible
+    packet = np.repeat(np.arange(len(tr)), crossings)
+    within = np.arange(total) - np.repeat(np.cumsum(crossings) - crossings, crossings)
+    link = flat[first[tr.route_of[packet]] + within]
+    order = np.argsort(link, kind="stable")
+    link, rnd = link[order], tr.rounds[packet[order]]
+    starts = np.flatnonzero(np.concatenate(([True], link[1:] != link[:-1])))
+    segment = np.repeat(np.arange(starts.size), np.diff(np.append(starts, total)))
+    nth = np.arange(1, total + 1) - starts[segment]  # crossings so far on the link
+
     num, den = adv.rho.numerator, adv.rho.denominator
     cap = den * adv.b
-    for link in sorted(loads):
-        # low: the first minimum of d(s - 1) over the starts s seen so far,
-        # at start low_at, where low_count packets precede it on the link
-        low = low_at = low_count = count = 0
-        for r, load in loads[link].items():
-            pre = den * count - num * r
-            if pre < low:
-                low, low_at, low_count = pre, r, count
-            count += load
-            if den * count - num * (r + 1) - low > cap:
-                length = r - low_at + 1
-                return AdmissibilityReport(
-                    False, Violation(link, low_at, length, count - low_count, adv.rho * length + adv.b)
-                )
-    return AdmissibilityReport(True, None)
+    # d before a crossing lies in [-num*last, den*(most - 1)] and the excess
+    # d after it less the running minimum is at most den*most + num*last
+    most, last = int(nth.max()), int(rnd.max())
+    spread = den * most + num * (last + 1)
+    if cap >= spread:
+        return admissible
+    if (starts.size + 1) * spread >= 2**63:
+        nth, rnd, segment = (a.astype(object) for a in (nth, rnd, segment))
+    before = den * (nth - 1) - num * rnd
+    shift = segment * spread
+    runmin = np.minimum(np.minimum.accumulate(before - shift) + shift, 0)
+    bad = np.flatnonzero(before + (den - num) - runmin > cap)
+    if not bad.size:
+        return admissible
+    s = int(segment[bad[0]])
+    lo = int(starts[s])
+    hi = int(starts[s + 1]) if s + 1 < starts.size else total
+    e = int(link[lo])
+    low = low_at = low_count = count = 0
+    for r, load in Counter(rnd[lo:hi].tolist()).items():
+        pre = den * count - num * r
+        if pre < low:
+            low, low_at, low_count = pre, r, count
+        count += load
+        if den * count - num * (r + 1) - low > cap:
+            length = r - low_at + 1
+            return AdmissibilityReport(
+                False, Violation(e, low_at, length, count - low_count, adv.rho * length + adv.b)
+            )
+    raise AssertionError("a violation found over all links is missing on its own link")
 
 
 # ---------------------------------------------------------------------------
 # generators
+
+# draws converted from random words at a time; bounds the transient arrays
+COIN_BLOCK = 1 << 12
+
+
+def _coin_mask(rng: random.Random, draws: int, intensity: float) -> bytearray:
+    """One byte per draw, 1 where `rng.random()` would fall below intensity,
+    for the next `draws` calls, leaving rng as those calls would.
+
+    `random()` is ((a >> 5) * 2**26 + (b >> 6)) / 2**53 for the next two
+    32-bit words a, b of the generator, and `getrandbits(64 * n)` is its next
+    2n words, the first in the lowest bits.  So one call per block yields
+    the block's words, and numpy computes the same doubles exactly."""
+    mask = bytearray(draws)
+    view = np.frombuffer(mask, dtype=np.bool_)
+    for lo in range(0, draws, COIN_BLOCK):
+        n = min(COIN_BLOCK, draws - lo)
+        words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+        value = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+        view[lo : lo + n] = value < intensity
+    return mask
 
 
 def gen_leaky_bucket(
@@ -187,12 +328,25 @@ def gen_leaky_bucket(
     Every link starts with b tokens and gains rho per round, capped at b;
     a route injects only when every link on it holds a full token, so no
     window can exceed rho*T + b on any link.  Each route attempts each
-    round with probability `intensity`, which must lie in (0, 1].
+    round with probability `intensity`, which must lie in (0, 1]: routes
+    draw in order within a round, one `random()` each, none at intensity 1.
     Deterministic for a given seed.
+
+    Tokens are scaled by den: one token is den, a round adds num.  After the
+    refill of round r, link e holds min(cap, num*(r + 1) - debit[e]), and an
+    injection raises debit[e] to at least num*(r + 1) - cap, then by den.
+    So a route's links all hold a token from the round
+    max over its distinct links of ceil((den + debit[e]) / num) - 1 on.  A
+    heap holds each route's next candidate round, keyed round * routes +
+    route so that routes keep their order within a round; a popped
+    candidate is checked again, since other routes' injections only raise
+    debits.  The coins are drawn up front, in blocks, as one byte per
+    route-round, so time grows with injections and failed draws, not with
+    routes x horizon.
     """
     if not 0 < intensity <= 1:
         raise ParameterError(f"intensity {intensity} outside (0, 1]")
-    routes = [tuple(rt) for rt in routes]
+    routes = [tuple(map(int, rt)) for rt in routes]
     if not routes:
         raise ParameterError("need at least one route")
     if adv.b < 1:
@@ -201,34 +355,35 @@ def gen_leaky_bucket(
         fault = _route_fault(rt, g.link_count, g.links)
         if fault:
             raise ParameterError(f"route {rt}: {fault}")
-    rng = random.Random(seed)
-    # Tokens are scaled by den: one token is den, a round adds num.  After
-    # the refill of round r, link e holds min(cap, num*(r + 1) - debit[e]).
-    # A bucket is only looked at when a route using it draws; one found
-    # over the cap has its debit raised so that it holds exactly cap.
-    # Capping is monotone, so this equals refilling every bucket every round.
     num, den = adv.rho.numerator, adv.rho.denominator
     cap = adv.b * den
-    debit = {e: -cap for rt in routes for e in rt}
-    injections = []
-    next_id = 0
-    for r in range(horizon + 1):
-        credit = num * (r + 1)
-        for rt in routes:
-            if intensity < 1.0 and rng.random() >= intensity:
-                continue
-            for e in rt:
-                t = credit - debit[e]
-                if t > cap:
-                    debit[e] = credit - cap
-                elif t < den:
-                    break
-            else:
-                for e in set(rt):
-                    debit[e] += den
-                injections.append((r, Packet(next_id, r, rt)))
-                next_id += 1
-    return InjectionTrace(tuple(injections), horizon)
+    width = len(routes)
+    end = width * max(horizon + 1, 0)
+    passes = None if intensity == 1.0 else _coin_mask(random.Random(seed), end, intensity)
+    crossed = [tuple(set(rt)) for rt in routes]
+    debit = [-cap] * g.link_count
+    heap = list(range(width))  # sorted, so a heap
+    sent_at, sent_on = array("q"), array("q")
+    while heap[0] < end:
+        key = heap[0]
+        r, j = divmod(key, width)
+        # ceil((den + d) / num) - 1 is (den - 1 + d) // num
+        ready = max([(den - 1 + debit[e]) // num for e in crossed[j]])
+        if ready > r:
+            heapreplace(heap, ready * width + j)
+            continue
+        if passes is None or passes[key]:
+            floor = num * (r + 1) - cap
+            for e in crossed[j]:
+                d = debit[e]
+                debit[e] = (d if d > floor else floor) + den
+            sent_at.append(r)
+            sent_on.append(j)
+        heapreplace(heap, key + width)
+    table: dict[tuple[int, ...], int] = {}
+    index = np.array([table.setdefault(rt, len(table)) for rt in routes], dtype=np.int64)
+    route_of = index[np.frombuffer(sent_on, dtype=np.int64)]
+    return InjectionTrace(sent_at, np.arange(len(sent_at)), route_of, tuple(table), horizon)
 
 
 @dataclass(frozen=True)
@@ -326,8 +481,12 @@ def gen_tree_family(delta: int, rho, horizon: int) -> TreeFamilyScenario:
 def _periodic_trace(links, periods, horizon: int) -> InjectionTrace:
     """At each multiple r of each period in [0, horizon], one single-link
     packet per link, in order; ids count up by round, period, then link."""
-    waves = ((r, e) for r in range(horizon + 1) for p in periods if r % p == 0 for e in links)
-    return InjectionTrace(tuple((r, Packet(i, r, (e,))) for i, (r, e) in enumerate(waves)), horizon)
+    links = tuple(links)
+    # a stable sort keeps the periods' order among waves of one round
+    waves = np.sort(np.concatenate([np.arange(0, horizon + 1, p) for p in periods]), kind="stable")
+    rounds = np.repeat(waves, len(links))
+    route_of = np.tile(np.arange(len(links)), waves.size)
+    return InjectionTrace(rounds, np.arange(rounds.size), route_of, tuple((e,) for e in links), horizon)
 
 
 def random_routes(g: NetworkGraph, count: int, max_hops: int, seed: int) -> list[tuple[int, ...]]:
@@ -359,39 +518,41 @@ def random_routes(g: NetworkGraph, count: int, max_hops: int, seed: int) -> list
 
 
 def write_trace(tr: InjectionTrace, path) -> None:
+    routes = [" ".join(map(str, rt)) for rt in tr.routes]
     lines = [f"# horizon {tr.horizon}"]
-    for r, pkt in tr.injections:
-        lines.append(f"inject {r} {pkt.id} " + " ".join(str(i) for i in pkt.route))
+    for r, i, j in zip(memoryview(tr.rounds), memoryview(tr.ids), memoryview(tr.route_of)):
+        lines.append(f"inject {r} {i} {routes[j]}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_trace(path) -> InjectionTrace:
-    injections = []
     horizon = None
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped.startswith("#"):
-            parts = stripped[1:].split()
-            if len(parts) == 2 and parts[0] == "horizon":
-                horizon = parse_count(parts[1])
-            continue
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if parts[0] != "inject" or len(parts) < 4:
-            raise FormatError(f"line {ln}: expected 'inject <round> <id> <links...>'")
-        try:
-            r, pid = int(parts[1]), int(parts[2])
-            route = tuple(int(v) for v in parts[3:])
-        except ValueError as exc:
-            raise FormatError(f"line {ln}: non-integer field") from exc
-        try:
-            injections.append((r, Packet(pid, r, route)))
-        except ParameterError as exc:
-            raise FormatError(f"line {ln}: {exc}") from exc
+
+    def entries():
+        nonlocal horizon
+        for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+            stripped = raw.strip()
+            if stripped.startswith("#"):
+                parts = stripped[1:].split()
+                if len(parts) == 2 and parts[0] == "horizon":
+                    horizon = parse_count(parts[1])
+                continue
+            if not stripped:
+                continue
+            parts = stripped.split()
+            if parts[0] != "inject" or len(parts) < 4:
+                raise FormatError(f"line {ln}: expected 'inject <round> <id> <links...>'")
+            try:
+                r, pid = int(parts[1]), int(parts[2])
+                route = tuple(int(v) for v in parts[3:])
+            except ValueError as exc:
+                raise FormatError(f"line {ln}: non-integer field") from exc
+            yield r, Packet(pid, r, route)
+
+    columns = _columns(entries())
     if horizon is None:
-        horizon = max((r for r, _ in injections), default=0)
+        horizon = max(columns[0], default=0)
     try:
-        return InjectionTrace(tuple(injections), horizon)
+        return InjectionTrace(*columns, horizon)
     except ParameterError as exc:
         raise FormatError(str(exc)) from exc

@@ -470,6 +470,31 @@ class TestExitCodes:
         assert main(argv) == 3
         assert "packet 1: link 5 out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "injections, message",
+        [
+            # refused when the trace is read; validate-trace used to accept
+            # the id and exit 0
+            ((f"inject 0 {2**63} 0", "inject 1 0 0"), "packet ids must fit in int64"),
+            ((f"inject 0 {-(2**63) - 1} 0",), "packet ids must fit in int64"),
+            (("inject 0 5 0", "inject 1 5 2"), "duplicate packet id 5"),
+            (("inject 2 0 0", "inject 1 1 0"), "injections must be sorted by round"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate-trace", "simulate"])
+    def test_refused_trace_is_parameter_error(self, path3_file, tmp_path, capsys, injections, message, command):
+        sched, trace = tmp_path / "sched.txt", tmp_path / "trace.txt"
+        sched.write_text("schedule period=4 links=4\n0\n1\n2\n3\n")
+        trace.write_text("# horizon 4\n" + "\n".join(injections) + "\n")
+        argv = {
+            "validate-trace": ["validate-trace", str(trace), "--rho", "1/2", "--burst", "2"],
+            "simulate": ["simulate", path3_file, str(sched), str(trace), "--rounds", "4"],
+        }[command]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"error: {message}\n"
+
     def test_schedule_for_fewer_links_is_parameter_error(self, path3_file, tmp_path, capsys):
         # the path has 4 links; a schedule for 2 of them never serves links 2 and 3
         sched = tmp_path / "sched.txt"

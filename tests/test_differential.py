@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import math
 import random
+import tempfile
 from collections import Counter
 from itertools import combinations
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radiosched import sim
+from radiosched import sim, traffic
 from radiosched.errors import ParameterError
 from radiosched.graphs import (
     Coloring,
@@ -74,18 +76,37 @@ from radiosched.traffic import (
     InjectionTrace,
     Packet,
     Violation,
+    gen_tree_family,
     gen_clique_scenario,
     gen_leaky_bucket,
     random_routes,
+    trace_from_packets,
     validate_trace,
+    write_trace,
 )
 
 # ---------------------------------------------------------------------------
 # reference implementations
 
 
-def ref_gen_leaky_bucket(g, routes, adv, horizon, seed, intensity=0.9):
-    """Fraction token buckets, every bucket refilled every round."""
+def trace_bytes(tr) -> bytes:
+    """The trace as `write_trace` writes it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.txt"
+        write_trace(tr, path)
+        return path.read_bytes()
+
+
+def ref_trace_bytes(injections, horizon) -> bytes:
+    """(round, Packet) pairs in `write_trace`'s format."""
+    lines = [f"# horizon {horizon}"]
+    lines += [f"inject {r} {pkt.id} " + " ".join(map(str, pkt.route)) for r, pkt in injections]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def ref_gen_leaky_bucket(g, routes, adv, horizon, seed, intensity=0.9) -> bytes:
+    """Fraction token buckets, every bucket refilled and every route drawn
+    for every round; the trace's `write_trace` bytes."""
     routes = [tuple(rt) for rt in routes]
     rng = random.Random(seed)
     tokens = {e: Fraction(adv.b) for rt in routes for e in rt}
@@ -103,7 +124,14 @@ def ref_gen_leaky_bucket(g, routes, adv, horizon, seed, intensity=0.9):
                     tokens[e] -= 1
                 injections.append((r, Packet(next_id, r, rt)))
                 next_id += 1
-    return InjectionTrace(tuple(injections), horizon)
+    return ref_trace_bytes(injections, horizon)
+
+
+def ref_periodic_trace(links, periods, horizon) -> bytes:
+    """One packet per link at each multiple of each period, as tuples; the
+    trace's `write_trace` bytes."""
+    waves = ((r, e) for r in range(horizon + 1) for p in periods if r % p == 0 for e in links)
+    return ref_trace_bytes(((r, Packet(i, r, (e,))) for i, (r, e) in enumerate(waves)), horizon)
 
 
 def link_loads(tr: InjectionTrace, link_count: int) -> np.ndarray:
@@ -501,8 +529,7 @@ class TestLeakyBucketMatchesFraction:
         seed = data.draw(st.integers(0, 10**6))
         intensity = data.draw(intensities)
         got = gen_leaky_bucket(g, routes, adv, horizon, seed, intensity)
-        want = ref_gen_leaky_bucket(g, routes, adv, horizon, seed, intensity)
-        assert got == want
+        assert trace_bytes(got) == ref_gen_leaky_bucket(g, routes, adv, horizon, seed, intensity)
 
     def test_long_horizon_low_rate(self):
         g = random_network(12, 20, seed=3)
@@ -510,7 +537,63 @@ class TestLeakyBucketMatchesFraction:
         adv = AdversaryConfig(Fraction(7, 999983), 3)
         for intensity in (1.0, 0.6):
             got = gen_leaky_bucket(g, routes, adv, 2000, 5, intensity)
-            assert got == ref_gen_leaky_bucket(g, routes, adv, 2000, 5, intensity)
+            assert trace_bytes(got) == ref_gen_leaky_bucket(g, routes, adv, 2000, 5, intensity)
+
+    @pytest.mark.parametrize("extra_rounds", [-1, 0, 1, traffic.COIN_BLOCK // 2])
+    def test_horizons_across_coin_blocks(self, extra_rounds):
+        # four routes draw four coins a round, so the draws end a round short
+        # of a block's end, at it, a round past it, and at a third block's end
+        g = path_graph(4)
+        routes = [(0, 2), (2,), (5, 3), (4,)]
+        horizon = traffic.COIN_BLOCK // 4 - 1 + extra_rounds
+        for intensity in (0.5, 0.97):
+            adv = AdversaryConfig(Fraction(2, 5), 2)
+            got = gen_leaky_bucket(g, routes, adv, horizon, 8, intensity)
+            assert trace_bytes(got) == ref_gen_leaky_bucket(g, routes, adv, horizon, 8, intensity)
+
+    def test_routes_that_repeat_a_link(self):
+        # a walk charges each link once however often it crosses it, and a
+        # route listed twice draws its own coin and keeps one table entry
+        g = path_graph(3)  # links: 0->1, 1->0, 1->2, 2->1
+        routes = [(0, 1, 0, 2), (1, 0), (2, 3, 2), (0, 1, 0, 2), (3,)]
+        for rho, b, intensity in ((Fraction(1, 3), 1, 0.8), (Fraction(3, 4), 3, 1.0), (Fraction(1, 2), 2, 0.4)):
+            adv = AdversaryConfig(rho, b)
+            got = gen_leaky_bucket(g, routes, adv, 60, 2, intensity)
+            assert trace_bytes(got) == ref_gen_leaky_bucket(g, routes, adv, 60, 2, intensity)
+            assert len(got.routes) == 4
+
+    def test_full_intensity_draws_no_coin(self):
+        g = random_network(8, 12, seed=1)
+        routes = random_routes(g, 6, 3, seed=1)
+        adv = AdversaryConfig(Fraction(1, 4), 2)
+        want = ref_gen_leaky_bucket(g, routes, adv, 200, 3, 1.0)
+        with mock.patch.object(random.Random, "random", side_effect=AssertionError), \
+                mock.patch.object(random.Random, "getrandbits", side_effect=AssertionError):
+            got = gen_leaky_bucket(g, routes, adv, 200, 3, 1.0)
+        assert trace_bytes(got) == want
+
+    def test_coins_match_random(self):
+        # the block-converted coins are the draws of random(), and leave the
+        # generator where those draws would
+        for draws, intensity in ((0, 0.5), (1, 0.5), (traffic.COIN_BLOCK + 3, 0.3), (19_264, 0.9)):
+            rng, want_rng = random.Random(draws), random.Random(draws)
+            mask = traffic._coin_mask(rng, draws, intensity)
+            assert list(mask) == [want_rng.random() < intensity for _ in range(draws)]
+            assert rng.getstate() == want_rng.getstate()
+
+
+class TestPeriodicTraceMatchesTuples:
+    @pytest.mark.parametrize("n, eps, horizon", [(2, Fraction(1, 2), 30), (3, Fraction(1, 32), 300), (3, Fraction(1, 6), 61), (4, Fraction(1, 1), 5), (3, Fraction(1, 31), 0)])
+    def test_clique_scenario(self, n, eps, horizon):
+        # chi = 6 waves collide with the secondary ones at eps 1/6 and 1/1
+        sc = gen_clique_scenario(n, eps, horizon)
+        assert trace_bytes(sc.trace) == ref_periodic_trace(range(sc.g.link_count), (sc.chi, sc.secondary_period), horizon)
+
+    @pytest.mark.parametrize("delta, rho, horizon", [(2, Fraction(2, 5), 7), (3, Fraction(1, 4), 40), (4, Fraction(1, 1), 9)])
+    def test_tree_family(self, delta, rho, horizon):
+        fam = gen_tree_family(delta, rho, horizon)
+        want = ref_periodic_trace(fam.shared_links, (math.ceil(1 / rho),), horizon)
+        assert trace_bytes(fam.trace) == want
 
 
 @st.composite
@@ -531,7 +614,7 @@ def admissibility_cases(draw):
     injections = tuple((r, Packet(pid, r, route)) for pid, (r, route) in enumerate(sent))
     horizon = max((r for r, _ in sent), default=0) + draw(st.sampled_from([0, 1, 5, 40, 10**4]))
     link_count = draw(st.sampled_from([None, links, links + 3]))
-    return InjectionTrace(injections, horizon), link_count
+    return trace_from_packets(injections, horizon), link_count
 
 
 admissibility_rates = st.one_of(
@@ -549,7 +632,7 @@ class TestValidateTraceMatchesDense:
     @given(admissibility_cases(), admissibility_rates, st.integers(0, 3))
     # d(s - 1) is 0 before rounds 0 and 2: the witness starts at round 0
     @example(
-        (InjectionTrace(tuple((r, Packet(i, r, (0,))) for i, r in enumerate((0, 2, 2))), 2), None),
+        (trace_from_packets(tuple((r, Packet(i, r, (0,))) for i, r in enumerate((0, 2, 2))), 2), None),
         Fraction(1, 2),
         1,
     )
@@ -562,10 +645,26 @@ class TestValidateTraceMatchesDense:
 
     def test_huge_denominator(self):
         # den * load reaches 1.001e19, past int64
-        tr = InjectionTrace(tuple((r, Packet(r, r, (0,))) for r in range(1001)), 1000)
+        tr = trace_from_packets(tuple((r, Packet(r, r, (0,))) for r in range(1001)), 1000)
         for b in (999, 1000, 1001):
             adv = AdversaryConfig(Fraction(1, 10**16), b)
             assert validate_trace(tr, adv) == ref_validate_trace(tr, adv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        admissibility_cases(),
+        st.builds(Fraction, st.integers(1, 2**62), st.integers(2**56, 2**62 + 2**60)),
+        st.integers(0, 3) | st.integers(2**62 - 3, 2**62 + 3),
+    )
+    def test_rates_and_bursts_near_int64(self, case, rho, b):
+        # den * count and num * round straddle int64, so the columns are
+        # checked with int64 arrays or with Python ints, or not at all when
+        # the burst covers every window
+        tr, link_count = case
+        adv = AdversaryConfig(rho, b)
+        got = validate_trace(tr, adv, link_count)
+        want = ref_validate_trace(tr, adv, link_count)
+        assert got == want and repr(got) == repr(want)
 
     @pytest.mark.parametrize("b", [1, 2, 3])
     def test_generated_traces_at_other_rates(self, b):
@@ -1020,7 +1119,7 @@ class TestRunMatchesRescan:
         ids = data.draw(st.lists(st.integers(0, 2**62 - 1), min_size=len(trace), max_size=len(trace), unique=True))
         if ids == sorted(ids):
             ids.reverse()
-        trace = InjectionTrace(
+        trace = trace_from_packets(
             tuple((r, Packet(i, r, pkt.route)) for (r, pkt), i in zip(trace.injections, ids)), trace.horizon
         )
         rounds = data.draw(st.integers(1, 50))
@@ -1134,6 +1233,29 @@ class TestFailureAccountingMatchesDense:
         dense = ref_run(sc.g, sched, policy, sc.trace, rounds)
         assert_metrics_equal(metrics, dense)
         assert_accounting_equal(metrics, dense)
+
+    def test_backlogged_from_touching_stretches(self):
+        # link 0's stretches touch at rounds 2 and 3, link 1's last one ends
+        # at the last round, and link 2 is never backlogged
+        stretches = [(0, 0, 2), (0, 2, 3), (0, 3, 5), (1, 1, 2), (1, 4, 6)]
+        metrics = RunMetrics(
+            rounds=6,
+            pattern=np.zeros((3, 1), dtype=bool),
+            stretches=np.array(stretches, dtype=np.int64),
+            success_events=np.zeros(0, dtype=np.int64),
+            per_round_backlog=np.zeros(6, dtype=np.int64),
+            per_round_max_queue=np.zeros(6, dtype=np.int64),
+            delivered_ids=np.zeros(0, dtype=np.int64),
+            injection_rounds=np.zeros(0, dtype=np.int64),
+            delivered_rounds=np.zeros(0, dtype=np.int64),
+            undelivered_count=0,
+            final_queues=((),) * 3,
+        )
+        assert metrics.backlogged.tolist() == [
+            [True, True, True, True, True, False],
+            [False, True, False, False, True, True],
+            [False] * 6,
+        ]
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

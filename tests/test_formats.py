@@ -35,7 +35,7 @@ FORMATS = {
         schedules.write_schedule,
         lambda s: (s.period, s.active, s.link_count, s.claimed_frequency),
     ),
-    "trace": (traffic.read_trace, traffic.write_trace, lambda tr: tr),
+    "trace": (traffic.read_trace, traffic.write_trace, lambda tr: (tr.horizon, list(tr.injections))),
 }
 
 

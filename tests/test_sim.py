@@ -23,17 +23,17 @@ from radiosched.schedules import schedule_from_coloring, schedule_from_rows
 from radiosched.sim import DeliveryRecord, failure_accounting, run, stability_verdict
 from radiosched.traffic import (
     AdversaryConfig,
-    InjectionTrace,
     Packet,
     gen_clique_scenario,
     gen_leaky_bucket,
     random_routes,
+    trace_from_packets,
 )
 
 
 def trace_of(entries, horizon):
     """entries: (round, id, route) triples."""
-    return InjectionTrace(tuple((r, Packet(i, r, rt)) for r, i, rt in entries), horizon)
+    return trace_from_packets(tuple((r, Packet(i, r, rt)) for r, i, rt in entries), horizon)
 
 
 def path3_round_robin():
@@ -125,11 +125,11 @@ class TestPolicies:
         assert metrics.final_queues == ((0, 1, 3), ())
 
     def test_ids_beyond_int64_refused(self):
-        # deliveries keep ids in an int64 column
+        # a trace keeps ids in an int64 column, as deliveries do
         g = path_graph(2)
         sched = schedule_from_rows(((0,),), 2, None)
         with pytest.raises(ParameterError, match="int64"):
-            run(g, sched, "lis", trace_of([(0, 2**63, (0,))], 0), 2)
+            trace_of([(0, 2**63, (0,))], 0)
         assert run(g, sched, "lis", trace_of([(0, 2**63 - 1, (0,)), (0, -(2**63), (0,))], 0), 3).delivered == (
             (-(2**63), 0, 0),
             (2**63 - 1, 0, 1),
@@ -195,10 +195,10 @@ class TestInvariants:
         # run reads the trace's packets and never moves them along their
         # routes, so a second run of the same trace starts from scratch
         g, sched, tr, policy = case
-        before = [dataclasses.astuple(p) for _, p in tr.injections]
+        before = list(tr.injections)
         first = run(g, sched, policy, tr, 12)
         second = run(g, sched, policy, tr, 12)
-        assert [dataclasses.astuple(p) for _, p in tr.injections] == before
+        assert list(tr.injections) == before
         for f in dataclasses.fields(first):
             a, b = getattr(first, f.name), getattr(second, f.name)
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
@@ -238,7 +238,7 @@ class TestFailureAccounting:
     def test_no_links(self):
         g = random_network(1, 0, seed=0)
         sched = schedule_from_rows(((),), 0, None)
-        metrics = run(g, sched, "lis", InjectionTrace((), 0), 5)
+        metrics = run(g, sched, "lis", trace_from_packets((), 0), 5)
         rep = failure_accounting(metrics, AdversaryConfig(Fraction(1, 2), 1), Fraction(1, 2), 2)
         assert rep.holds and rep.max_count == 0 and rep.witness is None
         assert metrics.backlogged.shape == metrics.success.shape == (0, 5)

@@ -14,7 +14,6 @@ from radiosched.errors import FormatError, ParameterError
 from radiosched.graphs import path_graph
 from radiosched.traffic import (
     AdversaryConfig,
-    InjectionTrace,
     Packet,
     check_routes,
     gen_clique_scenario,
@@ -22,9 +21,15 @@ from radiosched.traffic import (
     gen_tree_family,
     random_routes,
     read_trace,
+    trace_from_packets,
     validate_trace,
     write_trace,
 )
+
+
+def rows(tr):
+    """A trace's horizon and rows, the whole of what it says."""
+    return tr.horizon, list(tr.injections)
 
 
 def naive_admissible(tr, adv, link_count):
@@ -54,16 +59,16 @@ def traces(draw):
             st.lists(st.integers(0, link_count - 1), min_size=1, max_size=2, unique=True)
         )
         injections.append((r, Packet(pid, r, tuple(route))))
-    return InjectionTrace(tuple(injections), horizon), link_count
+    return trace_from_packets(tuple(injections), horizon), link_count
 
 
 class TestValidateTrace:
     def test_single_packet_admissible(self):
-        tr = InjectionTrace(((0, Packet(0, 0, (0,))),), 5)
+        tr = trace_from_packets(((0, Packet(0, 0, (0,))),), 5)
         assert validate_trace(tr, AdversaryConfig(Fraction(1, 2), 1)).admissible
 
     def test_burst_violation_witness(self):
-        tr = InjectionTrace(
+        tr = trace_from_packets(
             ((3, Packet(0, 3, (1,))), (3, Packet(1, 3, (1,)))), 5
         )
         rep = validate_trace(tr, AdversaryConfig(Fraction(1, 2), 1), link_count=2)
@@ -75,19 +80,19 @@ class TestValidateTrace:
     def test_exact_boundary(self):
         # two packets within a length-10 window meet 10/10 + 1 exactly
         adv = AdversaryConfig(Fraction(1, 10), 1)
-        at_bound = InjectionTrace(((0, Packet(0, 0, (0,))), (9, Packet(1, 9, (0,)))), 9)
-        over = InjectionTrace(((0, Packet(0, 0, (0,))), (8, Packet(1, 8, (0,)))), 9)
+        at_bound = trace_from_packets(((0, Packet(0, 0, (0,))), (9, Packet(1, 9, (0,)))), 9)
+        over = trace_from_packets(((0, Packet(0, 0, (0,))), (8, Packet(1, 8, (0,)))), 9)
         assert validate_trace(at_bound, adv).admissible
         assert not validate_trace(over, adv).admissible
 
     def test_route_charges_every_link(self):
         # link 2 carries both packets; link 0, twice on one route, is charged once
-        tr = InjectionTrace(((0, Packet(0, 0, (0, 2, 0))), (0, Packet(1, 0, (2,)))), 0)
+        tr = trace_from_packets(((0, Packet(0, 0, (0, 2, 0))), (0, Packet(1, 0, (2,)))), 0)
         rep = validate_trace(tr, AdversaryConfig(Fraction(1), 0))
         assert rep.witness == (2, 0, 1, 2, 1)
 
     def test_link_out_of_range(self):
-        tr = InjectionTrace(((0, Packet(0, 0, (0,))), (1, Packet(1, 1, (1, 5)))), 2)
+        tr = trace_from_packets(((0, Packet(0, 0, (0,))), (1, Packet(1, 1, (1, 5)))), 2)
         adv = AdversaryConfig(Fraction(1, 2), 1)
         with pytest.raises(ParameterError, match="packet 1: link 5 out of range"):
             validate_trace(tr, adv, link_count=2)
@@ -96,7 +101,7 @@ class TestValidateTrace:
     def test_memory_follows_injections_not_horizon(self):
         # 100 links, one packet per link every 1000 rounds: any 1001-round
         # window from round 0 holds 2 > 1001/5000 + 1
-        tr = InjectionTrace(
+        tr = trace_from_packets(
             tuple((r, Packet(r, r, (r // 10 % 100,))) for r in range(0, 20_000, 10)), 20_000
         )
         adv = AdversaryConfig(Fraction(1, 5000), 1)
@@ -109,12 +114,12 @@ class TestValidateTrace:
         dense_bytes = 100 * (tr.horizon + 1) * 8
         assert peak < dense_bytes / 4
         assert rep.witness == (0, 0, 1001, 2, Fraction(1001, 5000) + 1)
-        longer = InjectionTrace(tr.injections, 10 * tr.horizon)
+        longer = trace_from_packets(tr.injections, 10 * tr.horizon)
         assert validate_trace(longer, adv, 100) == rep
 
     def test_huge_denominator_not_wrapped(self):
         # den * load reaches 1.001e19, past int64
-        tr = InjectionTrace(tuple((r, Packet(r, r, (0,))) for r in range(1001)), 1000)
+        tr = trace_from_packets(tuple((r, Packet(r, r, (0,))) for r in range(1001)), 1000)
         rep = validate_trace(tr, AdversaryConfig(Fraction(1, 10**16), 999))
         assert not rep.admissible
         assert rep.witness == (0, 0, 1000, 1000, Fraction(1000, 10**16) + 999)
@@ -152,21 +157,23 @@ class TestValidateTrace:
 class TestTraceInvariants:
     def test_rejects_unsorted(self):
         with pytest.raises(ParameterError, match="sorted"):
-            InjectionTrace(((4, Packet(0, 4, (0,))), (1, Packet(1, 1, (0,)))), 5)
+            trace_from_packets(((4, Packet(0, 4, (0,))), (1, Packet(1, 1, (0,)))), 5)
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ParameterError, match="duplicate"):
-            InjectionTrace(((0, Packet(7, 0, (0,))), (1, Packet(7, 1, (0,)))), 5)
+            trace_from_packets(((0, Packet(7, 0, (0,))), (1, Packet(7, 1, (0,)))), 5)
 
     def test_rejects_short_horizon(self):
         with pytest.raises(ParameterError, match="horizon"):
-            InjectionTrace(((4, Packet(0, 4, (0,))),), 3)
+            trace_from_packets(((4, Packet(0, 4, (0,))),), 3)
 
     def test_rejects_round_mismatch(self):
         with pytest.raises(ParameterError, match="injection_round"):
-            InjectionTrace(((2, Packet(0, 3, (0,))),), 5)
+            trace_from_packets(((2, Packet(0, 3, (0,))),), 5)
 
     def test_packet_validation(self):
+        # a packet is refused when a trace is built from it, also when it
+        # follows a valid packet
         refusals = [
             ((4, 0, ()), "packet 4: empty route"),
             ((4, 0, (1, -2, -3)), "packet 4: negative link -3"),
@@ -174,23 +181,49 @@ class TestTraceInvariants:
         ]
         for args, message in refusals:
             with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
-                Packet(*args)
+                trace_from_packets(((0, Packet(2, 0, (0,))), (args[1], Packet(*args))), 5)
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                trace_from_packets(((args[1], Packet(*args)),), 5)
 
     def test_packet_route_is_int_tuple_and_slotted(self):
-        pkt = Packet(3, 5, [np.int64(2), np.int64(0)])
+        tr = trace_from_packets(((5, Packet(3, 5, [np.int64(2), np.int64(0)])),), 5)
+        (r, pkt), = tr.injections
         assert type(pkt.route) is tuple and pkt.route == (2, 0)
-        assert all(type(i) is int for i in pkt.route)
+        assert all(type(i) is int for i in (r, pkt.id, pkt.injection_round, *pkt.route))
+        assert tr.routes == ((2, 0),)
         with pytest.raises(AttributeError):
             pkt.hops = 1
+        with pytest.raises(AttributeError):
+            pkt.id = 4
+
+    def test_columns_are_int64_and_read_only(self):
+        tr = trace_from_packets(((0, Packet(9, 0, (0,))), (2, Packet(4, 2, (1, 0))), (2, Packet(5, 2, (0,)))), 3)
+        assert tr.rounds.tolist() == [0, 2, 2] and tr.ids.tolist() == [9, 4, 5]
+        assert tr.route_of.tolist() == [0, 1, 0] and tr.routes == ((0,), (1, 0))
+        for column in (tr.rounds, tr.ids, tr.route_of):
+            assert column.dtype == np.int64 and not column.flags.writeable
+        assert len(tr) == 3
+
+    @pytest.mark.parametrize("pid", [2**63, -(2**63) - 1, 10**30])
+    def test_rejects_id_outside_int64(self, pid):
+        with pytest.raises(ParameterError, match="packet ids must fit in int64"):
+            trace_from_packets(((0, Packet(0, 0, (0,))), (0, Packet(pid, 0, (0,)))), 0)
+        edge = trace_from_packets(((0, Packet(2**63 - 1, 0, (0,))), (0, Packet(-(2**63), 0, (0,)))), 0)
+        assert edge.ids.tolist() == [2**63 - 1, -(2**63)]
+
+    def test_names_first_duplicate_in_trace_order(self):
+        pairs = ((0, Packet(9, 0, (0,))), (0, Packet(3, 0, (0,))), (1, Packet(3, 1, (0,))), (2, Packet(9, 2, (0,))))
+        with pytest.raises(ParameterError, match="^duplicate packet id 3$"):
+            trace_from_packets(pairs, 2)
 
     def test_check_routes(self):
         g = path_graph(3)  # links: 0->1, 1->0, 1->2, 2->1
-        good = InjectionTrace(((0, Packet(0, 0, (0, 2))),), 0)
+        good = trace_from_packets(((0, Packet(0, 0, (0, 2))),), 0)
         check_routes(good, g)
-        broken = InjectionTrace(((0, Packet(0, 0, (0, 3))),), 0)
+        broken = trace_from_packets(((0, Packet(0, 0, (0, 3))),), 0)
         with pytest.raises(ParameterError, match="share an endpoint"):
             check_routes(broken, g)
-        out = InjectionTrace(((0, Packet(0, 0, (9,))),), 0)
+        out = trace_from_packets(((0, Packet(0, 0, (9,))),), 0)
         with pytest.raises(ParameterError, match="out of range"):
             check_routes(out, g)
 
@@ -217,7 +250,7 @@ class TestLeakyBucket:
         adv = AdversaryConfig(Fraction(1, 2), 1)
         a = gen_leaky_bucket(g, [(0, 2)], adv, 30, seed=9)
         b = gen_leaky_bucket(g, [(0, 2)], adv, 30, seed=9)
-        assert a == b
+        assert rows(a) == rows(b)
 
     @pytest.mark.parametrize(
         "route, fault",
@@ -247,6 +280,19 @@ class TestLeakyBucket:
 
 
 class TestCliqueScenario:
+    def test_trace_memory_per_packet(self):
+        # three int64 columns per packet and a six-route table; a tuple of
+        # (round, Packet) pairs kept about 210 bytes per packet
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sc = gen_clique_scenario(3, Fraction(1, 31), 2400)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(sc.trace) == 479 * 6
+        assert kept / len(sc.trace) < 32
+
     def test_three_node_counts(self):
         sc = gen_clique_scenario(3, Fraction(1, 32), 300)
         assert sc.chi == 6 and sc.secondary_period == 32
@@ -327,7 +373,7 @@ class TestTreeFamily:
         fam = gen_tree_family(2, Fraction(2, 5), 7)
         assert fam.shared_links == (0, 2)
         assert fam.trace.horizon == 7
-        assert fam.trace.injections == tuple(
+        assert tuple(fam.trace.injections) == tuple(
             (r, Packet(i, r, (e,))) for i, (r, e) in enumerate((r, e) for r in (0, 3, 6) for e in (0, 2))
         )
 
@@ -353,7 +399,8 @@ class TestTraceFiles:
         p = tmp_path / "trace.txt"
         write_trace(tr, p)
         back = read_trace(p)
-        assert back == tr
+        assert rows(back) == rows(tr)
+        assert back.routes == tr.routes == ((0, 2), (3, 1))
 
     def test_horizon_override(self, tmp_path):
         p = tmp_path / "t.txt"
