@@ -5,7 +5,9 @@ Transmission is synchronous: in each round a node receives on an incoming
 link only if that link's tail is its unique transmitting in-neighbor and
 the receiver itself stays silent.  The conflict graph has one vertex per
 directed link and a directed edge (u, v) whenever a transmission on link
-u makes reception on link v impossible.
+u makes reception on link v impossible; `build_conflict_graph` is the one
+producer of that graph, as a record of its directed rows.  A graph file
+lists each link with its reverse as one edge, in link order.
 """
 
 from __future__ import annotations
@@ -121,8 +123,11 @@ def random_network(node_count: int, edge_count: int, seed: int, max_degree: int 
 
     Deterministic for a given seed.  Returns fewer edges only when
     `edge_count` exceeds the C(node_count, 2) pairs, which then all appear
-    unless capped, or when the cap makes the target infeasible.
+    unless capped, or when the cap makes the target infeasible.  A negative
+    `edge_count` is refused.
     """
+    if edge_count < 0:
+        raise ParameterError(f"edge count {edge_count} is negative")
     rng = random.Random(seed)
     pairs = [(a, b) for a in range(node_count) for b in range(a + 1, node_count)]
     rng.shuffle(pairs)
@@ -147,49 +152,16 @@ def random_network(node_count: int, edge_count: int, seed: int, max_degree: int 
 class ConflictGraph:
     """Directed conflict relation between links.
 
-    blocks[u] lists the links whose reception fails while link u transmits;
-    there is one row per link.  The constructor sorts and deduplicates each
-    row, refuses out-of-range and self-blocking links and counts
-    `max_in_degree`.  `build_conflict_graph` hands over rows already in
-    that form with their in-degree counted and uses `_from_canonical`,
-    which skips both passes.  The graph holds only these directed rows:
-    `greedy_coloring` and `is_proper` read them as they are, and
-    `exact_chromatic` builds the undirected closure it needs for itself.
+    blocks[u] lists, sorted and without repeats, the links whose reception
+    fails while link u transmits; there is one row per link, and
+    `max_in_degree` is the largest number of rows holding one link.
+    `build_conflict_graph` is its one producer.  The graph holds only these
+    directed rows: `greedy_coloring` and `is_proper` read them as they are,
+    and `exact_chromatic` builds the undirected closure it needs for itself.
     """
 
     blocks: tuple[tuple[int, ...], ...]
-    max_in_degree: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(sorted(set(v))) for v in self.blocks))
-        m = self.link_count
-        for u, out in enumerate(self.blocks):
-            # rows are sorted: negative indices come before u, indices past
-            # the end after it, which fixes the order of the checks
-            if out and out[0] < 0:
-                raise ParameterError("blocked link index out of range")
-            if u in out:
-                raise ParameterError("a link does not block itself")
-            if out and out[-1] >= m:
-                raise ParameterError("blocked link index out of range")
-        self._index()
-
-    @classmethod
-    def _from_canonical(cls, blocks, max_in_degree: int) -> "ConflictGraph":
-        """Trusted construction: `blocks` must be a tuple with one sorted
-        tuple of distinct Python ints in [0, len(blocks)) per link, none
-        holding its own index, and `max_in_degree` their largest in-degree."""
-        h = cls.__new__(cls)
-        object.__setattr__(h, "blocks", blocks)
-        object.__setattr__(h, "max_in_degree", max_in_degree)
-        return h
-
-    def _index(self):
-        in_degree = [0] * self.link_count
-        for out in self.blocks:
-            for v in out:
-                in_degree[v] += 1
-        object.__setattr__(self, "max_in_degree", max(in_degree, default=0))
+    max_in_degree: int
 
     @property
     def link_count(self) -> int:
@@ -228,7 +200,7 @@ def build_conflict_graph(g: NetworkGraph) -> ConflictGraph:
         for a in out:
             i = bisect_left(row, a)
             blocks[a] = row[:i] + row[i + 1 :]
-    return ConflictGraph._from_canonical(tuple(blocks), conflict_in_degree(g))
+    return ConflictGraph(tuple(blocks), conflict_in_degree(g))
 
 
 def conflict_in_degree(g: NetworkGraph) -> int:
@@ -441,17 +413,17 @@ def exact_chromatic(h: ConflictGraph) -> Coloring:
 # on-disk format: "nodes <count>" then "edge <a> <b>" lines, '#' comments
 
 def write_graph(g: NetworkGraph, path) -> None:
+    """Write g's even-indexed links as its edges.  `read_graph` expands each
+    edge to the link and its reverse, so g is refused unless every
+    odd-indexed link reverses the one before it: that is the link order the
+    file reads back as, and schedules and traces name links by index."""
     if set(g.nodes) != set(range(len(g.nodes))):
         raise ParameterError("graph files require contiguous node ids starting at 0")
-    undirected = []
-    seen = set()
-    for a, b in g.links:
-        if (b, a) in seen:
-            continue
-        seen.add((a, b))
-        undirected.append((a, b))
+    edges = g.links[0::2]
+    if g.links[1::2] != tuple((b, a) for a, b in edges):
+        raise ParameterError("graph files require each link to be followed by its reverse")
     lines = [f"nodes {len(g.nodes)}"]
-    lines += [f"edge {a} {b}" for a, b in undirected]
+    lines += [f"edge {a} {b}" for a, b in edges]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -41,12 +41,6 @@ POLICIES: dict[str, tuple[int, int, int]] = {
 }
 
 
-class DeliveryRecord(NamedTuple):
-    id: int
-    injection_round: int
-    delivered_round: int
-
-
 @dataclass(frozen=True)
 class RunMetrics:
     """What one simulation produced, in memory that grows with links,
@@ -68,8 +62,7 @@ class RunMetrics:
     injection round was never reached.  `final_queues` lists each link's
     queued packet ids in arrival order.
 
-    `delivered`, the deliveries as a tuple of `DeliveryRecord`, and the
-    dense (link_count, rounds) bool views `active`, `backlogged` and
+    The dense (link_count, rounds) bool views `active`, `backlogged` and
     `success` are built on first read and kept.  `attempted` is
     `active & backlogged`, since a link attempts exactly when it is
     scheduled with a nonempty queue; `collided` is attempted without
@@ -91,11 +84,6 @@ class RunMetrics:
     @property
     def link_count(self) -> int:
         return self.pattern.shape[0]
-
-    @cached_property
-    def delivered(self) -> tuple[DeliveryRecord, ...]:
-        columns = (self.delivered_ids, self.injection_rounds, self.delivered_rounds)
-        return tuple(map(DeliveryRecord, *(c.tolist() for c in columns)))
 
     @cached_property
     def active(self) -> np.ndarray:

@@ -9,7 +9,10 @@ exact rational.
 A trace is held as columns, 24 bytes and no Python object per packet, and
 the generators cost per injection: `_periodic_trace` builds its columns
 with numpy, and `gen_leaky_bucket` visits a route only in the rounds where
-its buckets could let it inject.
+its buckets could let it inject.  One function, `_route_fault`, checks a
+route for the trace constructor, `check_routes`, `validate_trace` and
+`gen_leaky_bucket`, and `validate_trace` decides admissibility and finds
+its witness in one numpy pass over the crossings.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapreplace
@@ -53,11 +55,22 @@ def _int64_column(values, what: str) -> np.ndarray:
     return column
 
 
-def _structure_fault(route) -> str | None:
+def _route_fault(route, link_count: int | None = None, links=None) -> str | None:
+    """Why route is not a path: it is empty, or it holds a negative link
+    or, when link_count is given, a link outside 0..link_count-1, or, when
+    the links' (tail, head) pairs are given, two consecutive links not
+    chained head to tail.  None for a valid route."""
     if not route:
         return "empty route"
-    if min(route) < 0:
-        return f"negative link {min(route)}"
+    if link_count is None:
+        return f"negative link {min(route)}" if min(route) < 0 else None
+    for i in route:
+        if not 0 <= i < link_count:
+            return f"link {i} out of range"
+    if links is not None:
+        for a, b in zip(route, route[1:]):
+            if links[a][1] != links[b][0]:
+                return f"links {a} and {b} do not share an endpoint"
     return None
 
 
@@ -101,7 +114,7 @@ class InjectionTrace:
             return
         if route_of.min() < 0 or route_of.max() >= len(self.routes):
             raise ParameterError("route index outside the route table")
-        _refuse_faulty_routes(self, _structure_fault)
+        _refuse_faulty_routes(self)
         negative = np.flatnonzero(rounds < 0)
         if negative.size:
             raise ParameterError(f"packet {ids[negative[0]]}: negative injection round")
@@ -146,26 +159,12 @@ def trace_from_packets(injections, horizon: int) -> InjectionTrace:
     return InjectionTrace(*_columns(injections), horizon)
 
 
-def _route_fault(route, link_count: int, links=None) -> str | None:
-    """Why route is not a path of the network: a link index outside
-    0..link_count-1 or, when the links' (tail, head) pairs are given, two
-    consecutive links not chained head to tail.  None for a valid route."""
-    for i in route:
-        if not 0 <= i < link_count:
-            return f"link {i} out of range"
-    if links is not None:
-        for a, b in zip(route, route[1:]):
-            if links[a][1] != links[b][0]:
-                return f"links {a} and {b} do not share an endpoint"
-    return None
-
-
-def _refuse_faulty_routes(tr: InjectionTrace, fault_of) -> None:
-    """Raise for the first packet, in trace order, whose route `fault_of`
+def _refuse_faulty_routes(tr: InjectionTrace, link_count: int | None = None, links=None) -> None:
+    """Raise for the first packet, in trace order, whose route `_route_fault`
     finds a fault in; each route of the table is looked at once."""
     faults = {}
     for j, route in enumerate(tr.routes):
-        fault = fault_of(route)
+        fault = _route_fault(route, link_count, links)
         if fault:
             faults[j] = fault
     if faults:
@@ -180,7 +179,7 @@ def _refuse_faulty_routes(tr: InjectionTrace, fault_of) -> None:
 def check_routes(tr: InjectionTrace, g: NetworkGraph) -> None:
     """Routes must be link paths of g: valid indices, consecutive links
     chained head to tail.  Costs one check per distinct route."""
-    _refuse_faulty_routes(tr, lambda route: _route_fault(route, g.link_count, g.links))
+    _refuse_faulty_routes(tr, g.link_count, g.links)
 
 
 @dataclass(frozen=True)
@@ -225,15 +224,16 @@ def validate_trace(tr: InjectionTrace, adv: AdversaryConfig, link_count: int | N
     of d(s - 1) within its link, in one pass over all links: each link's
     values are shifted below the previous link's, so one running minimum
     does not cross links.  Where those values could leave int64 they are
-    Python ints instead.  The lowest link with a violation is then walked
-    round by round for its witness.  Memory and time grow with crossings,
+    Python ints instead.  The witness comes from the same pass: the first
+    bad crossing names the link and the end round, and the first minimum
+    of d(s - 1) before it the start.  Memory and time grow with crossings,
     not links x horizon.  A link at or past link_count (inferred from the
     routes when None) is a ParameterError.
     """
     used = np.flatnonzero(np.bincount(tr.route_of, minlength=len(tr.routes))).tolist()
     if link_count is None:
         link_count = 1 + max((max(tr.routes[j]) for j in used), default=0)
-    _refuse_faulty_routes(tr, lambda route: _route_fault(route, link_count))
+    _refuse_faulty_routes(tr, link_count)
     admissible = AdmissibilityReport(True, None)
     # each used route's distinct links, flattened: route j's are
     # flat[first[j] : first[j] + width[j]]
@@ -272,22 +272,20 @@ def validate_trace(tr: InjectionTrace, adv: AdversaryConfig, link_count: int | N
     bad = np.flatnonzero(before + (den - num) - runmin > cap)
     if not bad.size:
         return admissible
-    s = int(segment[bad[0]])
+    # the first bad crossing j ends the witness in its round, and the first
+    # minimum of d(s - 1) before it starts it; a link's first crossing has
+    # d = -num * round <= 0, so a minimum of 0 lies at round 0
+    j = int(bad[0])
+    s = int(segment[j])
     lo = int(starts[s])
     hi = int(starts[s + 1]) if s + 1 < starts.size else total
-    e = int(link[lo])
-    low = low_at = low_count = count = 0
-    for r, load in Counter(rnd[lo:hi].tolist()).items():
-        pre = den * count - num * r
-        if pre < low:
-            low, low_at, low_count = pre, r, count
-        count += load
-        if den * count - num * (r + 1) - low > cap:
-            length = r - low_at + 1
-            return AdmissibilityReport(
-                False, Violation(e, low_at, length, count - low_count, adv.rho * length + adv.b)
-            )
-    raise AssertionError("a violation found over all links is missing on its own link")
+    low = lo + int(np.argmin(before[lo : j + 1]))
+    # the load takes the rest of round rnd[j] on the link
+    end = lo + int(np.searchsorted(rnd[lo:hi], rnd[j], side="right"))
+    start, length = int(rnd[low]), int(rnd[j] - rnd[low]) + 1
+    return AdmissibilityReport(
+        False, Violation(int(link[lo]), start, length, end - low, adv.rho * length + adv.b)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -409,9 +409,10 @@ class TestExperiment:
         assert (tmp_path / "experiments" / "summary.json").exists()
 
 
-# Command lines the parser refuses: a flag that only another method reads or
-# that no command takes, or a method without its input. {g}, {sel} and {out}
-# stand for a network, a selector file and a file that must not be written.
+# Command lines refused with exit 3: by the parser, a flag that only another
+# method reads or that no command takes, or a method without its input; by
+# the handler, a value out of range. {g}, {sel} and {out} stand for a
+# network, a selector file and a file that must not be written.
 REFUSED = {
     "threshold-chi-and-delta": "bounds threshold coloring --chi 3 --delta 2",
     "threshold-no-kind": "bounds threshold",
@@ -438,6 +439,8 @@ REFUSED = {
     "random-form-links": "bounds threshold random --delta 2 --links 9",
     "random-form-eps-links": "bounds threshold random --delta 2 --eps 1/4 --links 9",
     "poly-form-no-links": "bounds threshold poly --delta 2",
+    # random_network used to read a negative count as every pair
+    "experiment-negative-edges": "experiment --edges -1 --rounds 20 --out-dir {out}",
 }
 
 # the commands that generate and write a trace, less its --horizon; {g} and
@@ -513,9 +516,11 @@ class TestExitCodes:
         sel, out = tmp_path / "sel.txt", tmp_path / "out.txt"
         selectors.write_selector(selectors.poly_uss(4, 4), sel)
         argv = [arg.format(g=path3_file, sel=sel, out=out) for arg in REFUSED[case].split()]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 3
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 3
         assert not capsys.readouterr().out
         assert not out.exists()
 

@@ -237,11 +237,28 @@ class TestValidation:
         with pytest.raises(ParameterError):
             graphs.NetworkGraph((0, 1), ((0, 1), (1, 0), (0, 1)))
 
+    def test_negative_edge_count_rejected(self):
+        # it used to return the complete graph
+        with pytest.raises(ParameterError, match="edge count -1 is negative"):
+            graphs.random_network(5, -1, seed=0)
+
 
 class TestGraphFiles:
     def test_roundtrip(self, tmp_path):
         g = graphs.random_network(6, 7, seed=9)
         p = tmp_path / "net.txt"
+        graphs.write_graph(g, p)
+        assert graphs.read_graph(p).links == g.links
+
+    def test_link_order_kept_or_refused(self, tmp_path):
+        # a file reads back each edge as the link and its reverse, so a graph
+        # whose links are not in that order would come back renumbered
+        p = tmp_path / "net.txt"
+        g = graphs.NetworkGraph((0, 1, 2), ((0, 1), (1, 2), (1, 0), (2, 1)))
+        with pytest.raises(ParameterError, match="each link to be followed by its reverse"):
+            graphs.write_graph(g, p)
+        assert not p.exists()
+        g = graphs.NetworkGraph((0, 1, 2), ((1, 0), (0, 1), (2, 1), (1, 2)))
         graphs.write_graph(g, p)
         assert graphs.read_graph(p).links == g.links
 

@@ -20,7 +20,7 @@ from radiosched.graphs import (
     random_network,
 )
 from radiosched.schedules import schedule_from_coloring, schedule_from_rows
-from radiosched.sim import DeliveryRecord, failure_accounting, run, stability_verdict
+from radiosched.sim import failure_accounting, run, stability_verdict
 from radiosched.traffic import (
     AdversaryConfig,
     Packet,
@@ -36,6 +36,13 @@ def trace_of(entries, horizon):
     return trace_from_packets(tuple((r, Packet(i, r, rt)) for r, i, rt in entries), horizon)
 
 
+def deliveries(metrics):
+    """(id, injection round, delivered round) of each delivery, in delivery
+    order, read from the three delivery columns."""
+    columns = (metrics.delivered_ids, metrics.injection_rounds, metrics.delivered_rounds)
+    return list(zip(*(c.tolist() for c in columns)))
+
+
 def path3_round_robin():
     g = path_graph(3)
     h = build_conflict_graph(g)
@@ -49,7 +56,7 @@ class TestStepSemantics:
         g, sched = path3_round_robin()
         tr = trace_of([(0, 0, (0, 2))], 0)
         metrics = run(g, sched, "lis", tr, 4)
-        assert metrics.delivered == ((0, 0, 2),)
+        assert deliveries(metrics) == [(0, 0, 2)]
         assert metrics.max_latency == 2
         assert metrics.undelivered_count == 0
         assert metrics.success[0, 0] and metrics.success[2, 2]
@@ -63,7 +70,7 @@ class TestStepSemantics:
         sched = schedule_from_rows(((0, 1),), 2, None)
         tr = trace_of([(0, 0, (0,)), (0, 1, (1,))], 0)
         metrics = run(g, sched, "lis", tr, 3)
-        assert metrics.delivered == ()
+        assert deliveries(metrics) == []
         assert metrics.attempted.all()
         assert not metrics.success.any()
         assert metrics.collided.all()
@@ -76,7 +83,7 @@ class TestStepSemantics:
         sched = schedule_from_rows(((0, 2),), 4, None)
         tr = trace_of([(0, 0, (0, 2))], 0)
         metrics = run(g, sched, "lis", tr, 2)
-        assert metrics.delivered == ((0, 0, 1),)
+        assert deliveries(metrics) == [(0, 0, 1)]
         assert metrics.success[0, 0] and metrics.success[2, 1]
         assert not metrics.success[2, 0]
 
@@ -98,10 +105,10 @@ class TestPolicies:
         return run(g, sched, policy, tr, 5)
 
     def test_lis_oldest_first(self):
-        assert [d.id for d in self.one_link_runs("lis").delivered] == [0, 1, 2]
+        assert self.one_link_runs("lis").delivered_ids.tolist() == [0, 1, 2]
 
     def test_sis_newest_first(self):
-        assert [d.id for d in self.one_link_runs("sis").delivered] == [0, 2, 1]
+        assert self.one_link_runs("sis").delivered_ids.tolist() == [0, 2, 1]
 
     def test_ftg_prefers_longer_route(self):
         g = path_graph(4)
@@ -110,8 +117,8 @@ class TestPolicies:
         short_first = run(g, sched, "nfs", tr, 3)
         long_first = run(g, sched, "ftg", tr, 3)
         # nfs ties on completed hops and falls back to id; ftg picks two-hop id 1
-        assert short_first.delivered[0].id == 0 and short_first.delivered[0].delivered_round == 0
-        assert long_first.delivered[0].id == 0 and long_first.delivered[0].delivered_round == 1
+        assert deliveries(short_first)[0] == (0, 0, 0)
+        assert deliveries(long_first)[0] == (0, 0, 1)
         assert long_first.backlogged[4, 1]
 
     def test_final_queues_in_arrival_order(self):
@@ -121,7 +128,7 @@ class TestPolicies:
         sched = schedule_from_rows(((), (0,), ()), 2, None)
         tr = trace_of([(0, 0, (0,)), (0, 1, (0,)), (1, 2, (0,)), (2, 3, (0,))], 2)
         metrics = run(g, sched, "sis", tr, 3)
-        assert [d.id for d in metrics.delivered] == [2]
+        assert metrics.delivered_ids.tolist() == [2]
         assert metrics.final_queues == ((0, 1, 3), ())
 
     def test_ids_beyond_int64_refused(self):
@@ -130,10 +137,8 @@ class TestPolicies:
         sched = schedule_from_rows(((0,),), 2, None)
         with pytest.raises(ParameterError, match="int64"):
             trace_of([(0, 2**63, (0,))], 0)
-        assert run(g, sched, "lis", trace_of([(0, 2**63 - 1, (0,)), (0, -(2**63), (0,))], 0), 3).delivered == (
-            (-(2**63), 0, 0),
-            (2**63 - 1, 0, 1),
-        )
+        metrics = run(g, sched, "lis", trace_of([(0, 2**63 - 1, (0,)), (0, -(2**63), (0,))], 0), 3)
+        assert deliveries(metrics) == [(-(2**63), 0, 0), (2**63 - 1, 0, 1)]
 
     def test_unknown_policy(self):
         g = path_graph(2)
@@ -210,7 +215,7 @@ class TestInvariants:
         sched = schedule_from_rows(((0,), ()), 2, None)
         tr = gen_leaky_bucket(g, [(0,)], AdversaryConfig(Fraction(1, 3), 2), 20, seed=seed)
         metrics = run(g, sched, "lis", tr, 60)
-        ids = [d.id for d in metrics.delivered]
+        ids = metrics.delivered_ids.tolist()
         assert ids == sorted(ids)
         assert metrics.undelivered_count == 0
 
@@ -303,12 +308,7 @@ class TestSparseRecord:
         metrics = run(sc.g, sched, "sis", sc.trace, 600)
         columns = (metrics.delivered_ids, metrics.injection_rounds, metrics.delivered_rounds)
         assert all(c.dtype == np.int64 and c.shape == (metrics.delivered_count,) for c in columns)
-        assert "delivered" not in vars(metrics)  # built on first read
-        delivered = metrics.delivered
-        assert delivered is metrics.delivered
-        assert all(type(d) is DeliveryRecord and all(type(v) is int for v in d) for d in delivered)
-        assert [tuple(d) for d in delivered] == list(zip(*(c.tolist() for c in columns)))
-        assert metrics.max_latency == max(d.delivered_round - d.injection_round for d in delivered)
+        assert metrics.max_latency == max(end - start for _, start, end in deliveries(metrics))
 
     def test_bytes_per_delivery(self):
         # An overloaded clique delivers one packet a round, so each extra

@@ -259,6 +259,7 @@ class TestLeakyBucket:
             ((7,), "link 7 out of range"),
             ((7, 0), "link 7 out of range"),
             ((0, 3), "links 0 and 3 do not share an endpoint"),
+            ((), "empty route"),
         ],
     )
     def test_rejects_non_path_route(self, route, fault):
