@@ -291,12 +291,13 @@ def _write_round_log(metrics, path) -> None:
         links = np.nonzero(mask[:, r])[0]
         return ",".join(map(str, links)) if links.size else "-"
 
-    collided = metrics.collided
+    active, success = metrics.active, metrics.success
+    collided = active & metrics.backlogged & ~success
     with open(path, "w") as fh:
         for r in range(metrics.rounds):
             fh.write(
-                f"round {r} scheduled {group(metrics.active, r)}"
-                f" successful {group(metrics.success, r)}"
+                f"round {r} scheduled {group(active, r)}"
+                f" successful {group(success, r)}"
                 f" collided {group(collided, r)}\n"
             )
 

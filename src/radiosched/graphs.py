@@ -98,8 +98,11 @@ class NetworkGraph:
 def from_undirected_edges(node_count: int, edges) -> NetworkGraph:
     """Expand undirected edges to link pairs, keeping input order.
 
-    Each edge (a, b) contributes links (a, b) then (b, a).
+    Each edge (a, b) contributes links (a, b) then (b, a).  A negative
+    node count is refused.
     """
+    if node_count < 0:
+        raise ParameterError(f"node count {node_count} is negative")
     links = []
     for a, b in edges:
         links.append((a, b))

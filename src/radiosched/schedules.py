@@ -74,14 +74,6 @@ class TransmissionSchedule:
                 raise ParameterError("claimed frequency needs 0 < rho <= 1 and T >= 1")
             object.__setattr__(self, "claimed_frequency", (Fraction(rho), int(T)))
 
-    def __eq__(self, other):
-        if not isinstance(other, TransmissionSchedule):
-            return NotImplemented
-        shape = (self.period, self.link_count, self.claimed_frequency)
-        if shape != (other.period, other.link_count, other.claimed_frequency):
-            return False
-        return np.array_equal(self.round_of, other.round_of) and np.array_equal(self.link_of, other.link_of)
-
     @cached_property
     def active(self) -> tuple[tuple[int, ...], ...]:
         """Each round's links as a sorted tuple, built on first read and kept."""

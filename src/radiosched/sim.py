@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import NamedTuple
@@ -63,10 +62,9 @@ class RunMetrics:
     queued packet ids in arrival order.
 
     The dense (link_count, rounds) bool views `active`, `backlogged` and
-    `success` are built on first read and kept.  `attempted` is
+    `success` are built on each read and kept by nothing.  `attempted` is
     `active & backlogged`, since a link attempts exactly when it is
-    scheduled with a nonempty queue; `collided` is attempted without
-    success.
+    scheduled with a nonempty queue.
     """
 
     rounds: int
@@ -85,14 +83,14 @@ class RunMetrics:
     def link_count(self) -> int:
         return self.pattern.shape[0]
 
-    @cached_property
+    @property
     def active(self) -> np.ndarray:
         span = self.pattern.shape[1]
         if not span:
             return np.zeros((self.link_count, self.rounds), dtype=bool)
         return np.tile(self.pattern, -(-self.rounds // span))[:, : self.rounds]
 
-    @cached_property
+    @property
     def backlogged(self) -> np.ndarray:
         # run-length decoding: the flat bounds 0, start, end, start, ...,
         # links * rounds cut the array into alternately idle and backlogged
@@ -104,19 +102,15 @@ class RunMetrics:
         backlogged[1::2] = True
         return np.repeat(backlogged, runs).reshape(m, n)
 
-    @cached_property
+    @property
     def success(self) -> np.ndarray:
         flat = np.zeros(self.link_count * self.rounds, dtype=bool)
         flat[self.success_events] = True
         return flat.reshape(self.link_count, self.rounds)
 
-    @cached_property
+    @property
     def attempted(self) -> np.ndarray:
         return self.active & self.backlogged
-
-    @property
-    def collided(self) -> np.ndarray:
-        return self.attempted & ~self.success
 
     @property
     def delivered_count(self) -> int:
@@ -128,7 +122,7 @@ class RunMetrics:
 
     @property
     def max_latency(self) -> int:
-        """Largest delivered_round - injection_round over delivered packets."""
+        """Largest delivery round less injection round over delivered packets."""
         return int((self.delivered_rounds - self.injection_rounds).max(initial=0))
 
 

@@ -34,12 +34,12 @@ from .selectors import parse_count
 
 
 class Packet(NamedTuple):
-    """One row of a trace: a packet's id, injection round and route of link
-    indices.  `InjectionTrace.injections` builds one per read and keeps
-    none; `trace_from_packets` turns them back into a trace."""
+    """One row of a trace: a packet's id and route of link indices.  It
+    travels beside its injection round in a `(round, Packet)` pair;
+    `InjectionTrace.injections` builds one per read and keeps none, and
+    `trace_from_packets` turns such pairs back into a trace."""
 
     id: int
-    injection_round: int
     route: tuple[int, ...]
 
 
@@ -90,7 +90,7 @@ class InjectionTrace:
 
     `injections` yields the `(round, Packet)` pairs, each built as it is
     read and kept by nothing; `trace_from_packets` builds a trace from
-    such pairs.
+    such pairs, and `read_trace` parses a file straight into the columns.
     """
 
     rounds: np.ndarray
@@ -138,25 +138,18 @@ class InjectionTrace:
         """(round, Packet) pairs in trace order, built as they are read."""
         routes = self.routes
         for r, i, j in zip(memoryview(self.rounds), memoryview(self.ids), memoryview(self.route_of)):
-            yield r, Packet(i, r, routes[j])
-
-
-def _columns(injections) -> tuple[list[int], list[int], list[int], tuple]:
-    """The columns and route table of (round, Packet) pairs."""
-    rounds, ids, route_of, table = [], [], [], {}
-    for r, pkt in injections:
-        if r != pkt.injection_round:
-            raise ParameterError(f"packet {pkt.id}: entry round {r} != injection_round")
-        rounds.append(r)
-        ids.append(pkt.id)
-        route_of.append(table.setdefault(tuple(map(int, pkt.route)), len(table)))
-    return rounds, ids, route_of, tuple(table)
+            yield r, Packet(i, routes[j])
 
 
 def trace_from_packets(injections, horizon: int) -> InjectionTrace:
     """A trace from (round, Packet) pairs in trace order, the form
     `InjectionTrace.injections` yields; for traces built by hand."""
-    return InjectionTrace(*_columns(injections), horizon)
+    rounds, ids, route_of, table = [], [], [], {}
+    for r, pkt in injections:
+        rounds.append(r)
+        ids.append(pkt.id)
+        route_of.append(table.setdefault(tuple(map(int, pkt.route)), len(table)))
+    return InjectionTrace(rounds, ids, route_of, tuple(table), horizon)
 
 
 def _refuse_faulty_routes(tr: InjectionTrace, link_count: int | None = None, links=None) -> None:
@@ -525,32 +518,30 @@ def write_trace(tr: InjectionTrace, path) -> None:
 
 def read_trace(path) -> InjectionTrace:
     horizon = None
-
-    def entries():
-        nonlocal horizon
-        for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            stripped = raw.strip()
-            if stripped.startswith("#"):
-                parts = stripped[1:].split()
-                if len(parts) == 2 and parts[0] == "horizon":
-                    horizon = parse_count(parts[1])
-                continue
-            if not stripped:
-                continue
-            parts = stripped.split()
-            if parts[0] != "inject" or len(parts) < 4:
-                raise FormatError(f"line {ln}: expected 'inject <round> <id> <links...>'")
-            try:
-                r, pid = int(parts[1]), int(parts[2])
-                route = tuple(int(v) for v in parts[3:])
-            except ValueError as exc:
-                raise FormatError(f"line {ln}: non-integer field") from exc
-            yield r, Packet(pid, r, route)
-
-    columns = _columns(entries())
+    rounds, ids, route_of, table = [], [], [], {}
+    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped.startswith("#"):
+            parts = stripped[1:].split()
+            if len(parts) == 2 and parts[0] == "horizon":
+                horizon = parse_count(parts[1])
+            continue
+        if not stripped:
+            continue
+        parts = stripped.split()
+        if parts[0] != "inject" or len(parts) < 4:
+            raise FormatError(f"line {ln}: expected 'inject <round> <id> <links...>'")
+        try:
+            r, pid = int(parts[1]), int(parts[2])
+            route = tuple(int(v) for v in parts[3:])
+        except ValueError as exc:
+            raise FormatError(f"line {ln}: non-integer field") from exc
+        rounds.append(r)
+        ids.append(pid)
+        route_of.append(table.setdefault(route, len(table)))
     if horizon is None:
-        horizon = max(columns[0], default=0)
+        horizon = max(rounds, default=0)
     try:
-        return InjectionTrace(*columns, horizon)
+        return InjectionTrace(rounds, ids, route_of, tuple(table), horizon)
     except ParameterError as exc:
         raise FormatError(str(exc)) from exc

@@ -441,6 +441,8 @@ REFUSED = {
     "poly-form-no-links": "bounds threshold poly --delta 2",
     # random_network used to read a negative count as every pair
     "experiment-negative-edges": "experiment --edges -1 --rounds 20 --out-dir {out}",
+    # and a negative node count as the empty graph, which has no color
+    "experiment-negative-nodes": "experiment --nodes -1 --rounds 20 --out-dir {out}",
 }
 
 # the commands that generate and write a trace, less its --horizon; {g} and

@@ -242,6 +242,18 @@ class TestValidation:
         with pytest.raises(ParameterError, match="edge count -1 is negative"):
             graphs.random_network(5, -1, seed=0)
 
+    def test_negative_node_count_rejected(self):
+        # it used to return the empty graph
+        for build in (
+            lambda: graphs.random_network(-1, 5, seed=0),
+            lambda: graphs.path_graph(-2),
+            lambda: graphs.clique_graph(-1),
+            lambda: graphs.from_undirected_edges(-1, ()),
+        ):
+            with pytest.raises(ParameterError, match=r"^node count -\d+ is negative$"):
+                build()
+        assert graphs.from_undirected_edges(0, ()) == graphs.NetworkGraph((), ())
+
 
 class TestGraphFiles:
     def test_roundtrip(self, tmp_path):

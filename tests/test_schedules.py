@@ -187,12 +187,16 @@ class TestFlatActivations:
             s.round_of[0] = 1
 
     def test_equality(self):
-        a = schedules.schedule_from_rows(((1, 0), (0,)), 2, (Fraction(1, 2), 2))
-        assert a == schedules.TransmissionSchedule([1, 0, 0], [0, 1, 0], 2, 2, (Fraction(1, 2), 2))
-        assert a != schedules.schedule_from_rows(((1, 0), (0,)), 2, None)
-        assert a != schedules.schedule_from_rows(((1, 0), (0,), ()), 2, (Fraction(1, 2), 2))
-        assert a != schedules.schedule_from_rows(((1, 0), (1,)), 2, (Fraction(1, 2), 2))
-        assert a != schedules.schedule_from_rows(((1, 0), (0,)), 3, (Fraction(1, 2), 2))
+        # a schedule is its period, link count, claim and activations
+        def fields(s):
+            return (s.period, s.link_count, s.claimed_frequency, s.round_of.tolist(), s.link_of.tolist())
+
+        a = fields(schedules.schedule_from_rows(((1, 0), (0,)), 2, (Fraction(1, 2), 2)))
+        assert a == fields(schedules.TransmissionSchedule([1, 0, 0], [0, 1, 0], 2, 2, (Fraction(1, 2), 2)))
+        assert a != fields(schedules.schedule_from_rows(((1, 0), (0,)), 2, None))
+        assert a != fields(schedules.schedule_from_rows(((1, 0), (0,), ()), 2, (Fraction(1, 2), 2)))
+        assert a != fields(schedules.schedule_from_rows(((1, 0), (1,)), 2, (Fraction(1, 2), 2)))
+        assert a != fields(schedules.schedule_from_rows(((1, 0), (0,)), 3, (Fraction(1, 2), 2)))
 
     def test_refuses_bad_rounds_and_shapes(self):
         with pytest.raises(ParameterError, match="scheduled round 3 out of range"):

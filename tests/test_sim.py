@@ -33,7 +33,7 @@ from radiosched.traffic import (
 
 def trace_of(entries, horizon):
     """entries: (round, id, route) triples."""
-    return trace_from_packets(tuple((r, Packet(i, r, rt)) for r, i, rt in entries), horizon)
+    return trace_from_packets(tuple((r, Packet(i, rt)) for r, i, rt in entries), horizon)
 
 
 def deliveries(metrics):
@@ -73,7 +73,7 @@ class TestStepSemantics:
         assert deliveries(metrics) == []
         assert metrics.attempted.all()
         assert not metrics.success.any()
-        assert metrics.collided.all()
+        assert (metrics.attempted & ~metrics.success).all()
         assert metrics.undelivered_count == 2
 
     def test_forwarded_packet_waits_a_round(self):
@@ -186,10 +186,11 @@ class TestInvariants:
         assert metrics.per_round_backlog[-1] == queued_now
 
         h = build_conflict_graph(g)
+        success, attempted = metrics.success, metrics.attempted
         for r in range(rounds):
-            winners = np.nonzero(metrics.success[:, r])[0]
+            winners = np.nonzero(success[:, r])[0]
             for a in winners:
-                assert metrics.attempted[a, r]
+                assert attempted[a, r]
                 for b in winners:
                     if a != b:
                         assert b not in h.blocks[a] and a not in h.blocks[b]
@@ -363,11 +364,13 @@ class TestSparseRecord:
             longer_peak = tracemalloc.get_traced_memory()[1]
             assert not self.DENSE_VIEWS & vars(longer).keys()
             held = tracemalloc.get_traced_memory()[0]
-            longer.backlogged
-            view_bytes = tracemalloc.get_traced_memory()[0] - held
+            assert longer.attempted.sum() >= longer.success.sum() > 0
+            # each view is built for its read and kept by nothing
+            assert not self.DENSE_VIEWS & vars(longer).keys()
+            kept_bytes = tracemalloc.get_traced_memory()[0] - held
         finally:
             tracemalloc.stop()
         assert rep.max_count > 0 and longer.per_round_backlog[rounds + 1000 :].max() == 0
         assert check_peak < 8 * dense / 4
         assert longer_peak - run_peak < dense / 2
-        assert view_bytes >= 2 * dense  # the views are dense once read
+        assert kept_bytes < dense / 100

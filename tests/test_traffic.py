@@ -58,18 +58,18 @@ def traces(draw):
         route = draw(
             st.lists(st.integers(0, link_count - 1), min_size=1, max_size=2, unique=True)
         )
-        injections.append((r, Packet(pid, r, tuple(route))))
+        injections.append((r, Packet(pid, tuple(route))))
     return trace_from_packets(tuple(injections), horizon), link_count
 
 
 class TestValidateTrace:
     def test_single_packet_admissible(self):
-        tr = trace_from_packets(((0, Packet(0, 0, (0,))),), 5)
+        tr = trace_from_packets(((0, Packet(0, (0,))),), 5)
         assert validate_trace(tr, AdversaryConfig(Fraction(1, 2), 1)).admissible
 
     def test_burst_violation_witness(self):
         tr = trace_from_packets(
-            ((3, Packet(0, 3, (1,))), (3, Packet(1, 3, (1,)))), 5
+            ((3, Packet(0, (1,))), (3, Packet(1, (1,)))), 5
         )
         rep = validate_trace(tr, AdversaryConfig(Fraction(1, 2), 1), link_count=2)
         assert not rep.admissible
@@ -80,19 +80,19 @@ class TestValidateTrace:
     def test_exact_boundary(self):
         # two packets within a length-10 window meet 10/10 + 1 exactly
         adv = AdversaryConfig(Fraction(1, 10), 1)
-        at_bound = trace_from_packets(((0, Packet(0, 0, (0,))), (9, Packet(1, 9, (0,)))), 9)
-        over = trace_from_packets(((0, Packet(0, 0, (0,))), (8, Packet(1, 8, (0,)))), 9)
+        at_bound = trace_from_packets(((0, Packet(0, (0,))), (9, Packet(1, (0,)))), 9)
+        over = trace_from_packets(((0, Packet(0, (0,))), (8, Packet(1, (0,)))), 9)
         assert validate_trace(at_bound, adv).admissible
         assert not validate_trace(over, adv).admissible
 
     def test_route_charges_every_link(self):
         # link 2 carries both packets; link 0, twice on one route, is charged once
-        tr = trace_from_packets(((0, Packet(0, 0, (0, 2, 0))), (0, Packet(1, 0, (2,)))), 0)
+        tr = trace_from_packets(((0, Packet(0, (0, 2, 0))), (0, Packet(1, (2,)))), 0)
         rep = validate_trace(tr, AdversaryConfig(Fraction(1), 0))
         assert rep.witness == (2, 0, 1, 2, 1)
 
     def test_link_out_of_range(self):
-        tr = trace_from_packets(((0, Packet(0, 0, (0,))), (1, Packet(1, 1, (1, 5)))), 2)
+        tr = trace_from_packets(((0, Packet(0, (0,))), (1, Packet(1, (1, 5)))), 2)
         adv = AdversaryConfig(Fraction(1, 2), 1)
         with pytest.raises(ParameterError, match="packet 1: link 5 out of range"):
             validate_trace(tr, adv, link_count=2)
@@ -102,7 +102,7 @@ class TestValidateTrace:
         # 100 links, one packet per link every 1000 rounds: any 1001-round
         # window from round 0 holds 2 > 1001/5000 + 1
         tr = trace_from_packets(
-            tuple((r, Packet(r, r, (r // 10 % 100,))) for r in range(0, 20_000, 10)), 20_000
+            tuple((r, Packet(r, (r // 10 % 100,))) for r in range(0, 20_000, 10)), 20_000
         )
         adv = AdversaryConfig(Fraction(1, 5000), 1)
         tracemalloc.start()
@@ -119,7 +119,7 @@ class TestValidateTrace:
 
     def test_huge_denominator_not_wrapped(self):
         # den * load reaches 1.001e19, past int64
-        tr = trace_from_packets(tuple((r, Packet(r, r, (0,))) for r in range(1001)), 1000)
+        tr = trace_from_packets(tuple((r, Packet(r, (0,))) for r in range(1001)), 1000)
         rep = validate_trace(tr, AdversaryConfig(Fraction(1, 10**16), 999))
         assert not rep.admissible
         assert rep.witness == (0, 0, 1000, 1000, Fraction(1000, 10**16) + 999)
@@ -157,39 +157,35 @@ class TestValidateTrace:
 class TestTraceInvariants:
     def test_rejects_unsorted(self):
         with pytest.raises(ParameterError, match="sorted"):
-            trace_from_packets(((4, Packet(0, 4, (0,))), (1, Packet(1, 1, (0,)))), 5)
+            trace_from_packets(((4, Packet(0, (0,))), (1, Packet(1, (0,)))), 5)
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ParameterError, match="duplicate"):
-            trace_from_packets(((0, Packet(7, 0, (0,))), (1, Packet(7, 1, (0,)))), 5)
+            trace_from_packets(((0, Packet(7, (0,))), (1, Packet(7, (0,)))), 5)
 
     def test_rejects_short_horizon(self):
         with pytest.raises(ParameterError, match="horizon"):
-            trace_from_packets(((4, Packet(0, 4, (0,))),), 3)
-
-    def test_rejects_round_mismatch(self):
-        with pytest.raises(ParameterError, match="injection_round"):
-            trace_from_packets(((2, Packet(0, 3, (0,))),), 5)
+            trace_from_packets(((4, Packet(0, (0,))),), 3)
 
     def test_packet_validation(self):
         # a packet is refused when a trace is built from it, also when it
         # follows a valid packet
         refusals = [
-            ((4, 0, ()), "packet 4: empty route"),
-            ((4, 0, (1, -2, -3)), "packet 4: negative link -3"),
-            ((4, -1, (0,)), "packet 4: negative injection round"),
+            ((0, Packet(4, ())), "packet 4: empty route"),
+            ((0, Packet(4, (1, -2, -3))), "packet 4: negative link -3"),
+            ((-1, Packet(4, (0,))), "packet 4: negative injection round"),
         ]
-        for args, message in refusals:
+        for pair, message in refusals:
             with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
-                trace_from_packets(((0, Packet(2, 0, (0,))), (args[1], Packet(*args))), 5)
+                trace_from_packets(((0, Packet(2, (0,))), pair), 5)
             with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
-                trace_from_packets(((args[1], Packet(*args)),), 5)
+                trace_from_packets((pair,), 5)
 
     def test_packet_route_is_int_tuple_and_slotted(self):
-        tr = trace_from_packets(((5, Packet(3, 5, [np.int64(2), np.int64(0)])),), 5)
+        tr = trace_from_packets(((5, Packet(3, [np.int64(2), np.int64(0)])),), 5)
         (r, pkt), = tr.injections
         assert type(pkt.route) is tuple and pkt.route == (2, 0)
-        assert all(type(i) is int for i in (r, pkt.id, pkt.injection_round, *pkt.route))
+        assert all(type(i) is int for i in (r, pkt.id, *pkt.route))
         assert tr.routes == ((2, 0),)
         with pytest.raises(AttributeError):
             pkt.hops = 1
@@ -197,7 +193,7 @@ class TestTraceInvariants:
             pkt.id = 4
 
     def test_columns_are_int64_and_read_only(self):
-        tr = trace_from_packets(((0, Packet(9, 0, (0,))), (2, Packet(4, 2, (1, 0))), (2, Packet(5, 2, (0,)))), 3)
+        tr = trace_from_packets(((0, Packet(9, (0,))), (2, Packet(4, (1, 0))), (2, Packet(5, (0,)))), 3)
         assert tr.rounds.tolist() == [0, 2, 2] and tr.ids.tolist() == [9, 4, 5]
         assert tr.route_of.tolist() == [0, 1, 0] and tr.routes == ((0,), (1, 0))
         for column in (tr.rounds, tr.ids, tr.route_of):
@@ -207,23 +203,23 @@ class TestTraceInvariants:
     @pytest.mark.parametrize("pid", [2**63, -(2**63) - 1, 10**30])
     def test_rejects_id_outside_int64(self, pid):
         with pytest.raises(ParameterError, match="packet ids must fit in int64"):
-            trace_from_packets(((0, Packet(0, 0, (0,))), (0, Packet(pid, 0, (0,)))), 0)
-        edge = trace_from_packets(((0, Packet(2**63 - 1, 0, (0,))), (0, Packet(-(2**63), 0, (0,)))), 0)
+            trace_from_packets(((0, Packet(0, (0,))), (0, Packet(pid, (0,)))), 0)
+        edge = trace_from_packets(((0, Packet(2**63 - 1, (0,))), (0, Packet(-(2**63), (0,)))), 0)
         assert edge.ids.tolist() == [2**63 - 1, -(2**63)]
 
     def test_names_first_duplicate_in_trace_order(self):
-        pairs = ((0, Packet(9, 0, (0,))), (0, Packet(3, 0, (0,))), (1, Packet(3, 1, (0,))), (2, Packet(9, 2, (0,))))
+        pairs = ((0, Packet(9, (0,))), (0, Packet(3, (0,))), (1, Packet(3, (0,))), (2, Packet(9, (0,))))
         with pytest.raises(ParameterError, match="^duplicate packet id 3$"):
             trace_from_packets(pairs, 2)
 
     def test_check_routes(self):
         g = path_graph(3)  # links: 0->1, 1->0, 1->2, 2->1
-        good = trace_from_packets(((0, Packet(0, 0, (0, 2))),), 0)
+        good = trace_from_packets(((0, Packet(0, (0, 2))),), 0)
         check_routes(good, g)
-        broken = trace_from_packets(((0, Packet(0, 0, (0, 3))),), 0)
+        broken = trace_from_packets(((0, Packet(0, (0, 3))),), 0)
         with pytest.raises(ParameterError, match="share an endpoint"):
             check_routes(broken, g)
-        out = trace_from_packets(((0, Packet(0, 0, (9,))),), 0)
+        out = trace_from_packets(((0, Packet(0, (9,))),), 0)
         with pytest.raises(ParameterError, match="out of range"):
             check_routes(out, g)
 
@@ -375,7 +371,7 @@ class TestTreeFamily:
         assert fam.shared_links == (0, 2)
         assert fam.trace.horizon == 7
         assert tuple(fam.trace.injections) == tuple(
-            (r, Packet(i, r, (e,))) for i, (r, e) in enumerate((r, e) for r in (0, 3, 6) for e in (0, 2))
+            (r, Packet(i, (e,))) for i, (r, e) in enumerate((r, e) for r in (0, 3, 6) for e in (0, 2))
         )
 
 
