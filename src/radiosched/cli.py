@@ -125,13 +125,16 @@ def cmd_build_poly_selector(args) -> tuple[dict | None, int]:
 
 
 def cmd_build_random_selector(args) -> tuple[dict | None, int]:
-    return _report_selector(random_uss(args.n, args.k, parse_fraction(args.eps), seed=args.seed), args)
+    record, code = _report_selector(random_uss(args.n, args.k, parse_fraction(args.eps), seed=args.seed), args)
+    # how random_uss checked the claim, in verify-selector's words: a sampled claim is evidence, not proof
+    record["mode"] = "exhaustive" if exhaustive_fits(args.n, args.k) else "sample"
+    return record, code
 
 
 def _report_selector(sel, args) -> tuple[dict | None, int]:
     if args.out is not None:
         write_selector(sel, args.out)
-    return {"n": sel.n, "t": sel.t, "k": sel.claimed_k, "eps": sel.claimed_eps, "ones": int(sel.rows.sum())}, 0
+    return {"n": sel.n, "t": sel.t, "k": sel.claimed_k, "eps": sel.claimed_eps, "ones": len(sel.row_of)}, 0
 
 
 def cmd_verify_selector(args) -> tuple[dict | None, int]:

@@ -123,10 +123,9 @@ def schedule_from_selector(sel: SelectorMatrix, g: NetworkGraph) -> Transmission
     need = conflict_in_degree(g) + 1
     if sel.claimed_k < need:
         raise ParameterError(f"selector k={sel.claimed_k} below conflict in-degree + 1 = {need}")
-    # the entries are 0/1, so the bool view finds the same cells, and faster
-    round_of, link_of = divmod(np.flatnonzero(sel.rows[:, :m].view(bool)), m)
     rho = uss_threshold(sel.claimed_k - 1, sel.claimed_eps)
-    return TransmissionSchedule(round_of, link_of, sel.t, m, (rho, sel.t))
+    keep = sel.col_of < m
+    return TransmissionSchedule(sel.row_of[keep], sel.col_of[keep], sel.t, m, (rho, sel.t))
 
 
 class ServiceWindow(NamedTuple):

@@ -2,7 +2,8 @@
 
 A t x n matrix is a uniform strong selector of strength (k, eps) when for
 every column set A with |A| <= k, every a in A is isolated (the row meets
-A exactly in {a}) by at least eps*t/k rows.  Two constructions are
+A exactly in {a}) by at least eps*t/k rows, and is held as its ones,
+never as t x n cells.  Two constructions are
 provided: a randomized one with a retry-until-verified loop, and a
 deterministic one from polynomials over a prime field.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -32,29 +33,48 @@ FIELD_FACTOR = 2
 
 @dataclass(eq=False)
 class SelectorMatrix:
-    """Boolean t x n selector matrix with optional verified strength claims.
+    """A t x n 0/1 selector matrix held as its ones, with optional claims.
 
-    claimed_k / claimed_eps are attached only by a construction with a
-    proven guarantee or after an exhaustive verifier pass.
+    The constructor takes the ones as (row_of[j], col_of[j]) pairs in any
+    order, refuses a row outside [0, t), a column outside [0, n) and a pair
+    given twice, and holds them as read-only int64 arrays sorted by (row,
+    column).  claimed_k / claimed_eps are attached by a construction with a
+    proven guarantee, after an exhaustive verifier pass, or by random_uss
+    above exhaustive_fits after a sample check, which is evidence, not proof.
     """
 
-    rows: np.ndarray
+    row_of: np.ndarray
+    col_of: np.ndarray
+    t: int
+    n: int
     claimed_k: int | None = None
     claimed_eps: Fraction | None = None
-    t: int = field(init=False)
-    n: int = field(init=False)
 
     def __post_init__(self):
-        rows = np.ascontiguousarray(np.asarray(self.rows, dtype=np.uint8))
-        if rows.ndim != 2:
-            raise ParameterError(f"rows must be a 2-D matrix, got shape {rows.shape}")
-        self.t, self.n = rows.shape
-        if self.n < 1:
+        t, n = int(self.t), int(self.n)
+        row_of = np.asarray(self.row_of, dtype=np.int64)
+        col_of = np.asarray(self.col_of, dtype=np.int64)
+        if t < 0 or row_of.ndim != 1 or row_of.shape != col_of.shape:
+            raise ParameterError("a selector needs t >= 0 and flat ones of one length")
+        if n < 1:
             raise ParameterError("need at least one column")
-        if rows.size and rows.max() > 1:
-            raise ParameterError("matrix entries must be 0/1")
-        rows.setflags(write=False)
-        self.rows = rows
+        if max(t, 1) * n > np.iinfo(np.int64).max:
+            raise ParameterError(f"{t} rows of {n} columns overflow an int64 cell index")
+        for name, arr, size in (("row", row_of, t), ("column", col_of, n)):
+            bad = (arr < 0) | (arr >= size)
+            if bad.any():
+                raise ParameterError(f"{name} {arr[bad][0]} out of range")
+        key = row_of * n + col_of
+        # ones in strict (row, column) order, as the constructions give them, are held as given
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            row_of, col_of, key = row_of[order], col_of[order], key[order]
+            twice = np.flatnonzero(key[1:] == key[:-1])
+            if twice.size:
+                raise ParameterError(f"row {row_of[twice[0]]}, column {col_of[twice[0]]} given twice")
+        row_of.setflags(write=False)
+        col_of.setflags(write=False)
+        self.row_of, self.col_of, self.t, self.n = row_of, col_of, t, n
         if self.claimed_k is not None and not 1 <= self.claimed_k <= self.n:
             raise ParameterError(f"claimed k={self.claimed_k} outside [1, {self.n}]")
         if self.claimed_eps is not None:
@@ -82,11 +102,12 @@ def exhaustive_fits(n: int, k: int) -> bool:
     return math.comb(n, k) <= SUBSET_BUDGET
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Pack 0/1 rows into little-endian 64-bit words, one row per entry:
-    bit i of word w is column 64 * w + i."""
-    padded = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 64)))
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+def _pack(row_of: np.ndarray, col_of: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """OR the ones (row_of[j], col_of[j]) into rows of little-endian 64-bit
+    words, one row per entry: bit i of word w is column 64 * w + i."""
+    bits = np.left_shift(np.uint64(1), (col_of % 64).astype(np.uint64))
+    np.bitwise_or.at(words, (row_of, col_of // 64), bits)
+    return words
 
 
 def uss_min_count(m: SelectorMatrix, k: int) -> MinCountResult:
@@ -106,15 +127,18 @@ def uss_min_count(m: SelectorMatrix, k: int) -> MinCountResult:
     if t == 0:
         return MinCountResult(0, Fraction(0), (tuple(range(k)), 0))
 
-    words = _pack(m.rows)
-    nwords = words.shape[1]
-    # the (k - 1)-sets in lexicographic order, as members and as a 0/1 matrix
+    # equal rows isolate the same pairs: each distinct row counts its copies
+    nwords = -(-n // 64)
+    words = _pack(m.row_of, m.col_of, np.zeros((t, nwords), dtype=np.uint64))
+    words, copies = np.unique(words, axis=0, return_counts=True)
+    # the (k - 1)-sets in lexicographic order, as members and as packed
+    # words, packed a member position at a time to keep temporaries small
     sets = math.comb(n, k - 1)
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), k - 1))
     rest = np.fromiter(flat, np.intp, sets * (k - 1)).reshape(sets, k - 1)
-    member = np.zeros((sets, n), dtype=np.uint8)
-    member[np.arange(sets)[:, None], rest] = 1
-    rest_words = _pack(member)
+    rest_words = np.zeros((sets, nwords), dtype=np.uint64)
+    for j in range(k - 1):
+        _pack(np.arange(sets), rest[:, j], rest_words)
 
     def witness_of(i: int, a: int) -> tuple[tuple[int, ...], int]:
         return tuple(sorted([*rest[i].tolist(), a])), a
@@ -122,20 +146,23 @@ def uss_min_count(m: SelectorMatrix, k: int) -> MinCountResult:
     best = t + 1
     witness = (tuple(range(k)), 0)
     for a in range(n):
-        isolating_rows = words[m.rows[:, a] == 1]
+        word, bit = a // 64, np.uint64(1 << a % 64)
+        own = (words[:, word] & bit) != 0
+        isolating_rows, weight = words[own], copies[own]
         # k <= n, so some set avoids a
-        keep = np.flatnonzero(member[:, a] == 0)
+        keep = np.flatnonzero((rest_words[:, word] & bit) == 0)
         r = isolating_rows.shape[0]
         if r == 0:
             return MinCountResult(0, Fraction(0), witness_of(keep[0], a))
-        chunk = max(1, 4_000_000 // r)
+        # each temporary below holds at most r * chunk <= 16384 cells, or r
+        chunk = max(1, 16_384 // r)
         for lo in range(0, keep.size, chunk):
             idx = keep[lo : lo + chunk]
             masks = rest_words[idx]
             ok = np.ones((r, idx.size), dtype=bool)
             for w in range(nwords):
                 ok &= (isolating_rows[:, w : w + 1] & masks[None, :, w]) == 0
-            counts = ok.sum(axis=0)
+            counts = weight @ ok
             j = int(counts.argmin())
             if counts[j] < best:
                 best = int(counts[j])
@@ -159,13 +186,22 @@ def uss_sample_check(
     eps = Fraction(eps)
     threshold = math.ceil(eps * m.t / k)
     rng = random.Random(seed)
-    rows = m.rows
+    # each column's rows, in order, sliced by searching the sorted columns
+    rows = m.row_of[np.argsort(m.col_of, kind="stable")]
+    cols = np.sort(m.col_of)
+    covered = np.zeros(m.t, dtype=bool)
     for _ in range(trials):
         combo = tuple(sorted(rng.sample(range(m.n), k)))
         a = rng.choice(combo)
-        # only rows with a 1 in column a can isolate it
-        own = rows[np.flatnonzero(rows[:, a])]
-        count = int((own[:, combo].sum(axis=1) == 1).sum())
+        starts = np.searchsorted(cols, combo).tolist()
+        ends = np.searchsorted(cols, combo, side="right").tolist()
+        # only rows with a 1 in column a and in no other member isolate it
+        covered[:] = False
+        for c, lo, hi in zip(combo, starts, ends):
+            if c != a:
+                covered[rows[lo:hi]] = True
+        i = combo.index(a)
+        count = int(np.count_nonzero(~covered[rows[starts[i] : ends[i]]]))
         if count < threshold:
             return SampleCheck(False, trials, threshold, (combo, a, count))
     return SampleCheck(True, trials, threshold, None)
@@ -209,8 +245,7 @@ def random_uss(n: int, k: int, eps, seed: int) -> SelectorMatrix:
     exhaustive = exhaustive_fits(n, k)
     rng = np.random.default_rng(seed)
     for attempt in range(MAX_DRAWS):
-        rows = (rng.random((t, n)) < 1.0 / k).astype(np.uint8)
-        m = SelectorMatrix(rows)
+        m = SelectorMatrix(*_bernoulli_ones(rng, t, n, 1.0 / k), t, n)
         if exhaustive:
             ok = uss_min_count(m, k).eps >= eps
         else:
@@ -218,6 +253,15 @@ def random_uss(n: int, k: int, eps, seed: int) -> SelectorMatrix:
         if ok:
             return replace(m, claimed_k=k, claimed_eps=eps)
     raise ConstructionError(f"no verified matrix within {MAX_DRAWS} draws")
+
+
+def _bernoulli_ones(rng: np.random.Generator, t: int, n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, column) ones of rng.random((t, n)) < p, drawn in blocks of
+    rows from the same stream, so no t x n array is ever held."""
+    block = max(1, 65_536 // n)
+    flat = [np.flatnonzero(rng.random((min(block, t - lo), n)) < p) + lo * n for lo in range(0, t, block)]
+    flat = np.concatenate(flat)  # frees the blocks before divmod doubles the ones
+    return np.divmod(flat, n)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +316,9 @@ def poly_uss(n: int, k: int) -> SelectorMatrix:
     for j in range(d, -1, -1):
         values = (values * xs + coeffs[None, :, j]) % q
 
-    rows = np.zeros((q * q, n), dtype=np.uint8)
-    rows[xs * q + values, np.arange(n)[None, :]] = 1
     eps = Fraction(k * (q - k * d), q * q)
-    return SelectorMatrix(rows, claimed_k=k, claimed_eps=eps)
+    row_of = (xs * q + values).ravel()
+    return SelectorMatrix(row_of, np.tile(np.arange(n), q), q * q, n, claimed_k=k, claimed_eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +372,18 @@ def write_selector(m: SelectorMatrix, path) -> None:
         header += f" k={m.claimed_k}"
     if m.claimed_eps is not None:
         header += f" eps={format_fraction(m.claimed_eps)}"
-    body = "\n".join("".join("1" if v else "0" for v in row) for row in m.rows)
-    Path(path).write_text(header + "\n" + (body + "\n" if m.t else ""))
+    # blocks of about 1 MB of text: lines of 0s, then each one set
+    width = m.n + 1
+    block = max(1, 2**20 // width)
+    with Path(path).open("w") as f:
+        f.write(header + "\n")
+        for lo in range(0, m.t, block):
+            hi = min(lo + block, m.t)
+            a, b = np.searchsorted(m.row_of, (lo, hi)).tolist()
+            text = np.full((hi - lo, width), ord("0"), dtype=np.uint8)
+            text[:, -1] = ord("\n")
+            text[m.row_of[a:b] - lo, m.col_of[a:b]] = ord("1")
+            f.write(text.tobytes().decode())
 
 
 def read_selector(path) -> SelectorMatrix:
@@ -340,15 +393,17 @@ def read_selector(path) -> SelectorMatrix:
     body = lines[1:]
     if len(body) != t:
         raise FormatError(f"expected {t} rows, found {len(body)}")
-    rows = np.zeros((t, n), dtype=np.uint8)
+    cols = []
     for i, line in enumerate(body):
         bits = line.strip()
-        if len(bits) != n or set(bits) - {"0", "1"}:
+        if len(bits) != n or bits.count("0") + bits.count("1") != n:
             raise FormatError(f"row {i}: expected {n} chars of 0/1")
-        rows[i] = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
+        cols.append(np.flatnonzero(np.frombuffer(bits.encode(), dtype=np.uint8) == ord("1")))
+    row_of = np.repeat(np.arange(t), [c.size for c in cols])
     claimed_k = parse_count(fields["k"]) if "k" in fields else None
     claimed_eps = parse_fraction(fields["eps"]) if "eps" in fields else None
     try:
-        return SelectorMatrix(rows, claimed_k=claimed_k, claimed_eps=claimed_eps)
+        col_of = np.concatenate([np.zeros(0, dtype=np.int64), *cols])
+        return SelectorMatrix(row_of, col_of, t, n, claimed_k=claimed_k, claimed_eps=claimed_eps)
     except ParameterError as exc:
         raise FormatError(str(exc)) from exc

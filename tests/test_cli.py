@@ -14,6 +14,8 @@ from radiosched import cli, selectors
 from radiosched.cli import build_parser, main
 from radiosched.graphs import path_graph, random_network, write_graph
 from radiosched.schedules import read_schedule
+
+from dense_selector import dense
 from test_formats import leaf_commands
 
 
@@ -157,7 +159,7 @@ class TestSelectorVerification:
         rec = json.loads(capsys.readouterr().out)
         combo, a = rec["witness_set"], rec["witness_column"]
         assert len(combo) == int(k) and a in combo
-        rows = selectors.read_selector(sel).rows
+        rows = dense(selectors.read_selector(sel))
         own = rows[rows[:, a] == 1]
         assert rec["witness_count"] == int((own[:, combo].sum(axis=1) == 1).sum())
         if mode == EXHAUSTIVE:
@@ -182,6 +184,24 @@ class TestSelectorVerification:
         for bad in ("-1", str(int(n) + 1)):
             assert main(["verify-selector", sel, f"--k={bad}"]) == 3
             assert f"need 1 <= k <= {n}, got {bad}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, k, mode", [("8", "3", "exhaustive"), ("30", "10", "sample")])
+    def test_random_build_names_its_check(self, tmp_path, capsys, n, k, mode):
+        # a claim random_uss sampled reads as sampled, in verify-selector's words
+        sel = tmp_path / "sel.txt"
+        argv = ["build-selector", "random", "--n", n, "--k", k, "--eps", "1/8", "--seed", "1", "--out", str(sel)]
+        assert main(argv) == 0
+        assert parse_text(capsys.readouterr().out)["mode"] == mode
+        assert main(["verify-selector", str(sel)]) == 0
+        assert parse_text(capsys.readouterr().out)["mode"] == mode
+
+    def test_rows_checked_before_the_header_is_sized(self, tmp_path, capsys):
+        # 10^13 columns would be a 9 TB matrix; the short row is refused first
+        sel = tmp_path / "wide.txt"
+        sel.write_text("uss n=10000000000000 t=1\n0\n")
+        assert main(["verify-selector", str(sel)]) == 3
+        out, err = capsys.readouterr()
+        assert not out and err == "error: row 0: expected 10000000000000 chars of 0/1\n"
 
     def test_failed_construction_is_parameter_error(self, monkeypatch, capsys):
         never = selectors.MinCountResult(0, Fraction(0), ((0, 1), 0))
@@ -411,8 +431,9 @@ class TestExperiment:
 
 # Command lines refused with exit 3: by the parser, a flag that only another
 # method reads or that no command takes, or a method without its input; by
-# the handler, a value out of range. {g}, {sel} and {out} stand for a
-# network, a selector file and a file that must not be written.
+# the handler, a value out of range. {g}, {sel}, {wide} and {out} stand for
+# a network, a selector file, a selector file whose header claims 10^13
+# columns over a one-char row, and a file that must not be written.
 REFUSED = {
     "threshold-chi-and-delta": "bounds threshold coloring --chi 3 --delta 2",
     "threshold-no-kind": "bounds threshold",
@@ -429,6 +450,8 @@ REFUSED = {
     "selector-no-file": "schedule selector {g} --out {out}",
     "poly-selector-eps-seed": "build-selector poly --n 16 --k 4 --eps 1/2 --seed 9 --out {out}",
     "random-selector-no-eps": "build-selector random --n 8 --k 2 --out {out}",
+    # a header of 10^13 columns over a row of one char
+    "verify-selector-wide-header": "verify-selector {wide}",
     # the deleted poly and random threshold forms, from their old valid command
     # lines to the ones they refused; use direct with the selector's eps
     "poly-form-deleted": "bounds threshold poly --delta 2 --links 9",
@@ -517,7 +540,9 @@ class TestExitCodes:
     def test_refused_combination(self, path3_file, tmp_path, capsys, case):
         sel, out = tmp_path / "sel.txt", tmp_path / "out.txt"
         selectors.write_selector(selectors.poly_uss(4, 4), sel)
-        argv = [arg.format(g=path3_file, sel=sel, out=out) for arg in REFUSED[case].split()]
+        wide = tmp_path / "wide.txt"
+        wide.write_text("uss n=10000000000000 t=1\n0\n")
+        argv = [arg.format(g=path3_file, sel=sel, wide=wide, out=out) for arg in REFUSED[case].split()]
         try:
             code = main(argv)
         except SystemExit as exc:

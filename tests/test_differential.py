@@ -54,7 +54,6 @@ from radiosched.schedules import (
 from radiosched.selectors import (
     MinCountResult,
     SampleCheck,
-    SelectorMatrix,
     _pack,
     poly_uss,
     uss_min_count,
@@ -82,6 +81,8 @@ from radiosched.traffic import (
     validate_trace,
     write_trace,
 )
+
+from dense_selector import dense, selector
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -370,14 +371,15 @@ def ref_schedule_active(active, link_count):
 
 def ref_selector_active(sel, m):
     """Per-row flatnonzero extraction of a selector's active sets."""
-    return tuple(tuple(int(z) for z in np.flatnonzero(sel.rows[r, :m])) for r in range(sel.t))
+    rows = dense(sel)
+    return tuple(tuple(int(z) for z in np.flatnonzero(rows[r, :m])) for r in range(sel.t))
 
 
 def ref_uss_sample_check(m, k, eps, trials, seed):
     """Sample check that counts isolating rows over the whole matrix."""
     threshold = math.ceil(Fraction(eps) * m.t / k)
     rng = random.Random(seed)
-    rows = m.rows
+    rows = dense(m)
     for _ in range(trials):
         combo = tuple(sorted(rng.sample(range(m.n), k)))
         a = rng.choice(combo)
@@ -392,7 +394,7 @@ def ref_uss_min_count(m, k):
     """Every (A, a) with |A| = k counted on Python-int row masks: for each a
     in turn, the (k - 1)-sets avoiding a in lexicographic order, keeping the
     first strict minimum as the witness."""
-    masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in m.rows]
+    masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in dense(m)]
     best, witness = None, None
     for a in range(m.n):
         own = [mask for mask in masks if mask >> a & 1]
@@ -920,7 +922,7 @@ class TestScheduleRowsMatchPerElement:
             [[0 if r in zero_rows else data.draw(st.integers(0, 1)) for _ in range(n)] for r in range(t)],
             dtype=np.uint8,
         ).reshape(t, n)
-        sel = SelectorMatrix(rows, claimed_k=n, claimed_eps=Fraction(1, 2))
+        sel = selector(rows, claimed_k=n, claimed_eps=Fraction(1, 2))
         want = outcome(
             lambda: schedule_fields(schedule_from_rows(ref_selector_active(sel, m), m, (Fraction(1, 2 * n), t)))
         )
@@ -985,7 +987,7 @@ def sample_cases(draw):
     ).reshape(t, n)
     k = draw(st.sampled_from([1, n]) | st.integers(1, n))
     eps = draw(st.fractions(min_value=0, max_value=2, max_denominator=12))
-    return SelectorMatrix(rows), k, eps, draw(st.integers(1, 30)), draw(st.integers(0, 10**6))
+    return selector(rows), k, eps, draw(st.integers(1, 30)), draw(st.integers(0, 10**6))
 
 
 class TestSampleCheckMatchesFullMatrix:
@@ -1011,7 +1013,7 @@ def min_count_cases(draw, n, t, k):
         [[0 if j in zero_cols else draw(st.integers(0, 1)) for j in range(n)] for _ in range(t)],
         dtype=np.uint8,
     ).reshape(t, n)
-    return SelectorMatrix(rows), draw(k(n))
+    return selector(rows), draw(k(n))
 
 
 class TestMinCountMatchesBruteForce:
@@ -1027,22 +1029,22 @@ class TestMinCountMatchesBruteForce:
 
     @pytest.mark.parametrize("n, k", [(5, 3), (130, 2)])
     def test_no_rows(self, n, k):
-        m = SelectorMatrix(np.zeros((0, n), dtype=np.uint8))
+        m = selector(np.zeros((0, n), dtype=np.uint8))
         assert uss_min_count(m, k) == ref_uss_min_count(m, k) == MinCountResult(0, Fraction(0), (tuple(range(k)), 0))
 
     def test_zero_count_column(self):
         # row j isolates column j alone, and column 129 is never isolated:
         # its first set in the third word is the witness
-        m = SelectorMatrix(np.eye(129, 130, dtype=np.uint8))
+        m = selector(np.eye(129, 130, dtype=np.uint8))
         assert uss_min_count(m, 2) == ref_uss_min_count(m, 2) == MinCountResult(0, Fraction(0), ((0, 129), 129))
 
 
-def membership(combos, n):
-    """The 0/1 matrix with one row per column set."""
-    member = np.zeros((len(combos), n), dtype=np.uint8)
-    for i, combo in enumerate(combos):
-        member[i, list(combo)] = 1
-    return member
+def pack_combos(combos, n):
+    """`_pack` of the column sets, as (set, member) ones."""
+    set_of = [i for i, combo in enumerate(combos) for _ in combo]
+    member = [j for combo in combos for j in combo]
+    words = np.zeros((len(combos), (n + 63) // 64), dtype=np.uint64)
+    return _pack(np.array(set_of, dtype=np.int64), np.array(member, dtype=np.int64), words)
 
 
 class TestPackCombosMatchesPerElement:
@@ -1058,15 +1060,15 @@ class TestPackCombosMatchesPerElement:
                 max_size=20,
             )
         )
-        got = _pack(membership(combos, n))
+        got = pack_combos(combos, n)
         assert got.dtype == np.uint64 and np.array_equal(got, ref_pack_combos(combos, n))
 
     def test_word_edges(self):
         for n in (64, 65, 128, 130):
             singles = [(j,) for j in range(n)]
             pairs = [(0, n - 1), (62, 63), (n - 2, n - 1)]
-            assert np.array_equal(_pack(membership(singles, n)), ref_pack_combos(singles, n))
-            assert np.array_equal(_pack(membership(pairs, n)), ref_pack_combos(pairs, n))
+            assert np.array_equal(pack_combos(singles, n), ref_pack_combos(singles, n))
+            assert np.array_equal(pack_combos(pairs, n), ref_pack_combos(pairs, n))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ FORMATS = {
     "selector": (
         selectors.read_selector,
         selectors.write_selector,
-        lambda m: (m.n, m.t, m.rows.tolist(), m.claimed_k, m.claimed_eps),
+        lambda m: (m.n, m.t, m.row_of.tolist(), m.col_of.tolist(), m.claimed_k, m.claimed_eps),
     ),
     "schedule": (
         schedules.read_schedule,

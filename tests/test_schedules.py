@@ -13,6 +13,8 @@ from radiosched import graphs, schedules, selectors as sel, traffic
 from radiosched.errors import FormatError, ParameterError
 from radiosched.sim import run
 
+from dense_selector import selector
+
 
 def path3_setup():
     g = graphs.path_graph(3)
@@ -47,7 +49,7 @@ class TestFromColoring:
 class TestFromSelector:
     def test_identity_alternation(self):
         g = graphs.path_graph(2)
-        plain = sel.SelectorMatrix(np.eye(2, dtype=np.uint8))
+        plain = selector(np.eye(2, dtype=np.uint8))
         ident = replace(plain, claimed_k=2, claimed_eps=sel.uss_min_count(plain, 2).eps)
         s = schedules.schedule_from_selector(ident, g)
         assert s.period == 2 and s.active == ((0,), (1,))
@@ -64,7 +66,7 @@ class TestFromSelector:
 
     def test_rejects_unverified(self):
         g = graphs.path_graph(2)
-        bare = sel.SelectorMatrix(np.eye(2, dtype=np.uint8))
+        bare = selector(np.eye(2, dtype=np.uint8))
         with pytest.raises(ParameterError, match="claim"):
             schedules.schedule_from_selector(bare, g)
 
