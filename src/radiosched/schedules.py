@@ -33,7 +33,9 @@ class TransmissionSchedule:
 
     The constructor takes the activations in any order, refuses a round
     outside [0, period) and a link outside [0, link_count), and holds them
-    as read-only int64 arrays sorted by (round, link) with no pair twice.
+    as read-only int64 arrays sorted by (round, link) with no pair twice;
+    int64 arrays already in strict (round, link) order are held as given,
+    with no copy.
     """
 
     round_of: np.ndarray
@@ -56,14 +58,20 @@ class TransmissionSchedule:
             # the smallest bad link of the first round that holds one
             first = round_of == round_of[bad].min()
             raise ParameterError(f"scheduled link {link_of[bad & first].min()} out of range")
-        if period * m <= np.iinfo(np.int64).max:  # the (round, link) key cannot wrap
-            order = np.argsort(round_of * m + link_of, kind="stable")
-        else:
+        # activations in strict (round, link) order, as schedule_from_selector
+        # gives them, are held as given
+        if period * m > np.iinfo(np.int64).max:  # the (round, link) key could wrap
             order = np.lexsort((link_of, round_of))
-        round_of, link_of = round_of[order], link_of[order]
-        fresh = np.ones(round_of.size, dtype=bool)
-        fresh[1:] = (round_of[1:] != round_of[:-1]) | (link_of[1:] != link_of[:-1])
-        for name, arr in (("round_of", round_of[fresh]), ("link_of", link_of[fresh])):
+        else:
+            key = round_of * m + link_of
+            order = None if (key[1:] > key[:-1]).all() else np.argsort(key, kind="stable")
+            del key
+        if order is not None:
+            round_of, link_of = round_of[order], link_of[order]
+            fresh = np.ones(round_of.size, dtype=bool)
+            fresh[1:] = (round_of[1:] != round_of[:-1]) | (link_of[1:] != link_of[:-1])
+            round_of, link_of = round_of[fresh], link_of[fresh]
+        for name, arr in (("round_of", round_of), ("link_of", link_of)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "period", period)

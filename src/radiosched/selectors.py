@@ -110,6 +110,16 @@ def _pack(row_of: np.ndarray, col_of: np.ndarray, words: np.ndarray) -> np.ndarr
     return words
 
 
+def _column_bits(m: SelectorMatrix) -> list[int]:
+    """Each column's rows as one int: bit r of int c is set when row r has a
+    1 in column c.  The ones are packed in blocks, to keep `_pack`'s
+    temporaries small."""
+    words = np.zeros((m.n, -(-m.t // 64)), dtype=np.uint64)
+    for lo in range(0, len(m.row_of), 2**16):
+        _pack(m.col_of[lo : lo + 2**16], m.row_of[lo : lo + 2**16], words)
+    return [int.from_bytes(w.astype("<u8", copy=False).tobytes(), "little") for w in words]
+
+
 def uss_min_count(m: SelectorMatrix, k: int) -> MinCountResult:
     """Exhaustive minimum isolation count over all (A, a) with |A| = k.
 
@@ -186,22 +196,16 @@ def uss_sample_check(
     eps = Fraction(eps)
     threshold = math.ceil(eps * m.t / k)
     rng = random.Random(seed)
-    # each column's rows, in order, sliced by searching the sorted columns
-    rows = m.row_of[np.argsort(m.col_of, kind="stable")]
-    cols = np.sort(m.col_of)
-    covered = np.zeros(m.t, dtype=bool)
+    bits = _column_bits(m)
     for _ in range(trials):
         combo = tuple(sorted(rng.sample(range(m.n), k)))
         a = rng.choice(combo)
-        starts = np.searchsorted(cols, combo).tolist()
-        ends = np.searchsorted(cols, combo, side="right").tolist()
         # only rows with a 1 in column a and in no other member isolate it
-        covered[:] = False
-        for c, lo, hi in zip(combo, starts, ends):
+        others = 0
+        for c in combo:
             if c != a:
-                covered[rows[lo:hi]] = True
-        i = combo.index(a)
-        count = int(np.count_nonzero(~covered[rows[starts[i] : ends[i]]]))
+                others |= bits[c]
+        count = (bits[a] & ~others).bit_count()
         if count < threshold:
             return SampleCheck(False, trials, threshold, (combo, a, count))
     return SampleCheck(True, trials, threshold, None)
@@ -387,23 +391,34 @@ def write_selector(m: SelectorMatrix, path) -> None:
 
 
 def read_selector(path) -> SelectorMatrix:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    fields = parse_header(lines[0] if lines else "", "uss", ("n", "t"))
-    n, t = parse_count(fields["n"]), parse_count(fields["t"])
-    body = lines[1:]
-    if len(body) != t:
-        raise FormatError(f"expected {t} rows, found {len(body)}")
-    cols = []
-    for i, line in enumerate(body):
-        bits = line.strip()
-        if len(bits) != n or bits.count("0") + bits.count("1") != n:
-            raise FormatError(f"row {i}: expected {n} chars of 0/1")
-        cols.append(np.flatnonzero(np.frombuffer(bits.encode(), dtype=np.uint8) == ord("1")))
-    row_of = np.repeat(np.arange(t), [c.size for c in cols])
+    with Path(path).open() as f:
+        # the non-blank lines, split as str.splitlines splits the whole text
+        lines = (ln for raw in f for ln in raw.splitlines() if ln.strip())
+        fields = parse_header(next(lines, ""), "uss", ("n", "t"))
+        n, t = parse_count(fields["n"]), parse_count(fields["t"])
+        # a wrong row count is reported ahead of a bad row, so after the
+        # first bad row, or past row t, lines are only counted; the ones'
+        # columns gather as int64 bytes, with each row's count of ones
+        cols, sizes, fault, found = bytearray(), [], None, 0
+        for line in lines:
+            if fault is None and found < t:
+                bits = line.strip()
+                if len(bits) != n or bits.count("0") + bits.count("1") != n:
+                    fault = FormatError(f"row {found}: expected {n} chars of 0/1")
+                else:
+                    ones = np.flatnonzero(np.frombuffer(bits.encode(), dtype=np.uint8) == ord("1"))
+                    cols += ones.astype(np.int64, copy=False).tobytes()
+                    sizes.append(ones.size)
+            found += 1
+    if found != t:
+        raise FormatError(f"expected {t} rows, found {found}")
+    if fault is not None:
+        raise fault
+    row_of = np.repeat(np.arange(t), sizes)
     claimed_k = parse_count(fields["k"]) if "k" in fields else None
     claimed_eps = parse_fraction(fields["eps"]) if "eps" in fields else None
     try:
-        col_of = np.concatenate([np.zeros(0, dtype=np.int64), *cols])
+        col_of = np.frombuffer(cols, dtype=np.int64)
         return SelectorMatrix(row_of, col_of, t, n, claimed_k=claimed_k, claimed_eps=claimed_eps)
     except ParameterError as exc:
         raise FormatError(str(exc)) from exc

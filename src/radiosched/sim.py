@@ -144,9 +144,14 @@ def run(
     The radio rule is monotone (a link that wins with its whole row wins in
     every subset holding it), so on a clean row, whose links all win
     together, every backlogged link wins; elsewhere `successful_links`
-    resolves the backlogged links.  A queued packet is one int and a
-    delivery three int64 entries, with no tuple or record per packet; the
-    trace's columns are read through memoryviews, which yield Python ints.
+    resolves the backlogged links.  A queued packet is one int, with no
+    tuple or record per packet.  Each packet's first link and initial heap
+    key are int64 columns built before the loop and read through
+    memoryviews, which yield Python ints; a delivery appends its packet's
+    rank and round, and the delivery columns and the backlog series are
+    derived from those and the trace's columns after the loop.  A run whose
+    keys could leave int64, (rounds + longest route + 1) * (packets + 1)
+    >= 2**63, is refused before anything is sized by `rounds`.
     """
     coef = POLICIES.get(policy.lower())
     if coef is None:
@@ -161,26 +166,32 @@ def run(
     # the packets injected before `rounds`: the trace is sorted by round,
     # so they are its first `count`, and packet ptr is the next due
     count = int(np.searchsorted(trace.rounds, rounds))
-    ids = trace.ids[:count]
+    routes = trace.routes
+    lengths = np.array([len(rt) for rt in routes], dtype=np.int64)
+    if (rounds + int(lengths.max(initial=0)) + 1) * (count + 1) >= 2**63:
+        raise ParameterError(f"{rounds} rounds overflow the int64 queue keys at packet count {count}")
     # Each queued packet is one int, key * count + rank, where rank is the
     # packet id's rank among the run's ids: int order is (key, id) order,
     # negative keys included, so the head of a link's heap is the policy's
-    # choice, and a forward adds step to it.  rank maps an injection index
-    # to its rank and by_rank back; route_by_rank holds each packet's route
-    # tuple from the trace's table, and hops and stamp, indexed by rank,
-    # count a packet's completed hops and number its last push, so sorting
-    # a queue by stamp restores arrival order.
-    order = np.argsort(ids)
-    rank = np.empty(count, dtype=np.int64)
-    rank[order] = np.arange(count)
-    routes = trace.routes
-    route_by_rank = [routes[j] for j in trace.route_of[order].tolist()]
-    rank, by_rank = memoryview(rank), memoryview(order)
-    del ids, order
-    injected_round, packet_id = memoryview(trace.rounds), memoryview(trace.ids)
+    # choice, and a forward adds step to it.  first and key hold each
+    # injection's first link and initial int; by_rank maps a rank to its
+    # injection index, route_by_rank holds each packet's route tuple from
+    # the trace's table, and hops and stamp, indexed by rank, count a
+    # packet's completed hops and number its last push, so sorting a queue
+    # by stamp restores arrival order.
+    at_round, at_hops, at_length = coef
+    route_of = trace.route_of[:count]
+    order = np.argsort(trace.ids[:count])
+    key = at_round * trace.rounds[:count] + at_length * lengths[route_of]
+    key *= count
+    key[order] += np.arange(count)
+    first = np.array([rt[0] for rt in routes], dtype=np.int64)[route_of]
+    route_by_rank = [routes[j] for j in route_of[order].tolist()]
+    del lengths, route_of
+    first, key, by_rank = memoryview(first), memoryview(key), memoryview(order)
+    injected_round = memoryview(trace.rounds)
     hops = array("q", [0]) * count
     stamp = array("q", [0]) * count
-    at_round, at_hops, at_length = coef
     step = at_hops * count
     ptr = 0
     due = injected_round[0] if count else -1
@@ -194,61 +205,53 @@ def run(
     row_of, link_of = schedule.round_of[:stop], schedule.link_of[:stop]
     pattern = np.zeros((m, span), dtype=bool)
     pattern[link_of, row_of] = True
-    # clean[r]: every link of row r wins with the whole row transmitting
+    # plan[r] is row r itself when every link of it wins with the whole row
+    # transmitting, else None
     lost = row_of[~resolve_rows(g, row_of, link_of, span)]
     clean = (np.bincount(lost, minlength=span) == 0).tolist() or [True]
     links = link_of.tolist()
     ends = np.cumsum(np.bincount(row_of, minlength=span)).tolist()
     rows = [links[a:b] for a, b in zip([0] + ends, ends)] or [[]]
+    plan = [row if ok else None for row, ok in zip(rows, clean)]
     period = len(rows)
-    del row_of, link_of, lost, links
+    del row_of, link_of, lost, links, clean
     # (link, start, end) of every closed backlogged stretch, link * rounds +
-    # round of every success, and the three delivery columns
+    # round of every success, and the rank and round of every delivery
     stretches = array("q")
     events = array("q")
-    delivered_ids = array("q")
-    injected_at = array("q")
+    delivered_rank = array("q")
     delivered_at = array("q")
-    backlog_series = array("q", [0]) * rounds
     max_queue_series = array("q", [0]) * rounds
-    queued = 0
     arrivals = 0
     # Incremental view of the queues, so a round costs O(activity), not
     # O(links): since[e] is the first round of link e's current backlogged
     # stretch (present iff its queue is nonempty), length_count[n] is the
-    # number of queues of length n >= 1 (the list grows by one slot when a
-    # queue first reaches a new length), and longest is the largest n with
+    # number of queues of length n >= 1, and longest is the largest n with
     # length_count[n] > 0, or 0.  Pushes and pops update all three inline.
     since: dict[int, int] = {}
-    length_count = [0]
+    length_count = [0] * (count + 2)
     longest = 0
 
     for r in range(rounds):
         if r == due:
-            first = ptr
             while due == r:
-                k = rank[ptr]
-                route = route_by_rank[k]
-                e = route[0]
+                e = first[ptr]
                 q = queues[e]
                 n = len(q)
-                heappush(q, (at_round * r + at_length * len(route)) * count + k)
-                stamp[k] = arrivals
+                x = key[ptr]
+                heappush(q, x)
+                stamp[x % count] = arrivals
                 arrivals += 1
                 if n:
                     length_count[n] -= 1
                 else:
                     since[e] = r
                 n += 1
-                if n == len(length_count):
-                    length_count.append(1)
-                else:
-                    length_count[n] += 1
+                length_count[n] += 1
                 if n > longest:
                     longest = n
                 ptr += 1
                 due = injected_round[ptr] if ptr < count else -1
-            queued += ptr - first
 
         # a clean row's links all win, and none of them is the next link of
         # another's packet (its tail would transmit over that link's head),
@@ -257,9 +260,8 @@ def run(
         # head is silent, so a packet forwarded this round never joins the
         # queue of a later winner.
         at = r % period
-        if clean[at]:
-            winners = rows[at]
-        else:
+        winners = plan[at]
+        if winners is None:
             winners = [e for e in rows[at] if queues[e]]
             if winners:
                 winners = successful_links(g, winners)
@@ -281,11 +283,8 @@ def run(
             route = route_by_rank[k]
             h = hops[k] + 1
             if h == len(route):
-                i = by_rank[k]
-                delivered_ids.append(packet_id[i])
-                injected_at.append(injected_round[i])
+                delivered_rank.append(k)
                 delivered_at.append(r)
-                queued -= 1
                 continue
             hops[k] = h
             # a forwarded packet waits at its next link from round r + 1
@@ -300,34 +299,39 @@ def run(
             else:
                 since[nxt] = r + 1
             n += 1
-            if n == len(length_count):
-                length_count.append(1)
-            else:
-                length_count[n] += 1
+            length_count[n] += 1
             if n > longest:
                 longest = n
-        backlog_series[r] = queued
         max_queue_series[r] = longest
+    del first, key, hops, route_by_rank, length_count
     for e, start in since.items():
         if start < rounds:  # a packet forwarded in the last round waits past the run
             stretches.extend((e, start, rounds))
     spans = np.frombuffer(stretches, dtype=np.int64).reshape(-1, 3)
+    done = order[np.frombuffer(delivered_rank, dtype=np.int64)]
+    delivered_rounds = np.frombuffer(delivered_at, dtype=np.int64)
+    # the backlog at the end of round r: injections up to r less deliveries
+    # up to r
+    backlog = np.bincount(trace.rounds[:count], minlength=rounds)
+    backlog -= np.bincount(delivered_rounds, minlength=rounds)
+    packet_id = memoryview(trace.ids)
 
     def arrival_order(q):
         return tuple(packet_id[by_rank[k]] for k in sorted((x % count for x in q), key=stamp.__getitem__))
 
-    # views of the array buffers, with no copy, except the sorted ones
+    # views of the array buffers, with no copy, except the sorted and the
+    # derived ones
     return RunMetrics(
         rounds=rounds,
         pattern=pattern,
         stretches=spans[np.argsort(spans[:, 0] * rounds + spans[:, 1])],
         success_events=np.sort(np.frombuffer(events, dtype=np.int64)),
-        per_round_backlog=np.frombuffer(backlog_series, dtype=np.int64),
+        per_round_backlog=np.cumsum(backlog, dtype=np.int64),
         per_round_max_queue=np.frombuffer(max_queue_series, dtype=np.int64),
-        delivered_ids=np.frombuffer(delivered_ids, dtype=np.int64),
-        injection_rounds=np.frombuffer(injected_at, dtype=np.int64),
-        delivered_rounds=np.frombuffer(delivered_at, dtype=np.int64),
-        undelivered_count=len(trace) - len(delivered_ids),
+        delivered_ids=trace.ids[done],
+        injection_rounds=trace.rounds[done],
+        delivered_rounds=delivered_rounds,
+        undelivered_count=len(trace) - len(done),
         final_queues=tuple(arrival_order(q) if q else () for q in queues),
     )
 

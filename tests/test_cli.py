@@ -523,6 +523,15 @@ class TestExitCodes:
         assert not out
         assert err == f"error: {message}\n"
 
+    def test_rounds_past_int64_keys_is_parameter_error(self, path3_file, tmp_path, capsys):
+        sched, trace = tmp_path / "sched.txt", tmp_path / "trace.txt"
+        sched.write_text("schedule period=4 links=4\n0\n1\n2\n3\n")
+        trace.write_text("# horizon 0\ninject 0 0 0\n")
+        assert main(["simulate", path3_file, str(sched), str(trace), "--rounds", str(2**62)]) == 3
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"error: {2**62} rounds overflow the int64 queue keys at packet count 1\n"
+
     def test_schedule_for_fewer_links_is_parameter_error(self, path3_file, tmp_path, capsys):
         # the path has 4 links; a schedule for 2 of them never serves links 2 and 3
         sched = tmp_path / "sched.txt"

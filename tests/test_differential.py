@@ -1105,14 +1105,21 @@ class TestRunMatchesRescan:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_sparse_shuffled_ids(self, data):
-        # ids drawn apart from injection order, so a packet's id rank is
-        # not its injection index and key ties go to the smaller id
+        # ids drawn apart from injection order and anywhere in int64, so a
+        # packet's id rank is not its injection index, key ties go to the
+        # smaller id, and the delivery columns and backlog series that run
+        # derives after its loop meet the extremes
         g = data.draw(networks(max_nodes=6))
         sched = data.draw(schedules_for(g))
         routes = data.draw(route_sets(g))
         adv = AdversaryConfig(data.draw(rates), data.draw(st.integers(1, 5)))
         trace = gen_leaky_bucket(g, routes, adv, data.draw(st.integers(0, 40)), data.draw(st.integers(0, 10**6)))
-        ids = data.draw(st.lists(st.integers(0, 2**62 - 1), min_size=len(trace), max_size=len(trace), unique=True))
+        extremes = st.sampled_from([-(2**63), -1, 0, 2**63 - 1])
+        ids = data.draw(
+            st.lists(
+                extremes | st.integers(-(2**63), 2**63 - 1), min_size=len(trace), max_size=len(trace), unique=True
+            )
+        )
         if ids == sorted(ids):
             ids.reverse()
         trace = trace_from_packets(

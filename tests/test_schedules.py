@@ -188,6 +188,17 @@ class TestFlatActivations:
         with pytest.raises(ValueError):
             s.round_of[0] = 1
 
+    def test_strictly_sorted_activations_held_as_given(self):
+        # schedule_from_selector passes its ones in strict (round, link)
+        # order; they are neither sorted again nor copied
+        rounds, links = np.array([0, 0, 2]), np.array([1, 3, 0])
+        s = schedules.TransmissionSchedule(rounds, links, 3, 4)
+        assert s.round_of is rounds and s.link_of is links and not rounds.flags.writeable
+        assert s.active == ((1, 3), (), (0,))
+        # a repeat is not strict order: it is sorted and dropped
+        s = schedules.TransmissionSchedule(np.array([0, 0, 2]), np.array([1, 1, 0]), 3, 4)
+        assert s.active == ((1,), (), (0,))
+
     def test_equality(self):
         # a schedule is its period, link count, claim and activations
         def fields(s):

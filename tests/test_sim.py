@@ -336,6 +336,40 @@ class TestSparseRecord:
         assert long_count - short_count >= 1000
         assert (long_bytes - short_bytes) / (long_count - short_count) < 56
 
+    def test_run_peak(self):
+        # one run of the benchmark's overloaded clique: about 290 kB at peak,
+        # of which the int64 key and first-link columns take 46 kB; held as
+        # Python lists they take it past 500 kB
+        sc = gen_clique_scenario(3, Fraction(1, 31), 2400)
+        sched = schedule_from_coloring(exact_chromatic(build_conflict_graph(sc.g)))
+        run(sc.g, sched, "lis", sc.trace, 12)  # any one-time cost falls outside the trace
+        tracemalloc.start()
+        try:
+            metrics = run(sc.g, sched, "lis", sc.trace, 2400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert metrics.delivered_count == 2400 and peak < 320_000
+
+    def test_keys_past_int64_refused_before_allocation(self):
+        # one packet of one hop: (rounds + 2) * 2 reaches 2**63 at rounds =
+        # 2**62 - 2, refused before any array sized by the rounds; one round
+        # fewer passes the guard, and its rounds-long series cannot be held
+        g = path_graph(2)
+        sched = schedule_from_rows(((0,),), 2, None)
+        tr = trace_of([(0, 0, (0,))], 0)
+        tracemalloc.start()
+        try:
+            for rounds in (2**62, 2**62 - 2):
+                with pytest.raises(ParameterError, match="int64"):
+                    run(g, sched, "lis", tr, rounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        with pytest.raises(MemoryError):
+            run(g, sched, "lis", tr, 2**62 - 3)
+
     def test_long_run_memory(self):
         # 120 links x 20k rounds with traffic throughout: one dense bool view
         # is 2.4 MB, one int64 links x rounds array 19.2 MB
