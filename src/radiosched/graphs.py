@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, SizeError
+from .errors import FormatError, ParameterError, SizeError, reads_format
 from .selectors import parse_count
 
 
@@ -281,14 +281,6 @@ def resolve_rows(g: NetworkGraph, row_of, link_of, nrows: int) -> np.ndarray:
     return won
 
 
-def successful_links(g: NetworkGraph, candidates) -> tuple[int, ...]:
-    """Resolve one synchronous round: the winners among `candidates`, the
-    link indices that attempt transmission, by `resolve_rows` on one row."""
-    cand = sorted(set(candidates))
-    won = resolve_rows(g, [0] * len(cand), cand, 1)
-    return tuple(i for i, w in zip(cand, won.tolist()) if w)
-
-
 # ---------------------------------------------------------------------------
 # coloring
 
@@ -430,10 +422,11 @@ def write_graph(g: NetworkGraph, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@reads_format
 def read_graph(path) -> NetworkGraph:
     node_count = None
     edges = []
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -450,7 +443,4 @@ def read_graph(path) -> NetworkGraph:
             raise FormatError(f"line {ln}: expected 'nodes <count>' or 'edge <a> <b>'")
     if node_count is None:
         raise FormatError("missing 'nodes <count>' header")
-    try:
-        return from_undirected_edges(node_count, edges)
-    except ParameterError as exc:
-        raise FormatError(str(exc)) from exc
+    return from_undirected_edges(node_count, edges)

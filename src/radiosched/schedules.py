@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import coloring_threshold, uss_threshold
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, reads_format
 from .graphs import Coloring, NetworkGraph, conflict_in_degree, resolve_rows
 from .selectors import SelectorMatrix, format_fraction, parse_count, parse_fraction, parse_header
 
@@ -82,12 +82,18 @@ class TransmissionSchedule:
                 raise ParameterError("claimed frequency needs 0 < rho <= 1 and T >= 1")
             object.__setattr__(self, "claimed_frequency", (Fraction(rho), int(T)))
 
+    def rows(self, count: int) -> list[tuple[int, ...]]:
+        """Rounds 0 .. count-1, count <= period, each as its sorted links."""
+        if not 0 <= count <= self.period:
+            raise ParameterError(f"row count {count} outside [0, {self.period}]")
+        bounds = np.searchsorted(self.round_of, np.arange(count + 1)).tolist()
+        links = self.link_of[: bounds[-1]].tolist()
+        return [tuple(links[a:b]) for a, b in zip(bounds, bounds[1:])]
+
     @cached_property
     def active(self) -> tuple[tuple[int, ...], ...]:
         """Each round's links as a sorted tuple, built on first read and kept."""
-        links = self.link_of.tolist()
-        bounds = np.searchsorted(self.round_of, np.arange(self.period + 1)).tolist()
-        return tuple(tuple(links[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return tuple(self.rows(self.period))
 
     def rotated(self, offset: int) -> "TransmissionSchedule":
         """The schedule whose round r is round r + offset of this one."""
@@ -208,12 +214,13 @@ def write_schedule(schedule: TransmissionSchedule, path) -> None:
     if schedule.claimed_frequency is not None:
         rho, T = schedule.claimed_frequency
         header += f" rho={format_fraction(rho)} T={T}"
-    lines = [header] + [" ".join(str(i) for i in row) for row in schedule.active]
+    lines = [header] + [" ".join(str(i) for i in row) for row in schedule.rows(schedule.period)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@reads_format
 def read_schedule(path) -> TransmissionSchedule:
-    text = Path(path).read_text().splitlines()
+    text = Path(path).read_text(encoding="utf-8").splitlines()
     fields = parse_header(text[0] if text else "", "schedule", ("period", "links"))
     period, links = parse_count(fields["period"]), parse_count(fields["links"])
     body = text[1:]
@@ -230,7 +237,4 @@ def read_schedule(path) -> TransmissionSchedule:
     claimed = None
     if "rho" in fields:
         claimed = (parse_fraction(fields["rho"]), parse_count(fields["T"]))
-    try:
-        return schedule_from_rows(rows, links, claimed)
-    except ParameterError as exc:
-        raise FormatError(str(exc)) from exc
+    return schedule_from_rows(rows, links, claimed)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConstructionError, FormatError, ParameterError, SizeError
+from .errors import ConstructionError, FormatError, ParameterError, SizeError, reads_format
 
 SUBSET_BUDGET = 2_000_000
 # random_uss: matrices drawn before giving up, and pairs per sample check
@@ -390,8 +390,9 @@ def write_selector(m: SelectorMatrix, path) -> None:
             f.write(text.tobytes().decode())
 
 
+@reads_format
 def read_selector(path) -> SelectorMatrix:
-    with Path(path).open() as f:
+    with Path(path).open(encoding="utf-8") as f:
         # the non-blank lines, split as str.splitlines splits the whole text
         lines = (ln for raw in f for ln in raw.splitlines() if ln.strip())
         fields = parse_header(next(lines, ""), "uss", ("n", "t"))
@@ -417,8 +418,5 @@ def read_selector(path) -> SelectorMatrix:
     row_of = np.repeat(np.arange(t), sizes)
     claimed_k = parse_count(fields["k"]) if "k" in fields else None
     claimed_eps = parse_fraction(fields["eps"]) if "eps" in fields else None
-    try:
-        col_of = np.frombuffer(cols, dtype=np.int64)
-        return SelectorMatrix(row_of, col_of, t, n, claimed_k=claimed_k, claimed_eps=claimed_eps)
-    except ParameterError as exc:
-        raise FormatError(str(exc)) from exc
+    col_of = np.frombuffer(cols, dtype=np.int64)
+    return SelectorMatrix(row_of, col_of, t, n, claimed_k=claimed_k, claimed_eps=claimed_eps)

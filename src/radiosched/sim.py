@@ -14,12 +14,13 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
-from .graphs import NetworkGraph, resolve_rows, successful_links
+from .graphs import NetworkGraph, resolve_rows
 from .schedules import TransmissionSchedule
 from .traffic import AdversaryConfig, InjectionTrace, check_routes
 
@@ -45,21 +46,20 @@ class RunMetrics:
     """What one simulation produced, in memory that grows with links,
     rounds and events, not with links x rounds.
 
-    `pattern` is the schedule's active sets over its first
-    `min(period, rounds)` rounds, a (link_count, span) bool array; round r
-    uses column r % span.  `stretches` holds the rounds in which a link's
-    queue was nonempty after the injection phase, as int64 rows
-    (link, start, end) of half-open stretches [start, end), sorted by link
-    and then start; stretches are disjoint and nonempty but may touch.
-    `success_events` is the sorted int64 array of link * rounds + round
-    over every successful transmission.  `per_round_backlog` is the total
-    queued packet count at the end of each round.  `delivered_ids`,
-    `injection_rounds` and `delivered_rounds` are three int64 columns with
-    one entry per delivered packet, in delivery order, so a delivery costs
-    24 bytes and no Python object.  `undelivered_count` counts trace
-    packets not delivered within the simulated rounds, including any whose
-    injection round was never reached.  `final_queues` lists each link's
-    queued packet ids in arrival order.
+    `schedule` is the `TransmissionSchedule` the run used; round r ran its
+    round r % period.  `stretches` holds the rounds in which a link's queue
+    was nonempty after the injection phase, as int64 rows (link, start, end)
+    of half-open stretches [start, end), sorted by link and then start;
+    stretches are disjoint and nonempty but may touch.  `success_events` is
+    the sorted int64 array of link * rounds + round over every successful
+    transmission.  `per_round_backlog` is the total queued packet count at
+    the end of each round.  `delivered_ids`, `injection_rounds` and
+    `delivered_rounds` are three int64 columns with one entry per delivered
+    packet, in delivery order, so a delivery costs 24 bytes and no Python
+    object.  `undelivered_count` counts trace packets not delivered within
+    the simulated rounds, including any whose injection round was never
+    reached.  `final_queues` lists each link's queued packet ids in arrival
+    order.
 
     The dense (link_count, rounds) bool views `active`, `backlogged` and
     `success` are built on each read and kept by nothing.  `attempted` is
@@ -68,7 +68,7 @@ class RunMetrics:
     """
 
     rounds: int
-    pattern: np.ndarray
+    schedule: TransmissionSchedule
     stretches: np.ndarray
     success_events: np.ndarray
     per_round_backlog: np.ndarray
@@ -81,14 +81,15 @@ class RunMetrics:
 
     @property
     def link_count(self) -> int:
-        return self.pattern.shape[0]
+        return self.schedule.link_count
 
     @property
     def active(self) -> np.ndarray:
-        span = self.pattern.shape[1]
-        if not span:
-            return np.zeros((self.link_count, self.rounds), dtype=bool)
-        return np.tile(self.pattern, -(-self.rounds // span))[:, : self.rounds]
+        span = min(self.schedule.period, self.rounds) or 1  # a period of 0 tiles one idle round
+        stop = np.searchsorted(self.schedule.round_of, span)
+        pattern = np.zeros((self.link_count, span), dtype=bool)
+        pattern[self.schedule.link_of[:stop], self.schedule.round_of[:stop]] = True
+        return np.tile(pattern, -(-self.rounds // span))[:, : self.rounds]
 
     @property
     def backlogged(self) -> np.ndarray:
@@ -139,19 +140,19 @@ def run(
     This is the package's one simulation kernel; every command and check
     that simulates calls it.  A round costs one pass over its schedule row,
     and each event (an injection, a forward or a delivery) O(log queue).
-    Its `min(period, rounds)` rows, cut from the schedule's sorted
-    activations by one `searchsorted`, are resolved once by `resolve_rows`.
-    The radio rule is monotone (a link that wins with its whole row wins in
-    every subset holding it), so on a clean row, whose links all win
-    together, every backlogged link wins; elsewhere `successful_links`
-    resolves the backlogged links.  A queued packet is one int, with no
-    tuple or record per packet.  Each packet's first link and initial heap
-    key are int64 columns built before the loop and read through
-    memoryviews, which yield Python ints; a delivery appends its packet's
-    rank and round, and the delivery columns and the backlog series are
-    derived from those and the trace's columns after the loop.  A run whose
-    keys could leave int64, (rounds + longest route + 1) * (packets + 1)
-    >= 2**63, is refused before anything is sized by `rounds`.
+    Its `min(period, rounds)` rows are read by the schedule's `rows` and
+    resolved once by `resolve_rows`.  The radio rule is monotone (a link
+    that wins with its whole row wins in every subset holding it), so on a
+    clean row, whose links all win together, every backlogged link wins;
+    elsewhere `resolve_rows` resolves the backlogged links as one row.  A
+    queued packet is one int, with no tuple or record per packet.  Each
+    packet's first link and initial heap key are int64 columns built before
+    the loop and read through memoryviews, which yield Python ints; a
+    delivery appends its packet's rank and round, and the delivery columns
+    and the backlog series are derived from those and the trace's columns
+    after the loop.  A run whose keys could leave int64, (rounds + longest
+    route + 1) * (packets + 1) >= 2**63, is refused before anything is sized
+    by `rounds`.
     """
     coef = POLICIES.get(policy.lower())
     if coef is None:
@@ -197,24 +198,17 @@ def run(
     due = injected_round[0] if count else -1
 
     queues: list[list[int]] = [[] for _ in range(m)]
-    # the activations of the rounds the run reaches; rows[r] lists row r's
-    # links in ascending order, and an empty schedule reads as one empty,
-    # clean row
+    # the rows of the rounds the run reaches (an empty schedule reads as one
+    # empty, clean row); plan[r] is row r itself when every link of it wins
+    # with the whole row transmitting, else None
     span = min(schedule.period, rounds)
     stop = np.searchsorted(schedule.round_of, span)
-    row_of, link_of = schedule.round_of[:stop], schedule.link_of[:stop]
-    pattern = np.zeros((m, span), dtype=bool)
-    pattern[link_of, row_of] = True
-    # plan[r] is row r itself when every link of it wins with the whole row
-    # transmitting, else None
-    lost = row_of[~resolve_rows(g, row_of, link_of, span)]
+    row_of = schedule.round_of[:stop]
+    lost = row_of[~resolve_rows(g, row_of, schedule.link_of[:stop], span)]
     clean = (np.bincount(lost, minlength=span) == 0).tolist() or [True]
-    links = link_of.tolist()
-    ends = np.cumsum(np.bincount(row_of, minlength=span)).tolist()
-    rows = [links[a:b] for a, b in zip([0] + ends, ends)] or [[]]
+    rows = schedule.rows(span) or [()]
     plan = [row if ok else None for row, ok in zip(rows, clean)]
     period = len(rows)
-    del row_of, link_of, lost, links, clean
     # (link, start, end) of every closed backlogged stretch, link * rounds +
     # round of every success, and the rank and round of every delivery
     stretches = array("q")
@@ -264,7 +258,7 @@ def run(
         if winners is None:
             winners = [e for e in rows[at] if queues[e]]
             if winners:
-                winners = successful_links(g, winners)
+                winners = compress(winners, resolve_rows(g, [0] * len(winners), winners, 1).tolist())
         for e in winners:
             q = queues[e]
             n = len(q)
@@ -323,7 +317,7 @@ def run(
     # derived ones
     return RunMetrics(
         rounds=rounds,
-        pattern=pattern,
+        schedule=schedule,
         stretches=spans[np.argsort(spans[:, 0] * rounds + spans[:, 1])],
         success_events=np.sort(np.frombuffer(events, dtype=np.int64)),
         per_round_backlog=np.cumsum(backlog, dtype=np.int64),

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, reads_format
 from .graphs import NetworkGraph, clique_graph, from_undirected_edges
 from .selectors import parse_count
 
@@ -516,10 +516,11 @@ def write_trace(tr: InjectionTrace, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@reads_format
 def read_trace(path) -> InjectionTrace:
     horizon = None
     rounds, ids, route_of, table = [], [], [], {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = raw.strip()
         if stripped.startswith("#"):
             parts = stripped[1:].split()
@@ -541,7 +542,4 @@ def read_trace(path) -> InjectionTrace:
         route_of.append(table.setdefault(route, len(table)))
     if horizon is None:
         horizon = max(rounds, default=0)
-    try:
-        return InjectionTrace(rounds, ids, route_of, tuple(table), horizon)
-    except ParameterError as exc:
-        raise FormatError(str(exc)) from exc
+    return InjectionTrace(rounds, ids, route_of, tuple(table), horizon)

@@ -3,7 +3,10 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -637,6 +640,36 @@ class TestExitCodes:
         assert main(argv) == 3
         assert "intensity" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("conflict-graph {bad}", "nodes 2\nedge 0 1 # \xff\n"),
+            ("validate-trace {bad} --rho 1/2 --burst 1", "# horizon 1\ninject 0 0 0 \xff\n"),
+            ("verify-selector {bad}", "uss n=2 t=1\n1\xff\n"),
+            ("schedule verify {g} {bad}", "schedule period=1 links=4\n0 \xff\n"),
+        ],
+    )
+    def test_non_utf8_file_is_format_error(self, path3_file, tmp_path, capsys, command, text):
+        # each reader meets the byte 0xff, which no UTF-8 text holds
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(text.encode("latin-1"))
+        assert main(command.format(g=path3_file, bad=bad).split()) == 3
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == "error: not UTF-8 text: invalid start byte\n"
+
+    def test_files_are_read_as_utf8_in_any_locale(self, tmp_path):
+        # under the POSIX locale with UTF-8 mode off, Python's default text
+        # encoding is ASCII; a UTF-8 comment still reads
+        g = tmp_path / "graph.txt"
+        g.write_bytes("nodes 2\nedge 0 1 # café\n".encode())
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONPATH": src}
+        argv = [sys.executable, "-m", "radiosched.cli", "conflict-graph", str(g)]
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert b"links: 2\n" in done.stdout
 
     def test_missing_file(self, capsys):
         assert main(["conflict-graph", "no-such-file.txt"]) == 3

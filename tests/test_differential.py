@@ -40,7 +40,6 @@ from radiosched.graphs import (
     path_graph,
     random_network,
     resolve_rows,
-    successful_links,
 )
 from radiosched.schedules import (
     FrequencyReport,
@@ -756,16 +755,18 @@ class TestGreedyColoringMatchesClosure:
         assert all(type(c) is int for c in got.colors)
 
 
-class TestSuccessfulLinksMatchesCounter:
+class TestResolveRowsMatchesCounter:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_same_winners(self, data):
+    def test_one_row(self, data):
+        # the call `run` makes on a contended round: one row of sorted,
+        # distinct links
         g = data.draw(networks(max_nodes=12) | sparse_id_networks(max_nodes=12))
         cands = data.draw(st.lists(st.integers(0, g.link_count - 1), max_size=2 * g.link_count))
-        assert successful_links(g, cands) == ref_successful_links(g, cands)
+        row = sorted(set(cands))
+        won = resolve_rows(g, [0] * len(row), row, 1).tolist()
+        assert tuple(i for i, w in zip(row, won) if w) == ref_successful_links(g, cands)
 
-
-class TestResolveRowsMatchesCounter:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_rows_at_once(self, data):
@@ -792,8 +793,7 @@ class TestResolveRowsMatchesCounter:
         row_of, link_of = sched.round_of, sched.link_of
         won = resolve_rows(g, row_of, link_of, len(rows))
         for r, row in enumerate(rows):
-            want = ref_successful_links(g, row)
-            assert tuple(link_of[(row_of == r) & won].tolist()) == want == successful_links(g, row)
+            assert tuple(link_of[(row_of == r) & won].tolist()) == ref_successful_links(g, row)
 
     def test_key_overflow_refused(self):
         g = path_graph(3)
@@ -874,6 +874,9 @@ class TestScheduleRowsMatchPerElement:
         want = ref_schedule_active(rows, m)
         got = outcome(lambda: schedule_from_rows(rows, m, None).active)
         assert got == want
+        if not isinstance(want, str):
+            sched = schedule_from_rows(rows, m, None)
+            assert [sched.rows(c) for c in range(len(rows) + 1)] == [list(want[:c]) for c in range(len(rows) + 1)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -1150,9 +1153,9 @@ class TestRunMemoMatchesRescan:
     @given(st.data())
     def test_repeated_rows(self, data):
         # rows drawn from a pool of two, so candidate sets recur while the
-        # backlogs change under them; the rule runs once per round whose row
-        # is not clean and has a nonempty candidate set, and never on a
-        # clean row
+        # backlogs change under them; the rule runs once on the rows the run
+        # reaches, then once per round whose row is not clean and has a
+        # nonempty candidate set, and never on a clean row
         g = data.draw(networks(max_nodes=8))
         pool = [tuple(data.draw(st.sets(st.integers(0, g.link_count - 1)))) for _ in range(2)]
         rows = tuple(data.draw(st.sampled_from(pool)) for _ in range(data.draw(st.integers(1, 8))))
@@ -1162,14 +1165,14 @@ class TestRunMemoMatchesRescan:
         trace = gen_leaky_bucket(g, routes, adv, data.draw(st.integers(0, 40)), data.draw(st.integers(0, 10**6)))
         policy = data.draw(st.sampled_from(sorted(POLICIES)))
         rounds = data.draw(st.integers(1, 60))
-        with mock.patch.object(sim, "successful_links", wraps=successful_links) as rule:
+        with mock.patch.object(sim, "resolve_rows", wraps=resolve_rows) as rule:
             got = run(g, sched, policy, trace, rounds)
         want = ref_run(g, sched, policy, trace, rounds)
         assert_metrics_equal(got, want)
         active = sched.active
         clean = [ref_successful_links(g, row) == row for row in active]
         resolved = [r for r, col in enumerate(want.attempted.T) if col.any() and not clean[r % len(active)]]
-        assert rule.call_count == len(resolved)
+        assert rule.call_count == 1 + len(resolved)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -1243,7 +1246,7 @@ class TestFailureAccountingMatchesDense:
         stretches = [(0, 0, 2), (0, 2, 3), (0, 3, 5), (1, 1, 2), (1, 4, 6)]
         metrics = RunMetrics(
             rounds=6,
-            pattern=np.zeros((3, 1), dtype=bool),
+            schedule=schedule_from_rows(((),), 3, None),
             stretches=np.array(stretches, dtype=np.int64),
             success_events=np.zeros(0, dtype=np.int64),
             per_round_backlog=np.zeros(6, dtype=np.int64),
@@ -1280,7 +1283,7 @@ class TestFailureAccountingMatchesDense:
                 rows += [(e, lo, hi) for lo, hi in zip(ends, ends[1:])]
         metrics = RunMetrics(
             rounds=rounds,
-            pattern=np.zeros((m, 1), dtype=bool),
+            schedule=schedule_from_rows(((),), m, None),
             stretches=np.array(rows, dtype=np.int64).reshape(-1, 3),
             success_events=np.flatnonzero(success),
             per_round_backlog=np.zeros(rounds, dtype=np.int64),

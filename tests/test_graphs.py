@@ -33,6 +33,13 @@ def reception_oracle(g, transmitting_links):
     return delivered
 
 
+def one_row_winners(g, cand):
+    """The winners among the sorted, distinct links `cand` when exactly they
+    transmit, by `resolve_rows` on one row."""
+    won = graphs.resolve_rows(g, [0] * len(cand), cand, 1)
+    return [i for i, w in zip(cand, won.tolist()) if w]
+
+
 def oracle_blocks(g):
     """Link a blocks link b iff b alone succeeds but fails alongside a."""
     m = g.link_count
@@ -92,20 +99,19 @@ class TestConflictGraph:
 
     @settings(max_examples=60, deadline=None)
     @given(networks_strategy(), st.integers(0, 10**6))
-    def test_successful_links_matches_rule(self, g, seed):
+    def test_one_row_matches_rule(self, g, seed):
         import random
 
         rng = random.Random(seed)
         cand = [i for i in range(g.link_count) if rng.random() < 0.5]
-        got = set(graphs.successful_links(g, cand))
-        assert got == reception_oracle(g, set(cand))
+        assert set(one_row_winners(g, cand)) == reception_oracle(g, set(cand))
 
     def test_successes_are_conflict_independent(self):
         g = graphs.random_network(7, 9, seed=5)
         h = graphs.build_conflict_graph(g)
         for r in range(64):
             cand = [i for i in range(g.link_count) if (r >> (i % 6)) & 1 or (i * 7 + r) % 3 == 0]
-            succ = graphs.successful_links(g, cand)
+            succ = one_row_winners(g, cand)
             for a, b in itertools.combinations(succ, 2):
                 assert b not in h.blocks[a] and a not in h.blocks[b]
 

@@ -188,6 +188,13 @@ class TestFlatActivations:
         with pytest.raises(ValueError):
             s.round_of[0] = 1
 
+    def test_rows_within_the_period(self):
+        s = schedules.TransmissionSchedule([2, 0, 2, 0], [1, 3, 0, 3], 3, 4)
+        assert s.rows(0) == [] and s.rows(2) == [(3,), ()] and s.rows(3) == [(3,), (), (0, 1)]
+        for count in (-1, 4):
+            with pytest.raises(ParameterError, match=f"row count {count} outside"):
+                s.rows(count)
+
     def test_strictly_sorted_activations_held_as_given(self):
         # schedule_from_selector passes its ones in strict (round, link)
         # order; they are neither sorted again nor copied

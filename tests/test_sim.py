@@ -14,12 +14,14 @@ from radiosched.errors import ParameterError
 from radiosched.graphs import (
     build_conflict_graph,
     clique_graph,
+    conflict_in_degree,
     exact_chromatic,
     greedy_coloring,
     path_graph,
     random_network,
 )
-from radiosched.schedules import schedule_from_coloring, schedule_from_rows
+from radiosched.schedules import schedule_from_coloring, schedule_from_rows, schedule_from_selector
+from radiosched.selectors import poly_uss
 from radiosched.sim import failure_accounting, run, stability_verdict
 from radiosched.traffic import (
     AdversaryConfig,
@@ -350,6 +352,26 @@ class TestSparseRecord:
         finally:
             tracemalloc.stop()
         assert metrics.delivered_count == 2400 and peak < 320_000
+
+    def test_selector_record_size(self):
+        # 240 links under poly_uss(240, 20), whose period of 6,889 rounds the
+        # run outlasts: a links x period bool array alone would be 1.65 MB,
+        # while the record holds the schedule by reference and its own
+        # columns grow with rounds and events
+        g = random_network(60, 120, seed=1, max_degree=4)
+        sched = schedule_from_selector(poly_uss(g.link_count, conflict_in_degree(g) + 1), g)
+        adv = AdversaryConfig(sched.claimed_frequency[0] * Fraction(15, 16), 2)
+        rounds = 7_000
+        trace = gen_leaky_bucket(g, random_routes(g, 30, 3, seed=1), adv, rounds, seed=1)
+        run(g, sched, "lis", trace, 12)  # any one-time cost falls outside the trace
+        tracemalloc.start()
+        try:
+            metrics = run(g, sched, "lis", trace, rounds)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sched.period < rounds and metrics.delivered_count > 900
+        assert held < 1_000_000
 
     def test_keys_past_int64_refused_before_allocation(self):
         # one packet of one hop: (rounds + 2) * 2 reaches 2**63 at rounds =
