@@ -109,7 +109,7 @@ def cmd_conflict_graph(args) -> tuple[dict | None, int]:
     h = build_conflict_graph(g)
     rep = degree_bound_check(g)
     return {
-        "nodes": len(g.nodes),
+        "nodes": g.node_count,
         "links": g.link_count,
         "conflicts": sum(len(b) for b in h.blocks),
         "degree": rep.delta_g,

@@ -17,6 +17,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import index
 from pathlib import Path
 
 import numpy as np
@@ -27,28 +28,27 @@ from .selectors import parse_count
 
 @dataclass(frozen=True)
 class NetworkGraph:
-    """Directed symmetric graph with indexed links.
+    """Directed symmetric graph on nodes 0 .. node_count-1 with indexed links.
 
     Links keep their construction order; every algorithm downstream refers
-    to links by that index.  Treat instances as immutable.
+    to links by that index, and to node n by the index n.  Treat instances
+    as immutable.
     """
 
-    nodes: tuple[int, ...]
+    node_count: int
     links: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        n = index(self.node_count)
+        if n < 0:
+            raise ParameterError(f"node count {n} is negative")
+        object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "links", tuple((int(a), int(b)) for a, b in self.links))
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
-            raise ParameterError("duplicate node ids")
-        if any(n < 0 for n in self.nodes):
-            raise ParameterError("node ids must be non-negative")
         seen = set()
         for a, b in self.links:
             if a == b:
                 raise ParameterError(f"self-loop at node {a}")
-            if a not in node_set or b not in node_set:
+            if not (0 <= a < n and 0 <= b < n):
                 raise ParameterError(f"link ({a},{b}) uses undeclared node")
             if (a, b) in seen:
                 raise ParameterError(f"duplicate link ({a},{b})")
@@ -56,13 +56,13 @@ class NetworkGraph:
         for a, b in self.links:
             if (b, a) not in seen:
                 raise ParameterError(f"link ({a},{b}) lacks its reverse; edge set must be symmetric")
-        in_nbrs: dict[int, list[int]] = {n: [] for n in self.nodes}
-        out_lks: dict[int, list[int]] = {n: [] for n in self.nodes}
+        in_nbrs: list[list[int]] = [[] for _ in range(n)]
+        out_lks: list[list[int]] = [[] for _ in range(n)]
         for i, (a, b) in enumerate(self.links):
             in_nbrs[b].append(a)
             out_lks[a].append(i)
-        object.__setattr__(self, "_in_neighbors", {n: tuple(v) for n, v in in_nbrs.items()})
-        object.__setattr__(self, "_out_links", {n: tuple(v) for n, v in out_lks.items()})
+        object.__setattr__(self, "_in_neighbors", tuple(map(tuple, in_nbrs)))
+        object.__setattr__(self, "_out_links", tuple(map(tuple, out_lks)))
 
     @property
     def link_count(self) -> int:
@@ -77,20 +77,17 @@ class NetworkGraph:
     @property
     def max_degree(self) -> int:
         """Largest in-degree (equal to out-degree by symmetry)."""
-        if not self.nodes:
-            return 0
-        return max(len(self._in_neighbors[n]) for n in self.nodes)
+        return max(map(len, self._in_neighbors), default=0)
 
     @cached_property
     def _dense_ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Link tails, link heads and a padded in-neighbor table, as indices into `nodes`."""
-        index = {n: j for j, n in enumerate(self.nodes)}
-        ends = np.array([index[x] for link in self.links for x in link], dtype=np.intp)
-        tail, head = ends[0::2], ends[1::2]
+        """Link tails, link heads and an in-neighbor table padded with node_count."""
+        n = self.node_count
+        tail, head = np.array(self.links, dtype=np.intp).reshape(-1, 2).T
         # each link puts its tail in the next free slot of its head's row
         order = np.argsort(head, kind="stable")
-        deg = np.bincount(head, minlength=len(self.nodes))
-        nbrs = np.full((len(self.nodes), deg.max(initial=0)), len(self.nodes), dtype=np.intp)
+        deg = np.bincount(head, minlength=n)
+        nbrs = np.full((n, deg.max(initial=0)), n, dtype=np.intp)
         nbrs[head[order], np.arange(order.size) - (np.cumsum(deg) - deg)[head[order]]] = tail[order]
         return tail, head, nbrs
 
@@ -101,13 +98,11 @@ def from_undirected_edges(node_count: int, edges) -> NetworkGraph:
     Each edge (a, b) contributes links (a, b) then (b, a).  A negative
     node count is refused.
     """
-    if node_count < 0:
-        raise ParameterError(f"node count {node_count} is negative")
     links = []
     for a, b in edges:
         links.append((a, b))
         links.append((b, a))
-    return NetworkGraph(tuple(range(node_count)), tuple(links))
+    return NetworkGraph(node_count, tuple(links))
 
 
 def path_graph(node_count: int) -> NetworkGraph:
@@ -187,11 +182,11 @@ def build_conflict_graph(g: NetworkGraph) -> ConflictGraph:
     `conflict_in_degree`, without a pass over the rows.
     """
     links = g.links
-    in_links: dict[int, list[int]] = {n: [] for n in g.nodes}
+    in_links: list[list[int]] = [[] for _ in range(g.node_count)]
     for i, (_, head) in enumerate(links):
         in_links[head].append(i)
     blocks: list = [()] * len(links)
-    for n in g.nodes:
+    for n in range(g.node_count):
         out = g.out_links(n)
         if not out:
             continue
@@ -214,9 +209,9 @@ def conflict_in_degree(g: NetworkGraph) -> int:
     those nodes but itself, so its in-degree is deg(y) + sum of deg(n) - 1
     and depends only on y.
     """
-    deg = {n: len(g.in_neighbors(n)) for n in g.nodes}
+    deg = [len(g.in_neighbors(n)) for n in range(g.node_count)]
     return max(
-        (deg[y] - 1 + sum(map(deg.__getitem__, g.in_neighbors(y))) for y in g.nodes if deg[y]),
+        (d - 1 + sum(map(deg.__getitem__, g.in_neighbors(y))) for y, d in enumerate(deg) if d),
         default=0,
     )
 
@@ -253,11 +248,11 @@ def resolve_rows(g: NetworkGraph, row_of, link_of, nrows: int) -> np.ndarray:
     pair twice, and its entry in the returned bool array says whether it
     wins when exactly its round's links transmit: u tails no other of them,
     v is silent and no in-neighbor of v but u transmits.  Transmitters are
-    keyed round * (nodes + 1) + node over dense node indices and found by
-    binary search, one pass per in-neighbor column, so memory grows with the
-    activations and the network, never with rounds x nodes."""
+    keyed round * (node_count + 1) + node and found by binary search, one
+    pass per in-neighbor column, so memory grows with the activations and
+    the network, never with rounds x nodes."""
     tail, head, nbrs = g._dense_ends
-    stride = len(g.nodes) + 1  # node index len(nodes) pads `nbrs` and never transmits
+    stride = g.node_count + 1  # the pad value node_count in `nbrs` never transmits
     if nrows * stride > np.iinfo(np.int64).max:
         raise ParameterError(f"{nrows} rounds x {stride} nodes overflow the transmitter keys")
     row_of = np.asarray(row_of, dtype=np.int64)
@@ -412,12 +407,10 @@ def write_graph(g: NetworkGraph, path) -> None:
     edge to the link and its reverse, so g is refused unless every
     odd-indexed link reverses the one before it: that is the link order the
     file reads back as, and schedules and traces name links by index."""
-    if set(g.nodes) != set(range(len(g.nodes))):
-        raise ParameterError("graph files require contiguous node ids starting at 0")
     edges = g.links[0::2]
     if g.links[1::2] != tuple((b, a) for a, b in edges):
         raise ParameterError("graph files require each link to be followed by its reverse")
-    lines = [f"nodes {len(g.nodes)}"]
+    lines = [f"nodes {g.node_count}"]
     lines += [f"edge {a} {b}" for a, b in edges]
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -12,7 +12,6 @@ eps covering k-1 conflicting links gives (eps/k, t).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -60,13 +59,9 @@ class TransmissionSchedule:
             raise ParameterError(f"scheduled link {link_of[bad & first].min()} out of range")
         # activations in strict (round, link) order, as schedule_from_selector
         # gives them, are held as given
-        if period * m > np.iinfo(np.int64).max:  # the (round, link) key could wrap
+        r0, r1 = round_of[:-1], round_of[1:]
+        if not ((r1 > r0) | ((r1 == r0) & (link_of[1:] > link_of[:-1]))).all():
             order = np.lexsort((link_of, round_of))
-        else:
-            key = round_of * m + link_of
-            order = None if (key[1:] > key[:-1]).all() else np.argsort(key, kind="stable")
-            del key
-        if order is not None:
             round_of, link_of = round_of[order], link_of[order]
             fresh = np.ones(round_of.size, dtype=bool)
             fresh[1:] = (round_of[1:] != round_of[:-1]) | (link_of[1:] != link_of[:-1])
@@ -89,11 +84,6 @@ class TransmissionSchedule:
         bounds = np.searchsorted(self.round_of, np.arange(count + 1)).tolist()
         links = self.link_of[: bounds[-1]].tolist()
         return [tuple(links[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-    @cached_property
-    def active(self) -> tuple[tuple[int, ...], ...]:
-        """Each round's links as a sorted tuple, built on first read and kept."""
-        return tuple(self.rows(self.period))
 
     def rotated(self, offset: int) -> "TransmissionSchedule":
         """The schedule whose round r is round r + offset of this one."""

@@ -41,7 +41,7 @@ POLICIES: dict[str, tuple[int, int, int]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunMetrics:
     """What one simulation produced, in memory that grows with links,
     rounds and events, not with links x rounds.
@@ -64,7 +64,7 @@ class RunMetrics:
     The dense (link_count, rounds) bool views `active`, `backlogged` and
     `success` are built on each read and kept by nothing.  `attempted` is
     `active & backlogged`, since a link attempts exactly when it is
-    scheduled with a nonempty queue.
+    scheduled with a nonempty queue.  Records compare and hash by identity.
     """
 
     rounds: int

@@ -24,7 +24,7 @@ def format_examples():
 
 
 FORMATS = {
-    "graph": (graphs.read_graph, graphs.write_graph, lambda g: (g.nodes, g.links)),
+    "graph": (graphs.read_graph, graphs.write_graph, lambda g: (g.node_count, g.links)),
     "selector": (
         selectors.read_selector,
         selectors.write_selector,
@@ -33,7 +33,7 @@ FORMATS = {
     "schedule": (
         schedules.read_schedule,
         schedules.write_schedule,
-        lambda s: (s.period, s.active, s.link_count, s.claimed_frequency),
+        lambda s: (s.period, s.rows(s.period), s.link_count, s.claimed_frequency),
     ),
     "trace": (traffic.read_trace, traffic.write_trace, lambda tr: (tr.horizon, list(tr.injections))),
 }

@@ -122,7 +122,7 @@ class TestDegreeBound:
         assert rep.bound == 1 and rep.holds and rep.tight
 
     def test_empty_graph_note(self):
-        g = graphs.NetworkGraph((0, 1), ())
+        g = graphs.NetworkGraph(2, ())
         rep = graphs.degree_bound_check(g)
         assert rep.holds and rep.bound is None
 
@@ -233,15 +233,22 @@ class TestColoring:
 class TestValidation:
     def test_asymmetric_rejected(self):
         with pytest.raises(ParameterError):
-            graphs.NetworkGraph((0, 1), ((0, 1),))
+            graphs.NetworkGraph(2, ((0, 1),))
 
     def test_self_loop_rejected(self):
         with pytest.raises(ParameterError):
-            graphs.NetworkGraph((0,), ((0, 0),))
+            graphs.NetworkGraph(1, ((0, 0),))
+
+    def test_undeclared_node_rejected(self):
+        # node n is index n, so a link end outside [0, node_count) is refused
+        with pytest.raises(ParameterError, match=r"^link \(0,2\) uses undeclared node$"):
+            graphs.NetworkGraph(2, ((0, 2), (2, 0)))
+        with pytest.raises(ParameterError, match=r"^link \(0,-1\) uses undeclared node$"):
+            graphs.NetworkGraph(2, ((0, -1), (-1, 0)))
 
     def test_duplicate_link_rejected(self):
         with pytest.raises(ParameterError):
-            graphs.NetworkGraph((0, 1), ((0, 1), (1, 0), (0, 1)))
+            graphs.NetworkGraph(2, ((0, 1), (1, 0), (0, 1)))
 
     def test_negative_edge_count_rejected(self):
         # it used to return the complete graph
@@ -255,10 +262,11 @@ class TestValidation:
             lambda: graphs.path_graph(-2),
             lambda: graphs.clique_graph(-1),
             lambda: graphs.from_undirected_edges(-1, ()),
+            lambda: graphs.NetworkGraph(-1, ()),
         ):
             with pytest.raises(ParameterError, match=r"^node count -\d+ is negative$"):
                 build()
-        assert graphs.from_undirected_edges(0, ()) == graphs.NetworkGraph((), ())
+        assert graphs.from_undirected_edges(0, ()) == graphs.NetworkGraph(0, ())
 
 
 class TestGraphFiles:
@@ -272,11 +280,11 @@ class TestGraphFiles:
         # a file reads back each edge as the link and its reverse, so a graph
         # whose links are not in that order would come back renumbered
         p = tmp_path / "net.txt"
-        g = graphs.NetworkGraph((0, 1, 2), ((0, 1), (1, 2), (1, 0), (2, 1)))
+        g = graphs.NetworkGraph(3, ((0, 1), (1, 2), (1, 0), (2, 1)))
         with pytest.raises(ParameterError, match="each link to be followed by its reverse"):
             graphs.write_graph(g, p)
         assert not p.exists()
-        g = graphs.NetworkGraph((0, 1, 2), ((1, 0), (0, 1), (2, 1), (1, 2)))
+        g = graphs.NetworkGraph(3, ((1, 0), (0, 1), (2, 1), (1, 2)))
         graphs.write_graph(g, p)
         assert graphs.read_graph(p).links == g.links
 

@@ -28,7 +28,7 @@ class TestFromColoring:
         col = graphs.exact_chromatic(graphs.build_conflict_graph(g))
         s = schedules.schedule_from_coloring(col)
         assert s.period == 2 and s.claimed_frequency == (Fraction(1, 2), 2)
-        assert sorted(s.active) == [(0,), (1,)]
+        assert sorted(s.rows(s.period)) == [(0,), (1,)]
         rep = schedules.verify_frequent(s, g)
         assert rep.ok and rep.per_link_min == (1, 1) and rep.per_link_max == (1, 1)
         assert rep.witness is None
@@ -43,7 +43,7 @@ class TestFromColoring:
 
     def test_empty(self):
         s = schedules.schedule_from_coloring(graphs.Coloring(()))
-        assert s.period == 0 and s.active == () and s.round_of.size == 0
+        assert s.period == 0 and s.rows(0) == [] and s.round_of.size == 0
 
 
 class TestFromSelector:
@@ -52,7 +52,7 @@ class TestFromSelector:
         plain = selector(np.eye(2, dtype=np.uint8))
         ident = replace(plain, claimed_k=2, claimed_eps=sel.uss_min_count(plain, 2).eps)
         s = schedules.schedule_from_selector(ident, g)
-        assert s.period == 2 and s.active == ((0,), (1,))
+        assert s.period == 2 and s.rows(2) == [(0,), (1,)]
         assert s.claimed_frequency == (Fraction(1, 2), 2)
         assert schedules.verify_frequent(s, g).ok
 
@@ -144,14 +144,14 @@ class TestScheduleFiles:
         p = tmp_path / "sched.txt"
         schedules.write_schedule(s, p)
         back = schedules.read_schedule(p)
-        assert back.active == s.active
+        assert back.rows(back.period) == s.rows(s.period)
         assert back.claimed_frequency == s.claimed_frequency
 
     def test_idle_round_roundtrip(self, tmp_path):
         s = schedules.schedule_from_rows(((0,), (), (1,)), 2, None)
         p = tmp_path / "sched.txt"
         schedules.write_schedule(s, p)
-        assert schedules.read_schedule(p).active == ((0,), (), (1,))
+        assert schedules.read_schedule(p).rows(3) == [(0,), (), (1,)]
 
     def test_format_errors(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -168,8 +168,7 @@ class TestScheduleFiles:
 
 class TestFlatActivations:
     def test_selector_rows_never_built(self):
-        # verify_frequent and run read the activations; only `active` builds
-        # the row tuples
+        # verify_frequent and run read the activations, never the row tuples
         g = graphs.random_network(12, 18, seed=1, max_degree=3)
         m = sel.poly_uss(g.link_count, graphs.conflict_in_degree(g) + 1)
         s = schedules.schedule_from_selector(m, g)
@@ -178,13 +177,11 @@ class TestFlatActivations:
         trace = traffic.gen_leaky_bucket(g, routes, traffic.AdversaryConfig(Fraction(1, 50), 2), 300, seed=1)
         metrics = run(g, s, "lis", trace, 300)
         assert metrics.delivered_count > 0
-        assert "active" not in vars(s)
-        assert len(s.active) == s.period and "active" in vars(s)
 
     def test_arrays_are_sorted_and_read_only(self):
         s = schedules.TransmissionSchedule(np.array([2, 0, 2, 0]), [1, 3, 0, 3], 3, 4)
         assert s.round_of.tolist() == [0, 2, 2] and s.link_of.tolist() == [3, 0, 1]
-        assert s.active == ((3,), (), (0, 1))
+        assert s.rows(3) == [(3,), (), (0, 1)]
         with pytest.raises(ValueError):
             s.round_of[0] = 1
 
@@ -201,10 +198,10 @@ class TestFlatActivations:
         rounds, links = np.array([0, 0, 2]), np.array([1, 3, 0])
         s = schedules.TransmissionSchedule(rounds, links, 3, 4)
         assert s.round_of is rounds and s.link_of is links and not rounds.flags.writeable
-        assert s.active == ((1, 3), (), (0,))
+        assert s.rows(3) == [(1, 3), (), (0,)]
         # a repeat is not strict order: it is sorted and dropped
         s = schedules.TransmissionSchedule(np.array([0, 0, 2]), np.array([1, 1, 0]), 3, 4)
-        assert s.active == ((1,), (), (0,))
+        assert s.rows(3) == [(1,), (), (0,)]
 
     def test_equality(self):
         # a schedule is its period, link count, claim and activations

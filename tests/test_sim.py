@@ -211,6 +211,17 @@ class TestInvariants:
             a, b = getattr(first, f.name), getattr(second, f.name)
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
 
+    def test_records_compare_by_identity(self):
+        # a record holds arrays, so field-wise == has no single truth value;
+        # two runs of the same inputs are two records
+        g = path_graph(2)
+        sched = schedule_from_rows(((0,), (1,)), 2, None)
+        tr = trace_of([(0, 0, (0,)), (1, 1, (1,))], 1)
+        first, second = run(g, sched, "lis", tr, 4), run(g, sched, "lis", tr, 4)
+        assert first == first and first != second
+        assert first in {first} and second not in {first}
+        assert hash(first) != hash(second)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 100))
     def test_lis_single_link_is_fifo(self, seed):

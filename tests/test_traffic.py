@@ -327,7 +327,7 @@ class TestTreeFamily:
         assert len(fam.trees) == 1 + 3 * 2
         assert fam.shared_links == (0, 2, 4, 6, 8, 10)
         for t in fam.trees:
-            assert len(t.nodes) == 10
+            assert t.node_count == 10
             assert t.link_count == 18  # 9 undirected edges, a tree on 10 nodes
 
     def test_shared_links_agree(self):
@@ -362,7 +362,7 @@ class TestTreeFamily:
                     if v not in seen:
                         seen.add(v)
                         frontier.append(v)
-            assert seen == set(t.nodes)
+            assert seen == set(range(t.node_count))
 
     def test_exact_injections(self):
         # delta 2: shared links 0 and 2; rho 2/5 injects every ceil(5/2) = 3
