@@ -13,7 +13,9 @@ import csv
 import gc
 import json
 import sys
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -289,20 +291,45 @@ def _write_metrics_csv(metrics, path) -> None:
         writer.writerows(zip(range(n), *map(memoryview, columns)))
 
 
-def _write_round_log(metrics, path) -> None:
-    def group(mask, r):
-        links = np.nonzero(mask[:, r])[0]
-        return ",".join(map(str, links)) if links.size else "-"
+def _round_fields(at, links, count):
+    """Yield the log field of each round 0 .. count-1: its entries of
+    `links`, joined by commas, or "-" for none.  `at` is the sorted round
+    of each entry; both are int64 arrays."""
+    at, links = memoryview(at), memoryview(links)
+    i = 0
+    for r in range(count):
+        j = bisect_right(at, r, i)
+        yield ",".join(map(str, links[i:j])) or "-"
+        i = j
 
-    active, success = metrics.active, metrics.success
-    collided = active & metrics.backlogged & ~success
+
+def _write_round_log(metrics, path) -> None:
+    """One line a round: the scheduled links, the successful ones, and the
+    collided ones, which attempted and did not succeed.  Streamed from the
+    schedule's activations and the record's success and attempt events,
+    with no links x rounds array."""
+    n, sched = metrics.rounds, metrics.schedule
+    span = min(sched.period, n) or 1  # an empty schedule reads as one idle round
+    stop = np.searchsorted(sched.round_of, span)
+    scheduled = chain.from_iterable(
+        _round_fields(sched.round_of[:stop], sched.link_of[:stop], span) for _ in range(-(-n // span))
+    )
+    # every success is an attempt, and both lists are sorted
+    attempts = metrics._attempt_events()
+    collided = np.ones(attempts.size, dtype=bool)
+    collided[np.searchsorted(attempts, metrics.success_events)] = False
+
+    def by_round(events):
+        # events sorted by link, so a stable sort by round keeps each round's
+        # links ascending
+        links, at = np.divmod(events, n)
+        order = np.argsort(at, kind="stable")
+        return _round_fields(at[order], links[order], n)
+
+    lines = zip(range(n), scheduled, by_round(metrics.success_events), by_round(attempts[collided]))
     with open(path, "w") as fh:
-        for r in range(metrics.rounds):
-            fh.write(
-                f"round {r} scheduled {group(active, r)}"
-                f" successful {group(success, r)}"
-                f" collided {group(collided, r)}\n"
-            )
+        for r, active, success, lost in lines:
+            fh.write(f"round {r} scheduled {active} successful {success} collided {lost}\n")
 
 
 def cmd_simulate(args) -> tuple[dict | None, int]:

@@ -11,6 +11,7 @@ eps covering k-1 conflicting links gives (eps/k, t).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -34,7 +35,8 @@ class TransmissionSchedule:
     outside [0, period) and a link outside [0, link_count), and holds them
     as read-only int64 arrays sorted by (round, link) with no pair twice;
     int64 arrays already in strict (round, link) order are held as given,
-    with no copy.
+    with no copy.  The period, the link count and a claimed T must be
+    integers: any other type, a float included, raises TypeError.
     """
 
     round_of: np.ndarray
@@ -44,7 +46,7 @@ class TransmissionSchedule:
     claimed_frequency: tuple[Fraction, int] | None = None
 
     def __post_init__(self):
-        period, m = int(self.period), int(self.link_count)
+        period, m = operator.index(self.period), operator.index(self.link_count)
         round_of = np.asarray(self.round_of, dtype=np.int64)
         link_of = np.asarray(self.link_of, dtype=np.int64)
         if period < 0 or m < 0 or round_of.ndim != 1 or round_of.shape != link_of.shape:
@@ -73,9 +75,10 @@ class TransmissionSchedule:
         object.__setattr__(self, "link_count", m)
         if self.claimed_frequency is not None:
             rho, T = self.claimed_frequency
+            T = operator.index(T)
             if T < 1 or not 0 < Fraction(rho) <= 1:
                 raise ParameterError("claimed frequency needs 0 < rho <= 1 and T >= 1")
-            object.__setattr__(self, "claimed_frequency", (Fraction(rho), int(T)))
+            object.__setattr__(self, "claimed_frequency", (Fraction(rho), T))
 
     def rows(self, count: int) -> list[tuple[int, ...]]:
         """Rounds 0 .. count-1, count <= period, each as its sorted links."""

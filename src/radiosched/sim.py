@@ -61,10 +61,12 @@ class RunMetrics:
     reached.  `final_queues` lists each link's queued packet ids in arrival
     order.
 
-    The dense (link_count, rounds) bool views `active`, `backlogged` and
-    `success` are built on each read and kept by nothing.  `attempted` is
-    `active & backlogged`, since a link attempts exactly when it is
-    scheduled with a nonempty queue.  Records compare and hash by identity.
+    The dense (link_count, rounds) bool views `active`, `backlogged`,
+    `success` and `attempted` are built on each read and kept by nothing.
+    A link attempts exactly when it is scheduled with a nonempty queue, so
+    `attempted` equals `active & backlogged`; it is scattered from the
+    attempt events, the active rounds inside each stretch, with no other
+    links x rounds array.  Records compare and hash by identity.
     """
 
     rounds: int
@@ -111,7 +113,66 @@ class RunMetrics:
 
     @property
     def attempted(self) -> np.ndarray:
-        return self.active & self.backlogged
+        events = self._attempt_events()  # before the output, so their peaks do not add
+        flat = np.zeros(self.link_count * self.rounds, dtype=bool)
+        flat[events] = True
+        return flat.reshape(self.link_count, self.rounds)
+
+    def _attempt_events(self) -> np.ndarray:
+        """The sorted int64 link * rounds + round of every attempt, that is of
+        every active round inside a backlogged stretch.
+
+        Let link e have c activations in the span = min(period, rounds)
+        rounds the run reads, at offsets o[0] < ... < o[c - 1].  Its j-th
+        active round is (j // c) * span + o[j % c], and rounds [0, x) hold
+        F(x) = (x // span) * c + #{o < x % span} of them, so a stretch
+        [a, b) holds its activations F(a) .. F(b) - 1.  The cost is
+        O(stretches + activations in the span + attempts), never links x
+        rounds; an empty schedule activates nothing.
+        """
+        n, span = self.rounds, min(self.schedule.period, self.rounds)
+        if not span or not self.stretches.size:
+            return np.empty(0, dtype=np.int64)
+        stop = np.searchsorted(self.schedule.round_of, span)
+        # the span's activations as flat link * rounds + offset, sorted, so
+        # link e's are keys[first[e] : first[e] + count[e]]
+        links = self.schedule.link_of[:stop]
+        keys = links * n
+        keys += self.schedule.round_of[:stop]
+        keys.sort()
+        count = np.bincount(links, minlength=self.link_count)
+        first = np.cumsum(count)
+        first -= count
+        # per stretch: its link's activation count, first key and row start
+        link, start, end = self.stretches.T
+        count, first, base = count[link], first[link], link * n
+
+        def active_before(x):  # F(x) + first of each stretch's link
+            q, rest = np.divmod(x, span)
+            rest += base
+            q *= count
+            q += np.searchsorted(keys, rest)
+            return q
+
+        lo = active_before(start)
+        per = active_before(end)
+        per -= lo
+        ends = np.cumsum(per)
+        total = int(ends[-1])
+        if not total:
+            return np.empty(0, dtype=np.int64)
+        # j of each attempt: its stretch's F(a) plus its place in the stretch
+        lo -= first
+        lo -= ends
+        lo += per
+        del ends
+        j = np.repeat(lo, per)
+        j += np.arange(total, dtype=np.int64)
+        q, i = np.divmod(j, np.repeat(count, per), out=(j, None))
+        i += np.repeat(first, per)
+        q *= span
+        q += keys[i]  # link * rounds + o[j % c]
+        return q
 
     @property
     def delivered_count(self) -> int:

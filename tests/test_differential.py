@@ -28,6 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radiosched import sim, traffic
+from radiosched.cli import _write_round_log
 from radiosched.errors import ParameterError
 from radiosched.graphs import (
     Coloring,
@@ -304,6 +305,32 @@ def ref_run(g, schedule, policy, trace, rounds) -> SimpleNamespace:
         undelivered_count=len(trace) - len(delivered),
         final_queues=tuple(tuple(p.id for _, _, p in q) for q in queues),
     )
+
+
+def ref_round_log(dense) -> bytes:
+    """The round log from ref_run's dense views, one column per round: the
+    scheduled links, the successful ones, and the collided ones, which were
+    active and backlogged and did not succeed."""
+
+    def group(mask, r):
+        links = np.nonzero(mask[:, r])[0]
+        return ",".join(map(str, links)) if links.size else "-"
+
+    collided = dense.active & dense.backlogged & ~dense.success
+    return "".join(
+        f"round {r} scheduled {group(dense.active, r)}"
+        f" successful {group(dense.success, r)}"
+        f" collided {group(collided, r)}\n"
+        for r in range(dense.rounds)
+    ).encode()
+
+
+def round_log_bytes(metrics) -> bytes:
+    """The round log as `simulate --log` writes it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rounds.log"
+        _write_round_log(metrics, path)
+        return path.read_bytes()
 
 
 def ref_failure_accounting(dense, adv, rho_prime, window) -> FailureReport:
@@ -1071,7 +1098,21 @@ class TestPackCombosMatchesPerElement:
 
 
 @st.composite
+def selector_schedules(draw, g: NetworkGraph):
+    """Schedules read from a drawn selector with one column per link and up
+    to three spare ones, whose rows hold several, often conflicting, links."""
+    m = g.link_count
+    n = draw(st.integers(m, m + 3))
+    t = draw(st.integers(1, 8))
+    rows = np.array(draw(st.lists(st.integers(0, 1), min_size=t * n, max_size=t * n)), dtype=np.uint8)
+    sel = selector(rows.reshape(t, n), claimed_k=n, claimed_eps=Fraction(1, 2))
+    return schedule_from_selector(sel, g)
+
+
+@st.composite
 def schedules_for(draw, g: NetworkGraph):
+    if draw(st.booleans()):
+        return draw(selector_schedules(g))
     # period 0 is the empty schedule: no link is ever active
     period = draw(st.integers(0, 6))
     rows = tuple(
@@ -1079,6 +1120,19 @@ def schedules_for(draw, g: NetworkGraph):
         for _ in range(period)
     )
     return schedule_from_rows(rows, g.link_count, None)
+
+
+def rounds_for(period: int):
+    """Run lengths below, at, a multiple of, and off a multiple of the
+    period, or any short length."""
+    if not period:
+        return st.integers(1, 30)
+    return st.one_of(
+        st.integers(1, period),
+        st.integers(1, 4).map(lambda k: k * period),
+        st.integers(period + 1, 4 * period + 3),
+        st.integers(1, 50),
+    )
 
 
 class TestRunMatchesRescan:
@@ -1094,7 +1148,7 @@ class TestRunMatchesRescan:
             data.draw(intensities),
         )
         policy = data.draw(st.sampled_from(sorted(POLICIES)))
-        rounds = data.draw(st.integers(1, 50))
+        rounds = data.draw(rounds_for(sched.period))
         assert_metrics_equal(run(g, sched, policy, trace, rounds), ref_run(g, sched, policy, trace, rounds))
 
     @settings(max_examples=60, deadline=None)
@@ -1120,7 +1174,7 @@ class TestRunMatchesRescan:
         trace = trace_from_packets(
             tuple((r, Packet(i, pkt.route)) for (r, pkt), i in zip(trace.injections, ids)), trace.horizon
         )
-        rounds = data.draw(st.integers(1, 50))
+        rounds = data.draw(rounds_for(sched.period))
         for policy in sorted(POLICIES):
             assert_metrics_equal(run(g, sched, policy, trace, rounds), ref_run(g, sched, policy, trace, rounds))
 
@@ -1138,6 +1192,45 @@ class TestRunMatchesRescan:
         rows = tuple((e,) for e in range(m)) + ((),) * offset
         sched = schedule_from_rows(rows, m, None)
         assert_metrics_equal(run(sc.g, sched, policy, sc.trace, 200), ref_run(sc.g, sched, policy, sc.trace, 200))
+
+
+class TestRoundLogMatchesDense:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_same_bytes(self, data):
+        g = data.draw(networks(max_nodes=8))
+        kind = data.draw(st.sampled_from(["coloring", "selector", "rows", "empty"]))
+        if kind == "coloring":
+            coloring = greedy_coloring(build_conflict_graph(g))
+            sched = schedule_from_coloring(coloring).rotated(data.draw(st.integers(0, 20)))
+        elif kind == "selector":
+            sched = data.draw(selector_schedules(g))
+        elif kind == "rows":
+            sched = data.draw(schedules_for(g))
+        else:
+            sched = schedule_from_rows((), g.link_count, None)
+        routes = data.draw(route_sets(g))
+        adv = AdversaryConfig(data.draw(rates), data.draw(st.integers(1, 5)))
+        trace = gen_leaky_bucket(
+            g, routes, adv, data.draw(st.integers(0, 60)), data.draw(st.integers(0, 10**6)),
+            data.draw(intensities),
+        )
+        policy = data.draw(st.sampled_from(sorted(POLICIES)))
+        rounds = data.draw(rounds_for(sched.period))
+        metrics = run(g, sched, policy, trace, rounds)
+        assert round_log_bytes(metrics) == ref_round_log(ref_run(g, sched, policy, trace, rounds))
+
+    def test_collisions_under_a_selector(self):
+        # the clique chain under a selector with two links in some rows, past
+        # one period: some rounds collide, and the log still matches
+        sc = gen_clique_scenario(3, Fraction(1, 32), 300)
+        sel = selector([[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]],
+                       claimed_k=6, claimed_eps=Fraction(1, 2))
+        sched = schedule_from_selector(sel, sc.g)
+        metrics = run(sc.g, sched, "lis", sc.trace, 301)
+        log = round_log_bytes(metrics)
+        assert log == ref_round_log(ref_run(sc.g, sched, "lis", sc.trace, 301))
+        assert any(not line.endswith(b" collided -") for line in log.splitlines())
 
 
 class TestRunMemoMatchesRescan:
@@ -1259,9 +1352,15 @@ class TestFailureAccountingMatchesDense:
     @given(st.data())
     def test_any_stretches_and_successes(self, data):
         # a record built directly: its stretches may touch, and may end
-        # before the last round without a success, which `run`'s never do
+        # before the last round without a success, which `run`'s never do;
+        # its attempts are the active rounds of the stretches under a drawn
+        # schedule
         m = data.draw(st.integers(1, 4))
         rounds = data.draw(st.integers(1, 40))
+        period = data.draw(st.integers(0, 6))
+        sched = schedule_from_rows(
+            tuple(tuple(data.draw(st.sets(st.integers(0, m - 1)))) for _ in range(period)), m, None
+        )
         cells = st.lists(st.booleans(), min_size=m * rounds, max_size=m * rounds)
         backlogged = np.array(data.draw(cells), dtype=bool).reshape(m, rounds)
         success = backlogged & np.array(data.draw(cells), dtype=bool).reshape(m, rounds)
@@ -1275,7 +1374,7 @@ class TestFailureAccountingMatchesDense:
                 rows += [(e, lo, hi) for lo, hi in zip(ends, ends[1:])]
         metrics = RunMetrics(
             rounds=rounds,
-            schedule=schedule_from_rows(((),), m, None),
+            schedule=sched,
             stretches=np.array(rows, dtype=np.int64).reshape(-1, 3),
             success_events=np.flatnonzero(success),
             per_round_backlog=np.zeros(rounds, dtype=np.int64),
@@ -1288,4 +1387,5 @@ class TestFailureAccountingMatchesDense:
         )
         assert np.array_equal(metrics.backlogged, backlogged)
         assert np.array_equal(metrics.success, success)
+        assert np.array_equal(metrics.attempted, metrics.active & backlogged)
         assert_accounting_equal(metrics, SimpleNamespace(rounds=rounds, backlogged=backlogged, success=success))

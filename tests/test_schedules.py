@@ -224,3 +224,16 @@ class TestFlatActivations:
             schedules.TransmissionSchedule([0, 1], [0], 3, 1)
         with pytest.raises(ParameterError, match="period, link_count >= 0"):
             schedules.TransmissionSchedule([], [], -1, 1)
+
+    def test_refuses_non_integer_counts(self):
+        # a float period, link count or claimed T is refused, not truncated
+        for period, links, claim in ((2.5, 1, None), (2, 1.9, None), (2, 1, (Fraction(1, 2), 2.0))):
+            with pytest.raises(TypeError):
+                schedules.TransmissionSchedule([0], [0], period, links, claim)
+        with pytest.raises(TypeError):
+            schedules.TransmissionSchedule([0], [0], 2.5, 1.9)
+
+    def test_takes_numpy_integer_counts(self):
+        s = schedules.TransmissionSchedule([0], [0], np.int64(2), np.int32(1), (Fraction(1, 2), np.int64(2)))
+        assert (s.period, s.link_count, s.claimed_frequency) == (2, 1, (Fraction(1, 2), 2))
+        assert all(type(v) is int for v in (s.period, s.link_count, s.claimed_frequency[1]))

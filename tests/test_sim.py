@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radiosched.bounds import coloring_threshold
+from radiosched.cli import _write_round_log
 from radiosched.errors import ParameterError
 from radiosched.graphs import (
     build_conflict_graph,
@@ -364,16 +365,22 @@ class TestSparseRecord:
             tracemalloc.stop()
         assert metrics.delivered_count == 2400 and peak < 320_000
 
-    def test_selector_record_size(self):
-        # 240 links under poly_uss(240, 20), whose period of 6,889 rounds the
-        # run outlasts: a links x period bool array alone would be 1.65 MB,
-        # while the record holds the schedule by reference and its own
-        # columns grow with rounds and events
+    @staticmethod
+    def selector_probe():
+        # 240 links under poly_uss(240, 20), whose period of 6,889 rounds a
+        # 7,000-round run outlasts: a links x period bool array alone would
+        # be 1.65 MB
         g = random_network(60, 120, seed=1, max_degree=4)
         sched = schedule_from_selector(poly_uss(g.link_count, conflict_in_degree(g) + 1), g)
         adv = AdversaryConfig(sched.claimed_frequency[0] * Fraction(15, 16), 2)
         rounds = 7_000
         trace = gen_leaky_bucket(g, random_routes(g, 30, 3, seed=1), adv, rounds, seed=1)
+        return g, sched, trace, rounds
+
+    def test_selector_record_size(self):
+        # the record holds the schedule by reference and its own columns grow
+        # with rounds and events
+        g, sched, trace, rounds = self.selector_probe()
         run(g, sched, "lis", trace, 12)  # any one-time cost falls outside the trace
         tracemalloc.start()
         try:
@@ -383,6 +390,44 @@ class TestSparseRecord:
             tracemalloc.stop()
         assert sched.period < rounds and metrics.delivered_count > 900
         assert held < 1_000_000
+
+    def test_attempted_peak(self):
+        # the benchmark's mesh: reading `attempted` holds its one bool output
+        # and the attempt events, about 1.05 x links x rounds bytes at peak;
+        # building `active`, `backlogged` and their AND takes it past 3 x
+        g = random_network(100, 250, seed=1)
+        sched = schedule_from_coloring(greedy_coloring(build_conflict_graph(g)))
+        adv = AdversaryConfig(coloring_threshold(sched.period) * Fraction(3, 4), 2)
+        rounds = 300
+        trace = gen_leaky_bucket(g, random_routes(g, 64, 3, seed=1), adv, rounds, seed=1)
+        metrics = run(g, sched, "lis", trace, rounds)
+        metrics.attempted  # any one-time cost falls outside the trace
+        tracemalloc.start()
+        try:
+            attempted = metrics.attempted
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert attempted.sum() > 0
+        assert peak < 2 * g.link_count * rounds
+
+    def test_round_log_peak(self, tmp_path):
+        # the selector probe's round log streams one round at a time from the
+        # schedule's activations and the record's events, about 0.3 MB at
+        # peak; one links x rounds bool array is 1.68 MB
+        g, sched, trace, rounds = self.selector_probe()
+        metrics = run(g, sched, "lis", trace, rounds)
+        log = tmp_path / "rounds.log"
+        _write_round_log(metrics, log)  # any one-time cost falls outside the trace
+        tracemalloc.start()
+        try:
+            _write_round_log(metrics, log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = log.read_text().splitlines()
+        assert len(lines) == rounds and any(not line.endswith(" collided -") for line in lines)
+        assert peak < 1_000_000
 
     def test_keys_past_int64_refused_before_allocation(self):
         # one packet of one hop: (rounds + 2) * 2 reaches 2**63 at rounds =
