@@ -281,14 +281,16 @@ def cmd_validate_trace(args) -> tuple[dict | None, int]:
 
 def _write_metrics_csv(metrics, path) -> None:
     n = metrics.rounds
+    # every column is built before the file is opened, so the derivation's
+    # scratch arrays are gone by the time the file's buffers exist
     cum = np.bincount(metrics.delivered_rounds, minlength=n).cumsum(dtype=np.int64)
+    columns = (metrics.per_round_backlog, cum, metrics.per_round_max_queue)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round", "total_backlog", "delivered_cum", "max_queue"])
+        fh.write("round,total_backlog,delivered_cum,max_queue\n")
         # written by column: a memoryview of an int64 array yields Python
-        # ints, with no per-row numpy read and no list per column
-        columns = (metrics.per_round_backlog, cum, metrics.per_round_max_queue)
-        writer.writerows(zip(range(n), *map(memoryview, columns)))
+        # ints, with no per-row numpy read and no list per column; the rows
+        # are plain ints, so no csv.writer (and its 128 kB record buffer)
+        fh.writelines(f"{r},{a},{b},{c}\n" for r, a, b, c in zip(range(n), *map(memoryview, columns)))
 
 
 def _round_fields(at, links, count):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -51,7 +52,7 @@ class SelectorMatrix:
     claimed_eps: Fraction | None = None
 
     def __post_init__(self):
-        t, n = int(self.t), int(self.n)
+        t, n = operator.index(self.t), operator.index(self.n)
         row_of = np.asarray(self.row_of, dtype=np.int64)
         col_of = np.asarray(self.col_of, dtype=np.int64)
         if t < 0 or row_of.ndim != 1 or row_of.shape != col_of.shape:

@@ -47,36 +47,44 @@ class RunMetrics:
     rounds and events, not with links x rounds.
 
     `schedule` is the `TransmissionSchedule` the run used; round r ran its
-    round r % period.  `stretches` holds the rounds in which a link's queue
-    was nonempty after the injection phase, as int64 rows (link, start, end)
-    of half-open stretches [start, end), sorted by link and then start;
-    stretches are disjoint and nonempty but may touch.  `success_events` is
-    the sorted int64 array of link * rounds + round over every successful
-    transmission.  `per_round_backlog` is the total queued packet count at
-    the end of each round.  `delivered_ids`, `injection_rounds` and
-    `delivered_rounds` are three int64 columns with one entry per delivered
-    packet, in delivery order, so a delivery costs 24 bytes and no Python
-    object.  `undelivered_count` counts trace packets not delivered within
-    the simulated rounds, including any whose injection round was never
-    reached.  `final_queues` lists each link's queued packet ids in arrival
-    order.
+    round r % period, and `trace` is the `InjectionTrace` it ran.
+    `stretches` holds the rounds in which a link's queue was nonempty after
+    the injection phase, as int64 rows (link, start, end) of half-open
+    stretches [start, end), sorted by link and then start; stretches are
+    disjoint and nonempty but may touch.  `success_events` is the sorted
+    int64 array of link * rounds + round over every successful
+    transmission, and `forward_events`, the forward log, holds next link *
+    rounds + round of every forward, in the order of the run.
+    `per_round_backlog` is the total queued packet count at the end of each
+    round.  `delivered_rows` (each delivered packet's index in `trace`) and
+    `delivered_rounds` are two int64 columns with one entry per delivered
+    packet, in delivery order, so a delivery costs 16 bytes and no Python
+    object; `delivered_ids` and `injection_rounds` read the trace through
+    the first.  `undelivered_count` counts trace packets not delivered
+    within the simulated rounds, including any whose injection round was
+    never reached.  `final_queues` lists each link's queued packet ids in
+    arrival order.
 
-    The dense (link_count, rounds) bool views `active`, `backlogged`,
-    `success` and `attempted` are built on each read and kept by nothing.
-    A link attempts exactly when it is scheduled with a nonempty queue, so
-    `attempted` equals `active & backlogged`; it is scattered from the
-    attempt events, the active rounds inside each stretch, with no other
-    links x rounds array.  Records compare and hash by identity.
+    `per_round_max_queue`, the longest queue at the end of each round, is
+    derived on each read from the injections, the forward log, the
+    successes and the final queues, in O(E log E) time and O(E + rounds)
+    memory for E events.  The dense (link_count, rounds) bool views
+    `active`, `backlogged`, `success` and `attempted` are built on each
+    read and kept by nothing.  A link attempts exactly when it is scheduled
+    with a nonempty queue, so `attempted` equals `active & backlogged`; it
+    is scattered from the attempt events, the active rounds inside each
+    stretch, with no other links x rounds array.  Records compare and hash
+    by identity.
     """
 
     rounds: int
     schedule: TransmissionSchedule
+    trace: InjectionTrace
     stretches: np.ndarray
     success_events: np.ndarray
+    forward_events: np.ndarray
     per_round_backlog: np.ndarray
-    per_round_max_queue: np.ndarray
-    delivered_ids: np.ndarray
-    injection_rounds: np.ndarray
+    delivered_rows: np.ndarray
     delivered_rounds: np.ndarray
     undelivered_count: int
     final_queues: tuple[tuple[int, ...], ...]
@@ -175,8 +183,80 @@ class RunMetrics:
         return q
 
     @property
+    def per_round_max_queue(self) -> np.ndarray:
+        """The longest queue at the end of each round.
+
+        Link e's queue steps up at each injection into it and each forward
+        onto it, and down at each of its successes; in a round its
+        injections come first, and no link both succeeds and receives a
+        forward.  A step up to length l opens level l of the link, a step
+        down from l closes it, and a queue still held at the end closes its
+        levels at round `rounds`.  Sorted by link * (rounds + 1) + round,
+        a step's level is the steps up less the steps down before it.  The
+        links open at level l form a set that shrinks as l grows, so the
+        longest queue is the number of levels at which some link is open:
+        sorted by level * (rounds + 1) + round, steps up first at ties, a
+        level's count of open links leaves 0 at a round that adds 1 to the
+        series and returns to 0 at one that takes it away.  A level is at
+        most the packet count, so `run`'s guard keeps the level keys in
+        int64, and a link key exceeds the largest success event by at most
+        the link count.  The cost is O(E log E) time and O(E + rounds)
+        memory for E events, with no links x rounds array.
+        """
+        n, trace = self.rounds, self.trace
+        width = n + 1
+        count = int(np.searchsorted(trace.rounds, n))
+        ups = np.array([rt[0] for rt in trace.routes], dtype=np.int64)[trace.route_of[:count]]
+        ups *= width
+        ups += trace.rounds[:count]
+        # link * rounds + round becomes link * width + round
+        forwards = self.forward_events // n
+        forwards += self.forward_events
+        ups = np.concatenate((ups, forwards))
+        ups.sort()
+        downs = self.success_events // n
+        downs += self.success_events
+        held = [len(q) for q in self.final_queues]
+        ends = np.arange(n, len(held) * width, width)  # each link's round `rounds`
+        downs = np.concatenate((downs, np.repeat(ends, held)))
+        downs.sort(kind="stable")  # two sorted runs
+        del forwards, ends
+        at = np.arange(max(ups.size, downs.size) + 1)
+        # each step's level as level * width + round: the length after a
+        # step up, the length before a step down
+        opens = np.searchsorted(downs, ups)
+        np.subtract(at[1 : ups.size + 1], opens, out=opens)
+        closes = np.searchsorted(ups, downs, "right")
+        closes -= at[: downs.size]
+        opens *= width
+        opens += ups % width
+        closes *= width
+        closes += downs % width
+        del ups, downs
+        opens.sort()
+        closes.sort()
+        # a level's first open link, and the close that leaves none
+        first = opens[at[: opens.size] == np.searchsorted(closes, opens)]
+        last = np.searchsorted(opens, closes, "right")
+        last -= at[: closes.size]
+        last = closes[last == 1]
+        first %= width
+        last %= width
+        series = np.bincount(first, minlength=width)
+        series -= np.bincount(last, minlength=width)
+        return np.cumsum(series[:n])
+
+    @property
+    def delivered_ids(self) -> np.ndarray:
+        return self.trace.ids[self.delivered_rows]
+
+    @property
+    def injection_rounds(self) -> np.ndarray:
+        return self.trace.rounds[self.delivered_rows]
+
+    @property
     def delivered_count(self) -> int:
-        return len(self.delivered_ids)
+        return len(self.delivered_rows)
 
     @property
     def max_backlog(self) -> int:
@@ -185,7 +265,9 @@ class RunMetrics:
     @property
     def max_latency(self) -> int:
         """Largest delivery round less injection round over delivered packets."""
-        return int((self.delivered_rounds - self.injection_rounds).max(initial=0))
+        latency = self.injection_rounds
+        np.subtract(self.delivered_rounds, latency, out=latency)
+        return int(latency.max(initial=0))
 
 
 def run(
@@ -211,9 +293,13 @@ def run(
     the loop and read through memoryviews, which yield Python ints; a
     delivery appends its packet's rank and round, and the delivery columns
     and the backlog series are derived from those and the trace's columns
-    after the loop.  A run whose keys could leave int64, (rounds + longest
-    route + 1) * (packets + 1) >= 2**63, is refused before anything is sized
-    by `rounds`.
+    after the loop.  The loop keeps the queues and no tally of their
+    lengths: a forward appends its next link and round to the forward log,
+    from which `RunMetrics.per_round_max_queue` is derived on read, and
+    writes an arrival key made from its round by rank, by which the final
+    queues are sorted into arrival order.  A run whose keys could leave
+    int64, (rounds + longest route + 1) * (packets + 1) >= 2**63, is
+    refused before anything is sized by `rounds`.
     """
     coef = POLICIES.get(policy.lower())
     if coef is None:
@@ -232,15 +318,25 @@ def run(
     lengths = np.array([len(rt) for rt in routes], dtype=np.int64)
     if (rounds + int(lengths.max(initial=0)) + 1) * (count + 1) >= 2**63:
         raise ParameterError(f"{rounds} rounds overflow the int64 queue keys at packet count {count}")
+    # the backlog at the end of round r: injections up to r less deliveries
+    # up to r.  The first array sized by `rounds`, it counts the injections
+    # before the loop; an array('q') refuses a size past the address space
+    # with MemoryError, where numpy raises ValueError
+    backlog = np.frombuffer(array("q", [0]) * rounds, dtype=np.int64)
+    injected = np.bincount(trace.rounds[:count])
+    backlog[: injected.size] = injected
     # Each queued packet is one int, key * count + rank, where rank is the
     # packet id's rank among the run's ids: int order is (key, id) order,
     # negative keys included, so the head of a link's heap is the policy's
     # choice, and a forward adds step to it.  first and key hold each
     # injection's first link and initial int; by_rank maps a rank to its
     # injection index, route_by_rank holds each packet's route tuple from
-    # the trace's table, and hops and stamp, indexed by rank, count a
-    # packet's completed hops and number its last push, so sorting a queue
-    # by stamp restores arrival order.
+    # the trace's table, and hops and arrived, indexed by rank, count a
+    # packet's completed hops and key its arrival at its present queue by
+    # (arrival round, injection before forward, injection index) as one
+    # int: injection index i at round r is r * stride + i, a forward at
+    # round r is r * stride + count (at most one reaches a link in a round),
+    # and all are below (rounds + 1) * stride, which the guard keeps in int64.
     at_round, at_hops, at_length = coef
     route_of = trace.route_of[:count]
     order = np.argsort(trace.ids[:count])
@@ -249,11 +345,14 @@ def run(
     key[order] += np.arange(count)
     first = np.array([rt[0] for rt in routes], dtype=np.int64)[route_of]
     route_by_rank = [routes[j] for j in route_of[order].tolist()]
-    del lengths, route_of
+    del lengths, route_of, injected
     first, key, by_rank = memoryview(first), memoryview(key), memoryview(order)
     injected_round = memoryview(trace.rounds)
+    stride = count + 1
+    arrived = trace.rounds[:count][order] * stride
+    arrived += order
+    arrived = memoryview(arrived)
     hops = array("q", [0]) * count
-    stamp = array("q", [0]) * count
     step = at_hops * count
     ptr = 0
     due = injected_round[0] if count else -1
@@ -271,40 +370,25 @@ def run(
     plan = [row if ok else None for row, ok in zip(rows, clean)]
     period = len(rows)
     # (link, start, end) of every closed backlogged stretch, link * rounds +
-    # round of every success, and the rank and round of every delivery
+    # round of every success and of every forward's next link, and the rank
+    # and round of every delivery.  since[e] is the first round of link e's
+    # current backlogged stretch, present iff its queue is nonempty, so a
+    # round costs O(activity), not O(links).
     stretches = array("q")
     events = array("q")
+    forwards = array("q")
     delivered_rank = array("q")
     delivered_at = array("q")
-    max_queue_series = array("q", [0]) * rounds
-    arrivals = 0
-    # Incremental view of the queues, so a round costs O(activity), not
-    # O(links): since[e] is the first round of link e's current backlogged
-    # stretch (present iff its queue is nonempty), length_count[n] is the
-    # number of queues of length n >= 1, and longest is the largest n with
-    # length_count[n] > 0, or 0.  Pushes and pops update all three inline.
     since: dict[int, int] = {}
-    length_count = [0] * (count + 2)
-    longest = 0
 
     for r in range(rounds):
         if r == due:
             while due == r:
                 e = first[ptr]
                 q = queues[e]
-                n = len(q)
-                x = key[ptr]
-                heappush(q, x)
-                stamp[x % count] = arrivals
-                arrivals += 1
-                if n:
-                    length_count[n] -= 1
-                else:
+                if not q:
                     since[e] = r
-                n += 1
-                length_count[n] += 1
-                if n > longest:
-                    longest = n
+                heappush(q, key[ptr])
                 ptr += 1
                 due = injected_round[ptr] if ptr < count else -1
 
@@ -322,18 +406,12 @@ def run(
                 winners = compress(winners, resolve_rows(g, [0] * len(winners), winners, 1).tolist())
         for e in winners:
             q = queues[e]
-            n = len(q)
-            if not n:
+            if not q:
                 continue
             events.append(e * rounds + r)
             head = heappop(q)
-            length_count[n] -= 1
-            if n > 1:
-                length_count[n - 1] += 1
-            else:
+            if not q:
                 stretches.extend((e, since.pop(e), r + 1))
-            if n == longest and not length_count[n]:
-                longest -= 1  # the queue just popped now has length n - 1
             k = head % count
             route = route_by_rank[k]
             h = hops[k] + 1
@@ -345,48 +423,36 @@ def run(
             # a forwarded packet waits at its next link from round r + 1
             nxt = route[h]
             q = queues[nxt]
-            n = len(q)
-            heappush(q, head + step)
-            stamp[k] = arrivals
-            arrivals += 1
-            if n:
-                length_count[n] -= 1
-            else:
+            if not q:
                 since[nxt] = r + 1
-            n += 1
-            length_count[n] += 1
-            if n > longest:
-                longest = n
-        max_queue_series[r] = longest
-    del first, key, hops, route_by_rank, length_count
+            heappush(q, head + step)
+            forwards.append(nxt * rounds + r)
+            arrived[k] = r * stride + count
+    del first, key, hops, route_by_rank
     for e, start in since.items():
         if start < rounds:  # a packet forwarded in the last round waits past the run
             stretches.extend((e, start, rounds))
     spans = np.frombuffer(stretches, dtype=np.int64).reshape(-1, 3)
-    done = order[np.frombuffer(delivered_rank, dtype=np.int64)]
     delivered_rounds = np.frombuffer(delivered_at, dtype=np.int64)
-    # the backlog at the end of round r: injections up to r less deliveries
-    # up to r
-    backlog = np.bincount(trace.rounds[:count], minlength=rounds)
     backlog -= np.bincount(delivered_rounds, minlength=rounds)
     packet_id = memoryview(trace.ids)
 
     def arrival_order(q):
-        return tuple(packet_id[by_rank[k]] for k in sorted((x % count for x in q), key=stamp.__getitem__))
+        return tuple(packet_id[by_rank[k]] for k in sorted((x % count for x in q), key=arrived.__getitem__))
 
     # views of the array buffers, with no copy, except the sorted and the
     # derived ones
     return RunMetrics(
         rounds=rounds,
         schedule=schedule,
+        trace=trace,
         stretches=spans[np.argsort(spans[:, 0] * rounds + spans[:, 1])],
         success_events=np.sort(np.frombuffer(events, dtype=np.int64)),
+        forward_events=np.frombuffer(forwards, dtype=np.int64),
         per_round_backlog=np.cumsum(backlog, dtype=np.int64),
-        per_round_max_queue=np.frombuffer(max_queue_series, dtype=np.int64),
-        delivered_ids=trace.ids[done],
-        injection_rounds=trace.rounds[done],
+        delivered_rows=order[np.frombuffer(delivered_rank, dtype=np.int64)],
         delivered_rounds=delivered_rounds,
-        undelivered_count=len(trace) - len(done),
+        undelivered_count=len(trace) - len(delivered_rank),
         final_queues=tuple(arrival_order(q) if q else () for q in queues),
     )
 

@@ -1194,6 +1194,54 @@ class TestRunMatchesRescan:
         assert_metrics_equal(run(sc.g, sched, policy, sc.trace, 200), ref_run(sc.g, sched, policy, sc.trace, 200))
 
 
+class TestQueueTiesMatchRescan:
+    """The ties that the final queues' arrival keys and the max-queue
+    series derived from the forward log must break as the rescan does, on
+    path_graph(3): link 0 = (0, 1) feeds link 2 = (1, 2)."""
+
+    @staticmethod
+    def runs(rows, entries, rounds):
+        g = path_graph(3)
+        sched = schedule_from_rows(rows, g.link_count, None)
+        trace = trace_from_packets(tuple((r, Packet(i, rt)) for r, i, rt in entries), max(r for r, _, _ in entries))
+        for policy in sorted(POLICIES):
+            got = run(g, sched, policy, trace, rounds)
+            assert_metrics_equal(got, ref_run(g, sched, policy, trace, rounds))
+        return got
+
+    def test_injection_before_forward_in_one_round(self):
+        # packet 0 is forwarded onto link 2 in round 0, the round packet 1 is
+        # injected there: 1 arrived first, though 0 has the smaller id and
+        # injection index
+        metrics = self.runs(((0,),), [(0, 0, (0, 2)), (0, 1, (2,)), (1, 2, (2,))], 3)
+        assert metrics.final_queues == ((), (), (1, 0, 2), ())
+        assert metrics.per_round_max_queue.tolist() == [2, 3, 3]
+
+    def test_emptied_then_refilled(self):
+        # link 0 empties in round 1 and refills in round 2: its stretches
+        # touch, and the series drops to 0 between them
+        metrics = self.runs(((0,),), [(0, 0, (0,)), (0, 1, (0,)), (2, 2, (0,)), (2, 3, (0,))], 5)
+        assert metrics.stretches.tolist() == [[0, 0, 2], [0, 2, 4]]
+        assert metrics.per_round_max_queue.tolist() == [1, 0, 1, 0, 0]
+
+    def test_tied_links_drain_and_grow(self):
+        # links 0 and 2 tie at 2 after round 0; in round 1 link 0 drains and
+        # link 2 grows, past the tie and onto it
+        past = self.runs(((), (0,)), [(0, 0, (0,)), (0, 1, (0,)), (0, 2, (2,)), (0, 3, (2,)), (1, 4, (2,))], 4)
+        assert past.per_round_max_queue.tolist() == [2, 3, 3, 3]
+        onto = self.runs(((), (0,)), [(0, 0, (0,)), (0, 1, (0,)), (0, 2, (2,)), (1, 3, (2,))], 4)
+        assert onto.per_round_max_queue.tolist() == [2, 2, 2, 2]
+
+    def test_forward_in_the_last_round(self):
+        # the forward of round 1 ends the run on link 2, whose stretch would
+        # start past the last round
+        metrics = self.runs(((0,),), [(0, 0, (0,)), (1, 1, (0, 2))], 2)
+        assert metrics.forward_events.tolist() == [2 * 2 + 1]
+        assert metrics.final_queues == ((), (), (1,), ())
+        assert metrics.per_round_max_queue.tolist() == [0, 1]
+        assert metrics.stretches.tolist() == [[0, 0, 1], [0, 1, 2]]
+
+
 class TestRoundLogMatchesDense:
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -1332,12 +1380,12 @@ class TestFailureAccountingMatchesDense:
         metrics = RunMetrics(
             rounds=6,
             schedule=schedule_from_rows(((),), 3, None),
+            trace=trace_from_packets((), 0),
             stretches=np.array(stretches, dtype=np.int64),
             success_events=np.zeros(0, dtype=np.int64),
+            forward_events=np.zeros(0, dtype=np.int64),
             per_round_backlog=np.zeros(6, dtype=np.int64),
-            per_round_max_queue=np.zeros(6, dtype=np.int64),
-            delivered_ids=np.zeros(0, dtype=np.int64),
-            injection_rounds=np.zeros(0, dtype=np.int64),
+            delivered_rows=np.zeros(0, dtype=np.int64),
             delivered_rounds=np.zeros(0, dtype=np.int64),
             undelivered_count=0,
             final_queues=((),) * 3,
@@ -1375,12 +1423,12 @@ class TestFailureAccountingMatchesDense:
         metrics = RunMetrics(
             rounds=rounds,
             schedule=sched,
+            trace=trace_from_packets((), 0),
             stretches=np.array(rows, dtype=np.int64).reshape(-1, 3),
             success_events=np.flatnonzero(success),
+            forward_events=np.zeros(0, dtype=np.int64),
             per_round_backlog=np.zeros(rounds, dtype=np.int64),
-            per_round_max_queue=np.zeros(rounds, dtype=np.int64),
-            delivered_ids=np.zeros(0, dtype=np.int64),
-            injection_rounds=np.zeros(0, dtype=np.int64),
+            delivered_rows=np.zeros(0, dtype=np.int64),
             delivered_rounds=np.zeros(0, dtype=np.int64),
             undelivered_count=0,
             final_queues=((),) * m,

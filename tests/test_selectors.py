@@ -244,6 +244,17 @@ class TestClaims:
         with pytest.raises(ParameterError, match="claimed k"):
             selector(np.eye(2, dtype=np.uint8), claimed_k=3)
 
+    def test_refuses_non_integer_shape(self):
+        # a float t or n is refused, not truncated
+        for t, n in ((1.5, 2.7), (1.0, 2), (1, 2.0)):
+            with pytest.raises(TypeError):
+                sel.SelectorMatrix([0], [0], t, n)
+
+    def test_takes_numpy_integer_shape(self):
+        m = sel.SelectorMatrix([0], [1], np.int64(1), np.int32(2))
+        assert (m.t, m.n) == (1, 2)
+        assert type(m.t) is int and type(m.n) is int
+
     def test_ones_sorted_and_read_only(self):
         m = sel.SelectorMatrix(np.array([2, 0, 2, 1]), [3, 1, 0, 1], 3, 4)
         assert ones(m) == ([0, 1, 2, 2], [1, 1, 0, 3])

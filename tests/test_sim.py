@@ -328,10 +328,10 @@ class TestSparseRecord:
     def test_bytes_per_delivery(self):
         # An overloaded clique delivers one packet a round, so each extra
         # delivery comes with one extra round and one success.  The kept
-        # record then gains 48 bytes of int64 entries (three delivery
-        # columns, one success event, two per-round series), plus buffer
-        # over-allocation and the final queue slots of the extra backlog,
-        # about 2 bytes each.  A record of Python objects per delivery
+        # record then gains 32 bytes of int64 entries (two delivery
+        # columns, one success event, the backlog series), plus buffer
+        # over-allocation and the final queue slots of the extra backlog:
+        # about 39 bytes in all.  A record of Python objects per delivery
         # (namedtuple, list slot, round int) costs about 90 bytes more.
         sc = gen_clique_scenario(3, Fraction(1, 31), 2400)
         sched = schedule_from_coloring(exact_chromatic(build_conflict_graph(sc.g)))
@@ -351,9 +351,9 @@ class TestSparseRecord:
         assert (long_bytes - short_bytes) / (long_count - short_count) < 56
 
     def test_run_peak(self):
-        # one run of the benchmark's overloaded clique: about 290 kB at peak,
+        # one run of the benchmark's overloaded clique: about 240 kB at peak,
         # of which the int64 key and first-link columns take 46 kB; held as
-        # Python lists they take it past 500 kB
+        # Python lists they add about 200 kB more
         sc = gen_clique_scenario(3, Fraction(1, 31), 2400)
         sched = schedule_from_coloring(exact_chromatic(build_conflict_graph(sc.g)))
         run(sc.g, sched, "lis", sc.trace, 12)  # any one-time cost falls outside the trace
@@ -466,6 +466,13 @@ class TestSparseRecord:
             held = tracemalloc.get_traced_memory()[0]
             rep = failure_accounting(metrics, adv, threshold, sched.period)
             check_peak = tracemalloc.get_traced_memory()[1] - held
+            # the max-queue series is derived from the events, with no
+            # links x rounds array: about 24 bytes an event
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            series = metrics.per_round_max_queue
+            read_peak = tracemalloc.get_traced_memory()[1] - held
+            events = len(trace) + metrics.forward_events.size + metrics.success_events.size
             assert not self.DENSE_VIEWS & vars(metrics).keys()
             del metrics
             tracemalloc.reset_peak()
@@ -484,5 +491,6 @@ class TestSparseRecord:
             tracemalloc.stop()
         assert rep.max_count > 0 and longer.per_round_backlog[rounds + 1000 :].max() == 0
         assert check_peak < 8 * dense / 4
+        assert series.max() > 0 and read_peak < 48 * events + 32 * rounds < 8 * dense / 4
         assert longer_peak - run_peak < dense / 2
         assert kept_bytes < dense / 100
