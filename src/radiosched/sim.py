@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import chain, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +63,8 @@ class RunMetrics:
     the first.  `undelivered_count` counts trace packets not delivered
     within the simulated rounds, including any whose injection round was
     never reached.  `final_queues` lists each link's queued packet ids in
-    arrival order.
+    arrival order.  `run` derives all of these after its loop from one
+    success log and the final queues (see `run`).
 
     `per_round_max_queue`, the longest queue at the end of each round, is
     derived on each read from the injections, the forward log, the
@@ -290,16 +291,28 @@ def run(
     elsewhere `resolve_rows` resolves the backlogged links as one row.  A
     queued packet is one int, with no tuple or record per packet.  Each
     packet's first link and initial heap key are int64 columns built before
-    the loop and read through memoryviews, which yield Python ints; a
-    delivery appends its packet's rank and round, and the delivery columns
-    and the backlog series are derived from those and the trace's columns
-    after the loop.  The loop keeps the queues and no tally of their
-    lengths: a forward appends its next link and round to the forward log,
-    from which `RunMetrics.per_round_max_queue` is derived on read, and
-    writes an arrival key made from its round by rank, by which the final
-    queues are sorted into arrival order.  A run whose keys could leave
-    int64, (rounds + longest route + 1) * (packets + 1) >= 2**63, is
-    refused before anything is sized by `rounds`.
+    the loop and read through memoryviews, which yield Python ints.
+
+    The loop keeps only the queues, each packet's completed hops and the
+    success log: one int64 append per success, rank * rounds + round, in
+    the order of the loop.  After it, with the key and first-link columns,
+    the routes by rank and the queues freed, numpy derives every field of
+    the record from the log, the trace and the final queues.  Sorting the
+    log groups each packet's successes in round order, so a success's place
+    in its group is its hop, and the hop gives its link and its next link,
+    or its delivery, from the packet's route.  From these come the success
+    events, the delivery columns in delivery order, the forward log in loop
+    order and the backlog series; the backlogged stretches come from each
+    link's steps up and down, and the final queues' arrival order from each
+    queued packet's injection or last success.  The derivation costs
+    O(E log E) time and O(E + rounds) memory for E events, with no links x
+    rounds array.  It holds a few int64 arrays of the events at once and
+    frees each when read; it peaks while the stretches are found, holding
+    the record's columns and every step up and down with their ranks.
+
+    A run whose keys could leave int64, (rounds + longest route + 1) *
+    (packets + 1) >= 2**63, is refused before anything is sized by
+    `rounds`.
     """
     coef = POLICIES.get(policy.lower())
     if coef is None:
@@ -329,14 +342,10 @@ def run(
     # packet id's rank among the run's ids: int order is (key, id) order,
     # negative keys included, so the head of a link's heap is the policy's
     # choice, and a forward adds step to it.  first and key hold each
-    # injection's first link and initial int; by_rank maps a rank to its
+    # injection's first link and initial int; order maps a rank to its
     # injection index, route_by_rank holds each packet's route tuple from
-    # the trace's table, and hops and arrived, indexed by rank, count a
-    # packet's completed hops and key its arrival at its present queue by
-    # (arrival round, injection before forward, injection index) as one
-    # int: injection index i at round r is r * stride + i, a forward at
-    # round r is r * stride + count (at most one reaches a link in a round),
-    # and all are below (rounds + 1) * stride, which the guard keeps in int64.
+    # the trace's table, and hops, indexed by rank, counts a packet's
+    # completed hops.
     at_round, at_hops, at_length = coef
     route_of = trace.route_of[:count]
     order = np.argsort(trace.ids[:count])
@@ -345,13 +354,9 @@ def run(
     key[order] += np.arange(count)
     first = np.array([rt[0] for rt in routes], dtype=np.int64)[route_of]
     route_by_rank = [routes[j] for j in route_of[order].tolist()]
-    del lengths, route_of, injected
-    first, key, by_rank = memoryview(first), memoryview(key), memoryview(order)
+    del route_of, injected
+    first, key = memoryview(first), memoryview(key)
     injected_round = memoryview(trace.rounds)
-    stride = count + 1
-    arrived = trace.rounds[:count][order] * stride
-    arrived += order
-    arrived = memoryview(arrived)
     hops = array("q", [0]) * count
     step = at_hops * count
     ptr = 0
@@ -369,26 +374,14 @@ def run(
     rows = schedule.rows(span) or [()]
     plan = [row if ok else None for row, ok in zip(rows, clean)]
     period = len(rows)
-    # (link, start, end) of every closed backlogged stretch, link * rounds +
-    # round of every success and of every forward's next link, and the rank
-    # and round of every delivery.  since[e] is the first round of link e's
-    # current backlogged stretch, present iff its queue is nonempty, so a
-    # round costs O(activity), not O(links).
-    stretches = array("q")
-    events = array("q")
-    forwards = array("q")
-    delivered_rank = array("q")
-    delivered_at = array("q")
-    since: dict[int, int] = {}
+    # the success log: rank * rounds + round of every success, in the order
+    # of the loop, from which every other field is derived after it
+    log = array("q")
 
     for r in range(rounds):
         if r == due:
             while due == r:
-                e = first[ptr]
-                q = queues[e]
-                if not q:
-                    since[e] = r
-                heappush(q, key[ptr])
+                heappush(queues[first[ptr]], key[ptr])
                 ptr += 1
                 due = injected_round[ptr] if ptr < count else -1
 
@@ -408,53 +401,162 @@ def run(
             q = queues[e]
             if not q:
                 continue
-            events.append(e * rounds + r)
             head = heappop(q)
-            if not q:
-                stretches.extend((e, since.pop(e), r + 1))
             k = head % count
+            log.append(k * rounds + r)
             route = route_by_rank[k]
             h = hops[k] + 1
             if h == len(route):
-                delivered_rank.append(k)
-                delivered_at.append(r)
                 continue
             hops[k] = h
             # a forwarded packet waits at its next link from round r + 1
-            nxt = route[h]
-            q = queues[nxt]
-            if not q:
-                since[nxt] = r + 1
-            heappush(q, head + step)
-            forwards.append(nxt * rounds + r)
-            arrived[k] = r * stride + count
-    del first, key, hops, route_by_rank
-    for e, start in since.items():
-        if start < rounds:  # a packet forwarded in the last round waits past the run
-            stretches.extend((e, start, rounds))
-    spans = np.frombuffer(stretches, dtype=np.int64).reshape(-1, 3)
-    delivered_rounds = np.frombuffer(delivered_at, dtype=np.int64)
+            heappush(queues[route[h]], head + step)
+    del first, key, route_by_rank
+    # the links still holding packets, their queue lengths and the ranks
+    # they hold, read in one pass over the queues
+    busy = [e for e, q in enumerate(queues) if q]
+    held = [len(queues[e]) for e in busy]
+    queued = np.fromiter(chain.from_iterable(queues[e] for e in busy), dtype=np.int64, count=sum(held))
+    queued %= count or 1
+    del queues
+    # Group the log by packet: a packet succeeds at most once a round, so
+    # the entries are distinct, and sorted they hold each packet's successes
+    # together in round order, packet k's i-th, made at its hop i, at
+    # begin[k] + i.
+    log = np.frombuffer(log, dtype=np.int64)
+    perm = np.argsort(log)
+    grouped = log[perm]
+    grouped //= rounds
+    begin = np.bincount(grouped, minlength=count)
+    begin = np.cumsum(begin) - begin
+    hop = np.arange(log.size)
+    hop -= begin[grouped]
+    del grouped
+    final_queues = _final_queues(m, busy, held, queued, log, perm, begin, hops, order, trace, rounds)
+    del queued, begin, hops
+    in_order = np.empty_like(hop)
+    in_order[perm] = hop
+    hop = in_order
+    del in_order, perm
+    # Back in loop order, a success's packet and hop give its place in the
+    # flat route table, which lists each route's links and then -1: the
+    # entry there is the success's link, and the next one its packet's next
+    # link, or -1 at a delivery.
+    rank = log // rounds
+    np.remainder(log, rounds, out=log)
+    flat = np.fromiter(
+        chain.from_iterable(rt + (-1,) for rt in routes), dtype=np.int64, count=int(lengths.sum()) + len(routes)
+    )
+    lengths += 1
+    place = np.cumsum(lengths) - lengths
+    place = place[trace.route_of[order]]
+    place = place[rank]
+    place += hop
+    del hop, lengths
+    link = flat[place]
+    place += 1
+    after = flat[place]
+    del place
+    done = after < 0
+    delivered_rows = order[rank[done]]
+    delivered_rounds = log[done]
+    del rank
+    np.logical_not(done, out=done)
+    forwards = after[done]
+    forwards *= rounds
+    forwards += log[done]
+    del after, done
+    link *= rounds
+    link += log
+    link.sort()
+    del log, order
     backlog -= np.bincount(delivered_rounds, minlength=rounds)
-    packet_id = memoryview(trace.ids)
-
-    def arrival_order(q):
-        return tuple(packet_id[by_rank[k]] for k in sorted((x % count for x in q), key=arrived.__getitem__))
-
-    # views of the array buffers, with no copy, except the sorted and the
-    # derived ones
     return RunMetrics(
         rounds=rounds,
         schedule=schedule,
         trace=trace,
-        stretches=spans[np.argsort(spans[:, 0] * rounds + spans[:, 1])],
-        success_events=np.sort(np.frombuffer(events, dtype=np.int64)),
-        forward_events=np.frombuffer(forwards, dtype=np.int64),
+        stretches=_stretches(trace, count, link, forwards, busy, held, rounds),
+        success_events=link,
+        forward_events=forwards,
         per_round_backlog=np.cumsum(backlog, dtype=np.int64),
-        delivered_rows=order[np.frombuffer(delivered_rank, dtype=np.int64)],
+        delivered_rows=delivered_rows,
         delivered_rounds=delivered_rounds,
-        undelivered_count=len(trace) - len(delivered_rank),
-        final_queues=tuple(arrival_order(q) if q else () for q in queues),
+        undelivered_count=len(trace) - delivered_rows.size,
+        final_queues=final_queues,
     )
+
+
+def _final_queues(m, busy, held, queued, log, perm, begin, hops, order, trace, rounds):
+    """Each of the m links' queued packet ids in arrival order.
+
+    Link busy[j] holds held[j] packets, whose ranks `queued` lists link by
+    link.  A packet k that never moved arrived at its injection, any other
+    at its last success, the hops[k]-th, at log[perm[begin[k] + hops[k] -
+    1]].  A queue is sorted by (arrival round, injection before forward,
+    injection index) as one int: injection index i at round r is r *
+    stride + i, a forward at round r is r * stride + count (at most one
+    reaches a link in a round), and all are below (rounds + 1) * stride,
+    which `run`'s guard keeps in int64."""
+    final = [()] * m
+    if not busy:
+        return tuple(final)
+    count = order.size
+    stride = count + 1
+    index = order[queued]
+    arrival = trace.rounds[index] * stride
+    arrival += index
+    moves = np.frombuffer(hops, dtype=np.int64)[queued]
+    moved = np.flatnonzero(moves)
+    last = begin[queued[moved]]
+    last += moves[moved]
+    last -= 1
+    last = log[perm[last]] % rounds
+    last *= stride
+    last += count
+    arrival[moved] = last
+    ids = trace.ids[index[np.lexsort((arrival, np.repeat(np.arange(len(busy)), held)))]].tolist()
+    at = 0
+    for e, n in zip(busy, held):
+        final[e] = tuple(ids[at : at + n])
+        at += n
+    return tuple(final)
+
+
+def _stretches(trace, count, successes, forwards, busy, held, rounds):
+    """The backlogged stretches as int64 rows (link, start, end).
+
+    A link's queue steps up at round r with an injection of round r or a
+    forward of round r - 1, and down at round r + 1 after a success of
+    round r; a queue still held steps down at round `rounds`.  Keyed link *
+    (rounds + 1) + round, with the steps down first at a tie, so that
+    stretches that touch stay apart, the level after the i-th step up is
+    i + 1 less the steps down at or before it, and after the j-th step
+    down it is the steps up before it less j + 1.  A stretch starts at a
+    step up to level 1 and ends at a step down to 0; each link's steps
+    cancel, so no level leaks into the next link's.  A forward of the last
+    round steps up at round `rounds`, after the held queue's steps down, so
+    it starts no stretch.  A key exceeds the link * rounds + round of a
+    success event by at most the link count."""
+    width = rounds + 1
+    ups = np.array([rt[0] for rt in trace.routes], dtype=np.int64)[trace.route_of[:count]]
+    ups *= width
+    ups += trace.rounds[:count]
+    ups = np.concatenate((ups, forwards // rounds + forwards + 1))
+    ups.sort()
+    downs = successes // rounds
+    downs += successes
+    downs += 1
+    kept = np.array(busy, dtype=np.int64) * width + rounds
+    downs = np.concatenate((downs, np.repeat(kept, held)))
+    downs.sort(kind="stable")  # two sorted runs
+    at = np.arange(max(ups.size, downs.size) + 1)
+    starts = ups[np.searchsorted(downs, ups, "right") == at[: ups.size]]
+    ends = downs[np.searchsorted(ups, downs) == at[1 : downs.size + 1]]
+    del ups, downs, at
+    out = np.empty((starts.size, 3), dtype=np.int64)
+    np.divmod(starts, width, out=(out[:, 0], out[:, 1]))
+    np.remainder(ends, width, out=out[:, 2])
+    return out
 
 
 class FailureWindow(NamedTuple):

@@ -1193,6 +1193,25 @@ class TestRunMatchesRescan:
         sched = schedule_from_rows(rows, m, None)
         assert_metrics_equal(run(sc.g, sched, policy, sc.trace, 200), ref_run(sc.g, sched, policy, sc.trace, 200))
 
+    def test_route_that_repeats_a_link(self):
+        # path_graph(2): link 0 = (0, 1), link 1 = (1, 0).  Packets 0 and 1
+        # take route (0, 1, 0) from round 0 and packet 2 takes link 0 alone,
+        # so the hops read from the success log must count a packet's
+        # second visit to link 0 as its hop 2, which delivers it
+        g = path_graph(2)
+        sched = schedule_from_rows(((0,), (1,)), g.link_count, None)
+        trace = trace_from_packets(((0, Packet(0, (0, 1, 0))), (0, Packet(1, (0, 1, 0))), (0, Packet(2, (0,)))), 0)
+        rounds = 10
+        for policy in sorted(POLICIES):
+            got = run(g, sched, policy, trace, rounds)
+            assert_metrics_equal(got, ref_run(g, sched, policy, trace, rounds))
+            assert got.delivered_count == 3
+        # under sis (the last policy) packet 0 crosses link 0 in round 0 and
+        # link 1 in round 1, and is delivered by link 0 in round 2; packet 1
+        # follows in rounds 4 to 6
+        assert got.forward_events.tolist() == [1 * rounds + 0, 0 * rounds + 1, 1 * rounds + 4, 0 * rounds + 5]
+        assert got.delivered_ids.tolist() == [0, 1, 2] and got.delivered_rounds.tolist() == [2, 6, 8]
+
 
 class TestQueueTiesMatchRescan:
     """The ties that the final queues' arrival keys and the max-queue
