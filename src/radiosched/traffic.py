@@ -525,6 +525,8 @@ def read_trace(path) -> InjectionTrace:
         if stripped.startswith("#"):
             parts = stripped[1:].split()
             if len(parts) == 2 and parts[0] == "horizon":
+                if horizon is not None:
+                    raise FormatError(f"line {ln}: repeated horizon header")
                 horizon = parse_count(parts[1])
             continue
         if not stripped:

@@ -466,12 +466,15 @@ METRIC_VIEWS = (
 
 def assert_record_canonical(metrics):
     """The sparse record's documented order: stretches nonempty, disjoint and
-    sorted by link then start; success events strictly increasing."""
+    sorted by link then start; success events strictly increasing; and no
+    link both succeeds and receives a forward in one round, the premise of
+    the half-round clock on which `run` times its queue steps."""
     link, start, end = metrics.stretches.T
     assert metrics.stretches.dtype == metrics.success_events.dtype == np.int64
     assert (0 <= start).all() and (start < end).all() and (end <= metrics.rounds).all()
     assert (link[:-1] * metrics.rounds + end[:-1] <= link[1:] * metrics.rounds + start[1:]).all()
     assert (np.diff(metrics.success_events) > 0).all()
+    assert not np.isin(metrics.forward_events, metrics.success_events).any()
 
 
 def assert_metrics_equal(got, want):
@@ -1259,6 +1262,13 @@ class TestQueueTiesMatchRescan:
         assert metrics.final_queues == ((), (), (1,), ())
         assert metrics.per_round_max_queue.tolist() == [0, 1]
         assert metrics.stretches.tolist() == [[0, 0, 1], [0, 1, 2]]
+        # one round: the forward of round 0 is also the last round's, at
+        # time 1 on the half-round clock, one before link 2's close at 2
+        metrics = self.runs(((0,),), [(0, 0, (0, 2))], 1)
+        assert metrics.forward_events.tolist() == [2 * 1 + 0]
+        assert metrics.final_queues == ((), (), (0,), ())
+        assert metrics.per_round_max_queue.tolist() == [1]
+        assert metrics.stretches.tolist() == [[0, 0, 1]]
 
 
 class TestRoundLogMatchesDense:

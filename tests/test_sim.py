@@ -470,7 +470,7 @@ class TestSparseRecord:
             rep = failure_accounting(metrics, adv, threshold, sched.period)
             check_peak = tracemalloc.get_traced_memory()[1] - held
             # the max-queue series is derived from the events, with no
-            # links x rounds array: about 24 bytes an event
+            # links x rounds array: about 20 bytes an event
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
             series = metrics.per_round_max_queue
