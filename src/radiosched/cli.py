@@ -12,6 +12,7 @@ import argparse
 import csv
 import gc
 import json
+import os
 import sys
 from bisect import bisect_right
 from fractions import Fraction
@@ -403,6 +404,15 @@ def cmd_threshold_direct(args) -> tuple[dict | None, int]:
     }, 0
 
 
+def float_rounds(lb) -> float:
+    """A latency bound's round count as a float; a bound past float range
+    is refused."""
+    try:
+        return float(lb.rounds)
+    except OverflowError:
+        raise ParameterError("latency bound exceeds float range") from None
+
+
 def cmd_bounds_latency(args) -> tuple[dict | None, int]:
     lb = latency_bound(
         parse_fraction(args.rho), parse_fraction(args.rho_prime), args.window, args.burst, args.nesting
@@ -411,7 +421,7 @@ def cmd_bounds_latency(args) -> tuple[dict | None, int]:
         "active_classes": lb.active_classes,
         "delivery_windows": lb.delivery_windows,
         "rounds": lb.rounds,
-        "rounds_approx": float(lb.rounds),
+        "rounds_approx": float_rounds(lb),
     }, 0
 
 
@@ -426,6 +436,7 @@ def _experiment_seed(args, seed: int, out: Path) -> list[dict]:
     threshold, window = sched.claimed_frequency
     rho = parse_fraction(args.rho_scale) * threshold
     lat = latency_bound(rho, threshold, window, args.burst, args.max_hops) if rho < threshold else None
+    lat_rounds = float_rounds(lat) if lat else None
     adv = AdversaryConfig(rho, args.burst)
     routes = random_routes(g, args.routes, args.max_hops, seed=seed)
     tr = gen_leaky_bucket(g, routes, adv, args.horizon, seed=seed, intensity=args.intensity)
@@ -449,7 +460,7 @@ def _experiment_seed(args, seed: int, out: Path) -> list[dict]:
                 "chi": chi,
                 "rho": format_fraction(rho),
                 "threshold": format_fraction(threshold),
-                "latency_bound": float(lat.rounds) if lat else None,
+                "latency_bound": lat_rounds,
                 "latency_ok": metrics.max_latency <= lat.rounds if lat else None,
                 "injections": len(tr),
                 "delivered": metrics.delivered_count,
@@ -608,7 +619,9 @@ def main(argv=None) -> int:
     Each handler returns its record and exit code, so a refusal or an
     unwritable path anywhere in it exits 3 with nothing on stdout.  A record
     of None prints nothing: `simulate --rho` writes an inadmissible trace's
-    record to stderr itself.
+    record to stderr itself.  A reader that closes stdout early, as `| head
+    -1` does, is no refusal: the rest of the record goes to os.devnull and
+    the handler's exit code stands.
     """
     args = build_parser().parse_args(argv)
     # free the parser, whose reference cycles outlive it, before the handler runs
@@ -616,7 +629,14 @@ def main(argv=None) -> int:
     try:
         record, code = args.func(args)
         if record is not None:
-            emit(record, args.format)
+            try:
+                emit(record, args.format)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the exit flush then writes what is left to devnull, not the pipe
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
         return code
     except (ParameterError, FormatError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -240,6 +240,8 @@ def random_uss(n: int, k: int, eps, seed: int) -> SelectorMatrix:
     Verification is exhaustive when exhaustive_fits(n, k) and a seeded
     sample check otherwise.  Deterministic for a given seed.
     """
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     eps = Fraction(eps)
     t = random_uss_size(n, k, eps)
     if t * n > 200_000_000:

@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -63,20 +63,21 @@ class RunMetrics:
     the first.  `undelivered_count` counts trace packets not delivered
     within the simulated rounds, including any whose injection round was
     never reached.  `final_queues` lists each link's queued packet ids in
-    arrival order.  `run` derives all of these after its loop from one
-    success log and the final queues (see `run`).
+    the order its policy would serve them next: by policy key, then by
+    packet id.  `run` derives all of these after its loop from one success
+    log and the final queues (see `run`).
 
-    The stretches, the final queues' order and `per_round_max_queue`, the
-    longest queue at the end of each round, read the queues' steps on one
-    clock of half rounds: round r's injections at time 2r, its successes
-    and forwards at 2r + 1.  The series is derived on each read, in
-    O(E log E) time and O(E + rounds) memory for E events.  The dense
-    (link_count, rounds) bool views `active`, `backlogged`, `success` and
-    `attempted` are built on each read and kept by nothing.  A link
-    attempts exactly when it is scheduled with a nonempty queue, so
-    `attempted` equals `active & backlogged`; it is scattered from the
-    attempt events, the active rounds inside each stretch, with no other
-    links x rounds array.  Records compare and hash by identity.
+    The stretches and `per_round_max_queue`, the longest queue at the end
+    of each round, read the queues' steps on one clock of half rounds:
+    round r's injections at time 2r, its successes and forwards at 2r + 1.
+    The series is derived on each read, in O(E log E) time and O(E +
+    rounds) memory for E events.  The dense (link_count, rounds) bool
+    views `active`, `backlogged`, `success` and `attempted` are built on
+    each read and kept by nothing.  A link attempts exactly when it is
+    scheduled with a nonempty queue, so `attempted` equals `active &
+    backlogged`; it is scattered from the attempt events, the active rounds
+    inside each stretch, with no other links x rounds array.  Records
+    compare and hash by identity.
     """
 
     rounds: int
@@ -201,7 +202,8 @@ class RunMetrics:
         and O(E + rounds) memory for E events, no links x rounds array.
         """
         n = self.rounds
-        ups, downs = _queue_steps(self.trace, n, self.success_events, self.forward_events, self.final_queues)
+        held = [len(q) for q in self.final_queues]
+        ups, downs = _queue_steps(self.trace, n, self.success_events, self.forward_events, held)
         at = np.arange(max(ups.size, downs.size) + 1)
         # each step's level as level * (rounds + 1) + round
         opens = np.searchsorted(downs, ups)
@@ -276,18 +278,17 @@ def run(
 
     The loop keeps only the queues, each packet's completed hops and the
     success log: one int64 append per success, rank * rounds + round, in
-    the order of the loop.  After it, with the key and first-link columns,
-    the routes by rank and the queues freed, numpy derives every field of
-    the record from the log, the trace and the final queues.  Sorting the
-    log groups each packet's successes in round order, so a success's place
-    in its group is its hop, and the hop gives its link and its next link,
-    or its delivery, from the packet's route.  From these come the success
-    events, the delivery columns in delivery order, the forward log in loop
-    order and the backlog series.  The backlogged stretches come from each
-    link's steps up and down on one clock of half rounds, round r's
-    injections at time 2r and its successes and forwards at 2r + 1, and the
-    final queues' arrival order from each queued packet's time on that
-    clock, at its injection or its last success.  The derivation costs
+    the order of the loop.  After it each heap, sorted, lists its link's
+    queued ranks in service order.  With the per-packet columns, the routes
+    by rank and the queues freed, numpy derives every field of the record
+    from the log, the trace and those ranks.  Sorting the log groups each
+    packet's successes in round order, so a success's place in its group
+    is its hop, and the hop gives its link and its next link, or its
+    delivery, from the packet's route.  From these come the success events,
+    the delivery columns in delivery order, the forward log in loop order
+    and the backlog series.  The backlogged stretches come from each link's
+    steps up and down on one clock of half rounds, round r's injections at
+    time 2r and its successes and forwards at 2r + 1.  The derivation costs
     O(E log E) time and O(E + rounds) memory for E events, with no links x
     rounds array.  It holds a few int64 arrays of the events at once and
     frees each when read; it peaks while the stretches are found, holding
@@ -394,12 +395,13 @@ def run(
             hops[k] = h
             # a forwarded packet waits at its next link from round r + 1
             heappush(queues[route[h]], head + step)
-    del first, key, route_by_rank
+    del first, key, route_by_rank, hops
     # the links still holding packets, their queue lengths and the ranks
-    # they hold, read in one pass over the queues
+    # they hold, each heap sorted: int order is (key, id) order, the order
+    # the policy serves them in
     busy = [e for e, q in enumerate(queues) if q]
     held = [len(queues[e]) for e in busy]
-    queued = np.fromiter(chain.from_iterable(queues[e] for e in busy), dtype=np.int64, count=sum(held))
+    queued = np.fromiter(chain.from_iterable(sorted(queues[e]) for e in busy), dtype=np.int64, count=sum(held))
     queued %= count or 1
     del queues
     # Group the log by packet: a packet succeeds at most once a round, so
@@ -414,9 +416,7 @@ def run(
     begin = np.cumsum(begin) - begin
     hop = np.arange(log.size)
     hop -= begin[grouped]
-    del grouped
-    final_queues = _final_queues(m, busy, held, queued, log, perm, begin, hops, order, trace, rounds)
-    del queued, begin, hops
+    del grouped, begin
     in_order = np.empty_like(hop)
     in_order[perm] = hop
     hop = in_order
@@ -452,15 +452,18 @@ def run(
     link *= rounds
     link += log
     link.sort()
+    queued = order[queued]  # ranks to injection indices
     del log, order
     # A stretch runs from a step up to level 1 at time t to the next step
     # down to 0 at time u, rounds [(t + 1) // 2, (u + 1) // 2); a forward of
     # the last round, at 2 * rounds - 1, starts an empty one, dropped here.
-    ups, downs = _queue_steps(trace, rounds, link, forwards, final_queues)
+    per_link = np.zeros(m, dtype=np.int64)
+    per_link[busy] = held
+    ups, downs = _queue_steps(trace, rounds, link, forwards, per_link)
     at = np.arange(max(ups.size, downs.size) + 1)
     starts = ups[np.searchsorted(downs, ups) == at[: ups.size]]
     ends = downs[np.searchsorted(ups, downs) == at[1 : downs.size + 1]]
-    del ups, downs, at
+    del ups, downs, at, per_link
     width = 2 * rounds + 1
     kept = starts % width != 2 * rounds - 1
     starts, ends = starts[kept], ends[kept]
@@ -471,6 +474,11 @@ def run(
     stretches[:, 1:] += 1
     stretches[:, 1:] //= 2
     backlog -= np.bincount(delivered_rounds, minlength=rounds)
+    # the final queues' ids, read last, past the peak of the stretches
+    final_queues = [()] * m
+    ids = trace.ids[queued].tolist()
+    for e, end, n in zip(busy, accumulate(held), held):
+        final_queues[e] = tuple(ids[end - n : end])
     return RunMetrics(
         rounds=rounds,
         schedule=schedule,
@@ -482,50 +490,18 @@ def run(
         delivered_rows=delivered_rows,
         delivered_rounds=delivered_rounds,
         undelivered_count=len(trace) - delivered_rows.size,
-        final_queues=final_queues,
+        final_queues=tuple(final_queues),
     )
 
 
-def _final_queues(m, busy, held, queued, log, perm, begin, hops, order, trace, rounds):
-    """Each of the m links' queued packet ids in arrival order.
-
-    Link busy[j] holds held[j] packets, whose ranks `queued` lists link by
-    link.  A queue is sorted by arrival time on `run`'s clock, then by
-    injection index.  A packet k that never moved arrived at its injection,
-    at time 2 * round, any other at its last success, the hops[k]-th, at
-    log[perm[begin[k] + hops[k] - 1]], at time 2 * round + 1.  Only the
-    injections of one round share a time, as at most one forward reaches a
-    link in a round."""
-    final = [()] * m
-    if not busy:
-        return tuple(final)
-    index = order[queued]
-    arrival = trace.rounds[index] * 2
-    moves = np.frombuffer(hops, dtype=np.int64)[queued]
-    moved = np.flatnonzero(moves)
-    last = begin[queued[moved]]
-    last += moves[moved]
-    last -= 1
-    last = log[perm[last]] % rounds
-    last *= 2
-    last += 1
-    arrival[moved] = last
-    ids = trace.ids[index[np.lexsort((index, arrival, np.repeat(np.arange(len(busy)), held)))]].tolist()
-    at = 0
-    for e, n in zip(busy, held):
-        final[e] = tuple(ids[at : at + n])
-        at += n
-    return tuple(final)
-
-
-def _queue_steps(trace, rounds, successes, forwards, final_queues):
+def _queue_steps(trace, rounds, successes, forwards, held):
     """The queues' steps up and down, as two sorted int64 arrays keyed
     link * (2 * rounds + 1) + time on one clock of half rounds.
 
     Round r's injections step up at time 2r, its forwards step up and its
     successes step down at 2r + 1, so event e = link * rounds + round keys
-    2e + e // rounds + 1, and a queue held at the end steps down a packet at
-    2 * rounds.  No link both succeeds and receives a forward in a round, so
+    2e + e // rounds + 1, and each of the held[e] packets that link e holds
+    at the end steps down at 2 * rounds.  No link both succeeds and receives a forward in a round, so
     one link's steps up and down never share a time: the level after the
     i-th step up is i + 1 less the steps down before it, and before the j-th
     step down the steps up before it less j.  Each link's steps cancel, so
@@ -539,7 +515,6 @@ def _queue_steps(trace, rounds, successes, forwards, final_queues):
     injected *= width
     injected += trace.rounds[:count]
     injected += trace.rounds[:count]
-    held = [len(q) for q in final_queues]
     downs = np.empty(successes.size + sum(held), dtype=np.int64)
     downs[successes.size :] = np.repeat(np.arange(2 * rounds, len(held) * width, width), held)
     for events, out in ((forwards, ups[count:]), (successes, downs[: successes.size])):

@@ -388,7 +388,7 @@ class CliqueScenario:
         """Exact lower bound on undelivered packets after `rounds` rounds,
         when rounds is a multiple of chi: total injected through round
         `rounds` minus the one-per-round delivery ceiling."""
-        if rounds % self.chi != 0 or rounds == 0:
+        if rounds % self.chi != 0 or rounds <= 0:
             raise ParameterError("rounds must be a positive multiple of chi")
         if rounds > self.trace.horizon:
             raise ParameterError("prediction exceeds the trace horizon")

@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import weakref
@@ -63,6 +64,16 @@ class TestReports:
         fields = parse_text(capsys.readouterr().out)
         assert fields["active_classes"] == "36"
         assert fields["rounds"] == "140"
+
+    def test_bounds_latency_past_float_range_is_parameter_error(self, capsys):
+        # (1 - rho / rho')^-600 = 4^600 classes, about 3 * 4^600 rounds: an
+        # exact Fraction that no float holds
+        argv = [
+            "bounds", "latency", "--rho", "3/4", "--rho-prime", "1",
+            "--window", "3", "--burst", "1", "--nesting", "600",
+        ]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "error: latency bound exceeds float range\n")
 
 
 class TestScheduleFlow:
@@ -205,6 +216,13 @@ class TestSelectorVerification:
         assert main(["verify-selector", str(sel)]) == 3
         out, err = capsys.readouterr()
         assert not out and err == "error: row 0: expected 10000000000000 chars of 0/1\n"
+
+    def test_negative_seed_is_parameter_error(self, tmp_path, capsys):
+        sel = tmp_path / "sel.txt"
+        argv = ["build-selector", "random", "--n", "5", "--k", "2", "--eps", "1/4", "--seed", "-1", "--out", str(sel)]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "error: seed must be non-negative, got -1\n")
+        assert not sel.exists()
 
     def test_failed_construction_is_parameter_error(self, monkeypatch, capsys):
         never = selectors.MinCountResult(0, Fraction(0), ((0, 1), 0))
@@ -421,6 +439,13 @@ class TestExperiment:
         assert len(summary["runs"]) == 8
         assert (a / "seed_000" / "lis.csv").exists()
         assert (a / "seed_001" / "trace.txt").exists()
+
+    def test_latency_bound_past_float_range_refused_before_any_file(self, tmp_path, capsys):
+        # routes nested 600 deep put the latency bound past float range
+        out = tmp_path / "out"
+        assert main(["experiment", "--max-hops", "600", "--out-dir", str(out)]) == 3
+        assert capsys.readouterr() == ("", "error: latency bound exceeds float range\n")
+        assert not out.exists()
 
     def test_out_dir_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -683,6 +708,39 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["scenario", "clique", "--nodes", "3"])
         assert exc.value.code == 3
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early, as `| head -1` does, is no
+    refusal: the command exits with its handler's code and writes nothing
+    to stderr."""
+
+    # an admissible trace (exit 0), and one that puts three packets on link
+    # 1 in one round (exit 2)
+    @pytest.mark.parametrize("trace, code", [("inject 0 0 1\n", 0), ("inject 0 0 1\ninject 0 1 1\ninject 0 2 1\n", 2)])
+    def test_in_process(self, tmp_path, monkeypatch, capsys, trace, code):
+        path = tmp_path / "trace.txt"
+        path.write_text(trace)
+        # a stdout on a pipe whose read end is closed raises BrokenPipeError
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(["validate-trace", str(path), "--rho", "1/2", "--burst", "1"]) == code
+            monkeypatch.undo()
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("reader", ["head -1", "head -n 0"])
+    def test_pipeline(self, reader):
+        # under pipefail the pipeline fails when radiosched does; unbuffered,
+        # each line of the record is its own write, so head -1 can exit
+        # between two of them, and head -n 0 exits before the first
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"}
+        command = f"{shlex.quote(sys.executable)} -m radiosched.cli bounds threshold coloring --chi 3 | {reader}"
+        done = subprocess.run(["bash", "-o", "pipefail", "-c", command], env=env, capture_output=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == (b"kind: coloring\n" if reader == "head -1" else b"")
 
 
 def option_strings(parser) -> set[str]:

@@ -303,7 +303,7 @@ def ref_run(g, schedule, policy, trace, rounds) -> SimpleNamespace:
         injection_rounds=np.array([d[1] for d in delivered], dtype=np.int64),
         delivered_rounds=np.array([d[2] for d in delivered], dtype=np.int64),
         undelivered_count=len(trace) - len(delivered),
-        final_queues=tuple(tuple(p.id for _, _, p in q) for q in queues),
+        final_queues=tuple(tuple(p.id for _, _, p in sorted(q, key=lambda entry: key(*entry))) for q in queues),
     )
 
 
@@ -1217,9 +1217,10 @@ class TestRunMatchesRescan:
 
 
 class TestQueueTiesMatchRescan:
-    """The ties that the final queues' arrival keys and the max-queue
-    series derived from the forward log must break as the rescan does, on
-    path_graph(3): link 0 = (0, 1) feeds link 2 = (1, 2)."""
+    """Ties within one round's queue steps (an injection and a forward onto
+    one link, a link emptied and refilled) that the stretches and the
+    max-queue series must break as the rescan does, on path_graph(3): link
+    0 = (0, 1) feeds link 2 = (1, 2)."""
 
     @staticmethod
     def runs(rows, entries, rounds):
@@ -1233,10 +1234,10 @@ class TestQueueTiesMatchRescan:
 
     def test_injection_before_forward_in_one_round(self):
         # packet 0 is forwarded onto link 2 in round 0, the round packet 1 is
-        # injected there: 1 arrived first, though 0 has the smaller id and
-        # injection index
+        # injected there; under sis (the last policy) link 2 would serve 2,
+        # injected in round 1, first, then 0 and 1, tied at round 0, by id
         metrics = self.runs(((0,),), [(0, 0, (0, 2)), (0, 1, (2,)), (1, 2, (2,))], 3)
-        assert metrics.final_queues == ((), (), (1, 0, 2), ())
+        assert metrics.final_queues == ((), (), (2, 0, 1), ())
         assert metrics.per_round_max_queue.tolist() == [2, 3, 3]
 
     def test_emptied_then_refilled(self):

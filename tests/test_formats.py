@@ -60,15 +60,21 @@ def test_readme_example_roundtrip(tmp_path, index, name):
 MALFORMED = {
     "nodes-not-int": ("graph", "nodes x\n"),
     "edge-not-int": ("graph", "nodes 2\nedge 0 x\n"),
+    "nodes-repeated": ("graph", "nodes 2\nnodes 3\nedge 0 1\n"),
+    "graph-unknown-line": ("graph", "nodes 2\nlink 0 1\n"),
+    "graph-no-header": ("graph", "# no nodes line\n"),
     "period-not-int": ("schedule", "schedule period=x links=1\n"),
     "period-negative": ("schedule", "schedule period=-1 links=1\n"),
     "schedule-kind": ("schedule", "schedules period=1 links=1\n0\n"),
     "schedule-key-repeated": ("schedule", "schedule period=1 links=2 links=3\n0\n"),
     "schedule-half-claim": ("schedule", "schedule period=1 links=1 rho=1/2\n0\n"),
+    "schedule-row-not-int": ("schedule", "schedule period=1 links=2\n0 x\n"),
     "n-not-int": ("selector", "uss n=x t=1\n1\n"),
     "k-not-int": ("selector", "uss n=2 t=1 k=z\n11\n"),
     "selector-kind": ("selector", "ussx n=2 t=1\n11\n"),
     "selector-key-repeated": ("selector", "uss n=3 t=1 n=2\n11\n"),
+    "header-bad-token": ("selector", "uss n=2 t=1 k\n11\n"),
+    "header-missing-key": ("selector", "uss n=2\n11\n"),
     "no-columns": ("selector", "uss n=0 t=0\n"),
     "k-zero": ("selector", "uss n=2 t=1 k=0\n11\n"),
     "k-above-n": ("selector", "uss n=2 t=1 k=3\n11\n"),

@@ -164,6 +164,29 @@ def brute_chromatic(h):
     )
 
 
+def colorable(h, k) -> bool:
+    """Whether the undirected conflict closure has a proper k-coloring, by
+    backtracking over the links in index order."""
+    adj = [set(row) for row in h.blocks]
+    for u, row in enumerate(h.blocks):
+        for v in row:
+            adj[v].add(u)
+    colors = [-1] * h.link_count
+
+    def place(v):
+        if v == h.link_count:
+            return True
+        for c in range(k):
+            if all(colors[u] != c for u in adj[v]):
+                colors[v] = c
+                if place(v + 1):
+                    return True
+        colors[v] = -1
+        return False
+
+    return place(0)
+
+
 class TestColoring:
     def test_greedy_is_proper_and_bounded(self):
         g = graphs.random_network(10, 14, seed=1)
@@ -215,6 +238,16 @@ class TestColoring:
         col = graphs.exact_chromatic(h)
         assert graphs.is_proper(h, col)
         assert col.color_count == brute_chromatic(h)
+
+    def test_exact_searches_below_first_fit(self):
+        # first-fit needs 8 colors and the greedy clique bound is 6, so the
+        # branch-and-bound search settles the 14 links; a 6-clique makes 6
+        # the optimum, and the oracle finds no 5-coloring
+        h = graphs.build_conflict_graph(graphs.random_network(6, 7, seed=1))
+        assert h.link_count == 14 and graphs.greedy_coloring(h).color_count == 8
+        col = graphs.exact_chromatic(h)
+        assert graphs.is_proper(h, col) and col.color_count == 6
+        assert not colorable(h, 5)
 
     def test_exact_refuses_large_instances(self, monkeypatch):
         g = graphs.clique_graph(6)  # 30 links

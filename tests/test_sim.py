@@ -124,15 +124,15 @@ class TestPolicies:
         assert deliveries(long_first)[0] == (0, 0, 1)
         assert long_first.backlogged[4, 1]
 
-    def test_final_queues_in_arrival_order(self):
-        # sis serves newest first, but the leftovers are listed in the order
-        # they joined the queue: 2 went at round 1, 3 arrived at round 2
+    def test_final_queues_in_service_order(self):
+        # the leftovers are listed in the order sis would serve them next:
+        # newest injection first, then by id; 2 went at round 1
         g = path_graph(2)
         sched = schedule_from_rows(((), (0,), ()), 2, None)
         tr = trace_of([(0, 0, (0,)), (0, 1, (0,)), (1, 2, (0,)), (2, 3, (0,))], 2)
         metrics = run(g, sched, "sis", tr, 3)
         assert metrics.delivered_ids.tolist() == [2]
-        assert metrics.final_queues == ((0, 1, 3), ())
+        assert metrics.final_queues == ((3, 0, 1), ())
 
     def test_ids_beyond_int64_refused(self):
         # a trace keeps ids in an int64 column, as deliveries do
@@ -351,7 +351,7 @@ class TestSparseRecord:
         assert (long_bytes - short_bytes) / (long_count - short_count) < 56
 
     def test_run_peak(self):
-        # one run of the benchmark's overloaded clique: about 202 kB at peak,
+        # one run of the benchmark's overloaded clique: about 182 kB at peak,
         # reached after the loop, with the per-packet columns and the queues
         # freed, while the stretches are derived: the record's int64 columns
         # and backlog series take about 77 kB, and the sorted steps up and

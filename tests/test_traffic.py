@@ -318,6 +318,8 @@ class TestCliqueScenario:
         with pytest.raises(ParameterError):
             sc.predicted_backlog(0)
         with pytest.raises(ParameterError):
+            sc.predicted_backlog(-6)  # a multiple of chi = 6, but not a positive one
+        with pytest.raises(ParameterError):
             sc.predicted_backlog(600)
 
 
