@@ -300,7 +300,8 @@ def poly_uss(n: int, k: int) -> SelectorMatrix:
     is isolated on all but k*d arguments.  q is the least prime at or
     above FIELD_FACTOR*k*d; the guaranteed strength k*(q - k*d)/q^2 is attached.
     Columns are the first n polynomials ordered lexicographically by
-    coefficients, constant term varying fastest.
+    coefficients, constant term varying fastest; there are enough, as d is
+    the least with k^d >= n and q > k, so q^(d + 1) > k^d >= n.
     """
     if n < 2 or k < 2:
         raise ParameterError(f"need n >= 2 and k >= 2, got n={n}, k={k}")
@@ -310,8 +311,6 @@ def poly_uss(n: int, k: int) -> SelectorMatrix:
     while k**d < n:
         d += 1
     q = _next_prime(FIELD_FACTOR * k * d)
-    if q ** (d + 1) < n:
-        raise ParameterError("field too small for the requested column count")
 
     idx = np.arange(n, dtype=np.int64)
     coeffs = np.empty((n, d + 1), dtype=np.int64)

@@ -60,12 +60,12 @@ class RunMetrics:
     `delivered_rounds` are two int64 columns with one entry per delivered
     packet, in delivery order, so a delivery costs 16 bytes and no Python
     object; `delivered_ids` and `injection_rounds` read the trace through
-    the first.  `undelivered_count` counts trace packets not delivered
-    within the simulated rounds, including any whose injection round was
-    never reached.  `final_queues` lists each link's queued packet ids in
-    the order its policy would serve them next: by policy key, then by
-    packet id.  `run` derives all of these after its loop from one success
-    log and the final queues (see `run`).
+    the first, and `undelivered_count` counts the trace's other packets,
+    including any whose injection round was never reached.  `final_queues`
+    lists each link's queued packet ids in the order its policy would serve
+    them next: by policy key, then by packet id.  `run` derives all of
+    these after its loop from its success and delivery logs and the final
+    queues (see `run`).
 
     The stretches and `per_round_max_queue`, the longest queue at the end
     of each round, read the queues' steps on one clock of half rounds:
@@ -89,7 +89,6 @@ class RunMetrics:
     per_round_backlog: np.ndarray
     delivered_rows: np.ndarray
     delivered_rounds: np.ndarray
-    undelivered_count: int
     final_queues: tuple[tuple[int, ...], ...]
 
     @property
@@ -243,6 +242,10 @@ class RunMetrics:
         return len(self.delivered_rows)
 
     @property
+    def undelivered_count(self) -> int:
+        return len(self.trace) - self.delivered_rows.size
+
+    @property
     def max_backlog(self) -> int:
         return int(self.per_round_backlog.max(initial=0))
 
@@ -276,27 +279,27 @@ def run(
     packet's first link and initial heap key are int64 columns built before
     the loop and read through memoryviews, which yield Python ints.
 
-    The loop keeps only the queues, each packet's completed hops and the
-    success log: one int64 append per success, rank * rounds + round, in
-    the order of the loop.  After it each heap, sorted, lists its link's
-    queued ranks in service order.  With the per-packet columns, the routes
-    by rank and the queues freed, numpy derives every field of the record
-    from the log, the trace and those ranks.  Sorting the log groups each
-    packet's successes in round order, so a success's place in its group
-    is its hop, and the hop gives its link and its next link, or its
-    delivery, from the packet's route.  From these come the success events,
-    the delivery columns in delivery order, the forward log in loop order
-    and the backlog series.  The backlogged stretches come from each link's
-    steps up and down on one clock of half rounds, round r's injections at
-    time 2r and its successes and forwards at 2r + 1.  The derivation costs
-    O(E log E) time and O(E + rounds) memory for E events, with no links x
-    rounds array.  It holds a few int64 arrays of the events at once and
-    frees each when read; it peaks while the stretches are found, holding
-    the record's columns and every step up and down with their ranks.
+    The loop keeps only the queues, each packet's place in the flat route
+    table (each route's links, then -1, so the entry after a packet's place
+    is its next link, or -1 at its delivery) and two logs in the order of
+    the loop: place * rounds + round of every success, and the rank of every
+    delivered packet.  After it each heap, sorted, lists its link's queued
+    ranks in service order.  With the per-packet columns and the queues
+    freed, numpy derives every field of the record from the logs, the trace
+    and those ranks, reading a success's link and next link from the table.
+    From these come the success events, the delivery columns in delivery
+    order, the forward log in loop order and the backlog series.  The
+    backlogged stretches come from each link's steps up and down on one
+    clock of half rounds, round r's injections at time 2r and its successes
+    and forwards at 2r + 1.  The derivation costs O(E log E) time and O(E +
+    rounds) memory for E events, with no links x rounds array.  It holds a
+    few int64 arrays of the events at once and frees each when read; it
+    peaks while the stretches are found, holding the record's columns and
+    every step up and down with their ranks.
 
     A run whose keys could leave int64, (rounds + longest route + 1) *
-    (packets + 1) >= 2**63, is refused before anything is sized by
-    `rounds`.
+    (packets + 1) >= 2**63 or (route table entries) * rounds >= 2**63, is
+    refused before anything is sized by `rounds`.
     """
     coef = POLICIES.get(policy.lower())
     if coef is None:
@@ -311,10 +314,13 @@ def run(
     # the packets injected before `rounds`: the trace is sorted by round,
     # so they are its first `count`, and packet ptr is the next due
     count = int(np.searchsorted(trace.rounds, rounds))
-    routes = trace.routes
-    lengths = np.array([len(rt) for rt in routes], dtype=np.int64)
+    lengths = np.array([len(rt) for rt in trace.routes], dtype=np.int64)
+    # the flat route table: each route's links, then -1
+    flat = np.fromiter(chain.from_iterable(rt + (-1,) for rt in trace.routes), np.int64, lengths.sum() + len(lengths))
     if (rounds + int(lengths.max(initial=0)) + 1) * (count + 1) >= 2**63:
         raise ParameterError(f"{rounds} rounds overflow the int64 queue keys at packet count {count}")
+    if flat.size * rounds >= 2**63:
+        raise ParameterError(f"{rounds} rounds overflow the int64 success keys at route table size {flat.size}")
     # the backlog at the end of round r: injections up to r less deliveries
     # up to r.  The first array sized by `rounds`, it counts the injections
     # before the loop; an array('q') refuses a size past the address space
@@ -326,23 +332,22 @@ def run(
     # packet id's rank among the run's ids: int order is (key, id) order,
     # negative keys included, so the head of a link's heap is the policy's
     # choice, and a forward adds step to it.  first and key hold each
-    # injection's first link and initial int; order maps a rank to its
-    # injection index, route_by_rank holds each packet's route tuple from
-    # the trace's table, and hops, indexed by rank, counts a packet's
-    # completed hops.
-    at_round, at_hops, at_length = coef
+    # injection's first link and initial int, order maps a rank to its
+    # injection index, and at, indexed by rank, holds a packet's place: its
+    # link is flat[at[k]], and its next link flat[at[k] + 1].
+    per_round, per_hop, per_length = coef
     route_of = trace.route_of[:count]
     order = np.argsort(trace.ids[:count])
-    key = at_round * trace.rounds[:count] + at_length * lengths[route_of]
+    key = per_round * trace.rounds[:count] + per_length * lengths[route_of]
     key *= count
     key[order] += np.arange(count)
-    first = np.array([rt[0] for rt in routes], dtype=np.int64)[route_of]
-    route_by_rank = [routes[j] for j in route_of[order].tolist()]
-    del route_of, injected
-    first, key = memoryview(first), memoryview(key)
+    place = (np.cumsum(lengths + 1) - lengths - 1)[route_of]  # each injection's first place
+    first = flat[place]
+    at = array("q", place[order].tobytes())
+    del route_of, injected, lengths, place
+    first, key, table = memoryview(first), memoryview(key), memoryview(flat)
     injected_round = memoryview(trace.rounds)
-    hops = array("q", [0]) * count
-    step = at_hops * count
+    step = per_hop * count
     ptr = 0
     due = injected_round[0] if count else -1
 
@@ -358,9 +363,11 @@ def run(
     rows = schedule.rows(span) or [()]
     plan = [row if ok else None for row, ok in zip(rows, clean)]
     period = len(rows)
-    # the success log: rank * rounds + round of every success, in the order
-    # of the loop, from which every other field is derived after it
+    # the success log, place * rounds + round of every success, and the
+    # delivery log, the rank of every delivered packet, both in the order of
+    # the loop, from which every other field is derived after it
     log = array("q")
+    done = array("q")
 
     for r in range(rounds):
         if r == due:
@@ -375,10 +382,10 @@ def run(
         # backlogged links and the radio rule picks the winners.  A winner's
         # head is silent, so a packet forwarded this round never joins the
         # queue of a later winner.
-        at = r % period
-        winners = plan[at]
+        i = r % period
+        winners = plan[i]
         if winners is None:
-            winners = [e for e in rows[at] if queues[e]]
+            winners = [e for e in rows[i] if queues[e]]
             if winners:
                 winners = compress(winners, resolve_rows(g, [0] * len(winners), winners, 1).tolist())
         for e in winners:
@@ -387,15 +394,17 @@ def run(
                 continue
             head = heappop(q)
             k = head % count
-            log.append(k * rounds + r)
-            route = route_by_rank[k]
-            h = hops[k] + 1
-            if h == len(route):
+            p = at[k]
+            log.append(p * rounds + r)
+            p += 1
+            after = table[p]
+            if after < 0:
+                done.append(k)
                 continue
-            hops[k] = h
+            at[k] = p
             # a forwarded packet waits at its next link from round r + 1
-            heappush(queues[route[h]], head + step)
-    del first, key, route_by_rank, hops
+            heappush(queues[after], head + step)
+    del first, key, table, at
     # the links still holding packets, their queue lengths and the ranks
     # they hold, each heap sorted: int order is (key, id) order, the order
     # the policy serves them in
@@ -404,51 +413,23 @@ def run(
     queued = np.fromiter(chain.from_iterable(sorted(queues[e]) for e in busy), dtype=np.int64, count=sum(held))
     queued %= count or 1
     del queues
-    # Group the log by packet: a packet succeeds at most once a round, so
-    # the entries are distinct, and sorted they hold each packet's successes
-    # together in round order, packet k's i-th, made at its hop i, at
-    # begin[k] + i.
+    delivered_rows = order[np.frombuffer(done, dtype=np.int64)]
+    del done
+    # a success's place holds its link, and the next one its next link or -1
     log = np.frombuffer(log, dtype=np.int64)
-    perm = np.argsort(log)
-    grouped = log[perm]
-    grouped //= rounds
-    begin = np.bincount(grouped, minlength=count)
-    begin = np.cumsum(begin) - begin
-    hop = np.arange(log.size)
-    hop -= begin[grouped]
-    del grouped, begin
-    in_order = np.empty_like(hop)
-    in_order[perm] = hop
-    hop = in_order
-    del in_order, perm
-    # Back in loop order, a success's packet and hop give its place in the
-    # flat route table, which lists each route's links and then -1: the
-    # entry there is the success's link, and the next one its packet's next
-    # link, or -1 at a delivery.
-    rank = log // rounds
+    place = log // rounds
     np.remainder(log, rounds, out=log)
-    flat = np.fromiter(
-        chain.from_iterable(rt + (-1,) for rt in routes), dtype=np.int64, count=int(lengths.sum()) + len(routes)
-    )
-    lengths += 1
-    place = np.cumsum(lengths) - lengths
-    place = place[trace.route_of[order]]
-    place = place[rank]
-    place += hop
-    del hop, lengths
     link = flat[place]
     place += 1
     after = flat[place]
-    del place
-    done = after < 0
-    delivered_rows = order[rank[done]]
-    delivered_rounds = log[done]
-    del rank
-    np.logical_not(done, out=done)
-    forwards = after[done]
+    del place, flat
+    delivery = after < 0
+    delivered_rounds = log[delivery]
+    np.logical_not(delivery, out=delivery)
+    forwards = after[delivery]
     forwards *= rounds
-    forwards += log[done]
-    del after, done
+    forwards += log[delivery]
+    del after, delivery
     link *= rounds
     link += log
     link.sort()
@@ -489,7 +470,6 @@ def run(
         per_round_backlog=np.cumsum(backlog, dtype=np.int64),
         delivered_rows=delivered_rows,
         delivered_rounds=delivered_rounds,
-        undelivered_count=len(trace) - delivered_rows.size,
         final_queues=tuple(final_queues),
     )
 

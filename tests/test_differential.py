@@ -37,6 +37,7 @@ from radiosched.graphs import (
     build_conflict_graph,
     clique_graph,
     conflict_in_degree,
+    exact_chromatic,
     greedy_coloring,
     path_graph,
     random_network,
@@ -1215,6 +1216,19 @@ class TestRunMatchesRescan:
         assert got.forward_events.tolist() == [1 * rounds + 0, 0 * rounds + 1, 1 * rounds + 4, 0 * rounds + 5]
         assert got.delivered_ids.tolist() == [0, 1, 2] and got.delivered_rounds.tolist() == [2, 6, 8]
 
+    def test_places_in_a_table_with_unused_routes(self):
+        # the table lists the unused routes (3,) and (4,) before the used
+        # ones, so a packet's place lies past its route's first entry, and
+        # route (0, 1, 0) crosses link 0 = (0, 1) twice (link 1 = (1, 0)),
+        # at two places
+        g = clique_graph(3)
+        sched = schedule_from_coloring(exact_chromatic(build_conflict_graph(g)))
+        routes = ((2,), (3,), (4,), (0, 1, 0), (1,), (0,))
+        trace = InjectionTrace([0, 0, 1, 1, 3, 9], [9, 4, 7, 1, 2, 8], [3, 5, 4, 3, 5, 0], routes, 9)
+        for rounds in (1, 4, 8, 30):
+            for policy in sorted(POLICIES):
+                assert_metrics_equal(run(g, sched, policy, trace, rounds), ref_run(g, sched, policy, trace, rounds))
+
 
 class TestQueueTiesMatchRescan:
     """Ties within one round's queue steps (an injection and a forward onto
@@ -1417,7 +1431,6 @@ class TestFailureAccountingMatchesDense:
             per_round_backlog=np.zeros(6, dtype=np.int64),
             delivered_rows=np.zeros(0, dtype=np.int64),
             delivered_rounds=np.zeros(0, dtype=np.int64),
-            undelivered_count=0,
             final_queues=((),) * 3,
         )
         assert metrics.backlogged.tolist() == [
@@ -1460,7 +1473,6 @@ class TestFailureAccountingMatchesDense:
             per_round_backlog=np.zeros(rounds, dtype=np.int64),
             delivered_rows=np.zeros(0, dtype=np.int64),
             delivered_rounds=np.zeros(0, dtype=np.int64),
-            undelivered_count=0,
             final_queues=((),) * m,
         )
         assert np.array_equal(metrics.backlogged, backlogged)

@@ -26,6 +26,7 @@ from radiosched.selectors import poly_uss
 from radiosched.sim import failure_accounting, run, stability_verdict
 from radiosched.traffic import (
     AdversaryConfig,
+    InjectionTrace,
     Packet,
     gen_clique_scenario,
     gen_leaky_bucket,
@@ -439,11 +440,15 @@ class TestSparseRecord:
         g = path_graph(2)
         sched = schedule_from_rows(((0,),), 2, None)
         tr = trace_of([(0, 0, (0,))], 0)
+        # one packet on the 4th route of a 4-route table: its queue keys,
+        # below (2**61 + 3) * 2, fit, but its success keys, place * rounds +
+        # round at place 7 of the flat table, would not
+        fourth = InjectionTrace([0], [0], [3], ((0,), (1,), (1, 0), (0, 1)), 0)
         tracemalloc.start()
         try:
-            for rounds in (2**62, 2**62 - 2):
+            for trace, rounds in ((tr, 2**62), (tr, 2**62 - 2), (fourth, 2**61)):
                 with pytest.raises(ParameterError, match="int64"):
-                    run(g, sched, "lis", tr, rounds)
+                    run(g, sched, "lis", trace, rounds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
